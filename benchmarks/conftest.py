@@ -19,6 +19,7 @@ check, and the timing pair is the measured speedup EXPERIMENTS.md cites.
 
 import json
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -42,12 +43,26 @@ SUITE_TIMINGS = {}
 
 
 def _json_default(obj):
-    """Make numpy scalars/arrays and tuples-as-keys JSON-representable."""
+    """Make numpy scalars/arrays JSON-representable; refuse anything else."""
     if hasattr(obj, "item") and not hasattr(obj, "__len__"):
         return obj.item()
     if hasattr(obj, "tolist"):
         return obj.tolist()
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON-serializable")
+
+
+def _is_raw_result(value) -> bool:
+    """Whether ``value`` is a simulation trace (a ``SimulationResult`` or
+    a non-empty mapping nest of them) rather than a headline number."""
+    from repro.sim.results import SimulationResult
+
+    if isinstance(value, SimulationResult):
+        return True
+    return (
+        isinstance(value, Mapping)
+        and bool(value)
+        and all(_is_raw_result(v) for v in value.values())
+    )
 
 
 def _wall_clock_s(benchmark):
@@ -66,13 +81,23 @@ def save_report(result, benchmark=None) -> None:
     payload = {
         "experiment_id": result.experiment_id,
         "title": result.title,
-        "headline": result.data,
+        # Raw traces (e.g. E2-E4's ``results`` sweep) stay out of the
+        # artifact: it holds the headline numbers only.
+        "headline": {
+            k: v for k, v in result.data.items() if not _is_raw_result(v)
+        },
         "wall_clock_s": _wall_clock_s(benchmark) if benchmark is not None else None,
         "suite_timing": SUITE_TIMINGS.get(result.experiment_id),
     }
     json_path = RESULTS_DIR / f"BENCH_{result.experiment_id}.json"
     json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+        json.dumps(
+            payload,
+            indent=2,
+            sort_keys=True,
+            allow_nan=False,
+            default=_json_default,
+        )
         + "\n"
     )
 

@@ -21,6 +21,7 @@ makes for learning the policy model-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -103,34 +104,51 @@ class PowerPerfEstimator:
             * np.exp(tech.leak_temp_sens * (self._t_assumed - tech.t_ref))
         )
         self._leak_per_level = leak_nominal[None, :] * self.hetero.leak_scale[:, None]
+        self._cores = np.arange(cfg.n_cores)
+        self._v2 = self._volts[None, :] ** 2
 
     def predict(self, obs: EpochObservation) -> LevelPredictions:
         """Predictions for all cores and levels from one epoch's telemetry."""
+        power, ips = self.predict_tables(
+            obs.levels, obs.sensed_instructions, obs.sensed_power
+        )
+        return LevelPredictions(power=power, ips=ips)
+
+    def predict_tables(
+        self,
+        levels: np.ndarray,
+        sensed_instructions: np.ndarray,
+        sensed_power: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(power, ips)`` tables of shape ``(..., n_cores, n_levels)``
+        from ``levels``, ``sensed_instructions`` and ``sensed_power``
+        (watts) of shape ``(..., n_cores)``.  Every operation is
+        elementwise, so each row of a stacked call equals a one-run call."""
         cfg = self.cfg
-        levels = np.asarray(obs.levels, dtype=int)
-        cores = np.arange(cfg.n_cores)
+        levels = np.asarray(levels, dtype=int)
+        cores = self._cores
         f_cur = self._freqs[cores, levels]
         v_cur = self._volts[levels]
 
         # Invert memory intensity from IPC via CPI(f) = CPI0 + mu * L * f.
         cycles = np.maximum(f_cur * cfg.epoch_time, 1.0)
-        ipc = np.clip(obs.sensed_instructions / cycles, 1e-6, None)
+        # max/min, not np.clip: the same values (NaN too), far cheaper.
+        ipc = np.maximum(sensed_instructions / cycles, 1e-6)
         mu = np.maximum(0.0, (1.0 / ipc - self._base_cpi)) / (
             cfg.mem_latency * f_cur + 1e-30
         )
 
         # Invert activity from measured power minus assumed leakage.
         leak_cur = self._leak_per_level[cores, levels]
-        p_dyn = np.maximum(0.0, obs.sensed_power - leak_cur)
+        p_dyn = np.maximum(0.0, sensed_power - leak_cur)
         act = p_dyn / (self._ceff * v_cur**2 * f_cur)
-        act = np.clip(act, cfg.activity_range[0], cfg.activity_range[1])
+        act = np.minimum(np.maximum(act, cfg.activity_range[0]), cfg.activity_range[1])
 
         # Expand across all levels.
         f = self._freqs  # (n, L)
-        v2 = self._volts[None, :] ** 2
-        power = act[:, None] * self._ceff[:, None] * v2 * f + self._leak_per_level
-        ips = f / (self._base_cpi[:, None] + mu[:, None] * cfg.mem_latency * f)
-        return LevelPredictions(power=power, ips=ips)
+        power = act[..., None] * self._ceff[:, None] * self._v2 * f + self._leak_per_level
+        ips = f / (self._base_cpi[:, None] + mu[..., None] * cfg.mem_latency * f)
+        return power, ips
 
     def cold_predictions(self, n_cores: int) -> LevelPredictions:
         """Predictions with no telemetry (first epoch): assume worst-case
@@ -142,8 +160,7 @@ class PowerPerfEstimator:
                 f"{cfg.n_cores}, got {n_cores}"
             )
         f = self._freqs
-        v2 = self._volts[None, :] ** 2
         act = cfg.activity_range[1]
-        power = act * self._ceff[:, None] * v2 * f + self._leak_per_level
+        power = act * self._ceff[:, None] * self._v2 * f + self._leak_per_level
         ips = f / self._base_cpi[:, None]
         return LevelPredictions(power=power, ips=ips)

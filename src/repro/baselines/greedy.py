@@ -12,7 +12,9 @@ the on-line model of :class:`~repro.baselines.estimator.PowerPerfEstimator`:
   sheds the most power per unit of predicted throughput lost.  (The
   steepest-drop heuristic of Winter et al.)
 
-Both run a heap-driven pass per epoch: O(n·L log n) decision cost.  Their
+Both build each core's step tables (power delta and heap key per level
+step) once per epoch as O(n·L) array operations, then run a heap-driven
+pass over plain Python floats: O(n·L log n) decision cost.  Their
 weakness versus OD-RL is the model itself — the activity/leakage inversion
 drifts with die temperature, so "fits the budget" in the model can overshoot
 in reality, every epoch, systematically.
@@ -21,7 +23,7 @@ in reality, every epoch, systematically.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,66 +36,60 @@ from repro.sim.interface import Controller
 __all__ = ["GreedyAscentController", "SteepestDropController"]
 
 
+def _step_tables(
+    pred: LevelPredictions, negate: bool
+) -> Tuple[List[List[float]], List[List[float]]]:
+    """Per-core step tables as Python lists: ``d_power[i][k]`` is the power
+    of stepping core ``i`` from level ``k`` to ``k + 1``, and ``keys[i][k]``
+    is that step's heap key, ``(∓)d_ips / max(d_power, 1e-12)`` — the same
+    IEEE operations the per-step scalar code performed."""
+    power, ips = pred.power, pred.ips
+    d_power = power[:, 1:] - power[:, :-1]
+    d_ips = ips[:, 1:] - ips[:, :-1]
+    keys = (-d_ips if negate else d_ips) / np.maximum(d_power, 1e-12)
+    return d_power.tolist(), keys.tolist()
+
+
 def _greedy_ascent(pred: LevelPredictions, budget: float) -> np.ndarray:
     """Bottom-up marginal-utility allocation.  Shared by controllers/tests."""
-    power, ips = pred.power, pred.ips
-    n, n_levels = power.shape
-    levels = np.zeros(n, dtype=int)
-    total = float(np.sum(power[:, 0]))
-    heap = []
-    for i in range(n):
-        if n_levels > 1:
-            dp = power[i, 1] - power[i, 0]
-            dips = ips[i, 1] - ips[i, 0]
-            heap.append((-dips / max(dp, 1e-12), i, 1))
+    n, n_levels = pred.power.shape
+    levels = [0] * n
+    total = float(np.sum(pred.power[:, 0]))
+    d_power, keys = _step_tables(pred, negate=True)
+    # Best marginal throughput per watt first -> most negative key; each
+    # core has exactly one entry on the heap, its next upgrade.
+    heap = [(keys[i][0], i, 1) for i in range(n)] if n_levels > 1 else []
     heapq.heapify(heap)
     while heap:
         _, i, lvl = heapq.heappop(heap)
-        if levels[i] != lvl - 1:
-            continue  # stale entry
-        dp = power[i, lvl] - power[i, lvl - 1]
+        dp = d_power[i][lvl - 1]
         if total + dp > budget:
             continue  # this upgrade does not fit; others may
         levels[i] = lvl
         total += dp
         if lvl + 1 < n_levels:
-            dp_next = power[i, lvl + 1] - power[i, lvl]
-            dips_next = ips[i, lvl + 1] - ips[i, lvl]
-            heapq.heappush(heap, (-dips_next / max(dp_next, 1e-12), i, lvl + 1))
-    return levels
+            heapq.heappush(heap, (keys[i][lvl], i, lvl + 1))
+    return np.array(levels, dtype=int)
 
 
 def _steepest_drop(pred: LevelPredictions, budget: float) -> np.ndarray:
     """Top-down power shedding.  Shared by controllers/tests."""
-    power, ips = pred.power, pred.ips
-    n, n_levels = power.shape
-    levels = np.full(n, n_levels - 1, dtype=int)
-    total = float(np.sum(power[:, -1]))
-    heap = []
-
-    def push(i: int) -> None:
-        lvl = levels[i]
-        if lvl == 0:
-            return
-        dp = power[i, lvl] - power[i, lvl - 1]
-        dips = ips[i, lvl] - ips[i, lvl - 1]
-        # Most power shed per throughput lost first -> smallest dips/dp.
-        heap.append((dips / max(dp, 1e-12), i, lvl))
-
-    for i in range(n):
-        push(i)
+    n, n_levels = pred.power.shape
+    top = n_levels - 1
+    levels = [top] * n
+    total = float(np.sum(pred.power[:, -1]))
+    d_power, keys = _step_tables(pred, negate=False)
+    # Most power shed per throughput lost first -> smallest dips/dp; each
+    # core has exactly one entry on the heap, its next downgrade.
+    heap = [(keys[i][top - 1], i, top) for i in range(n)] if top > 0 else []
     heapq.heapify(heap)
     while total > budget and heap:
         _, i, lvl = heapq.heappop(heap)
-        if levels[i] != lvl:
-            continue  # stale entry
         levels[i] = lvl - 1
-        total -= power[i, lvl] - power[i, lvl - 1]
-        if levels[i] > 0:
-            dp = power[i, levels[i]] - power[i, levels[i] - 1]
-            dips = ips[i, levels[i]] - ips[i, levels[i] - 1]
-            heapq.heappush(heap, (dips / max(dp, 1e-12), i, levels[i]))
-    return levels
+        total -= d_power[i][lvl - 1]
+        if lvl > 1:
+            heapq.heappush(heap, (keys[i][lvl - 2], i, lvl - 1))
+    return np.array(levels, dtype=int)
 
 
 class GreedyAscentController(Controller):

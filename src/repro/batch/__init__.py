@@ -11,7 +11,7 @@ serial and ``jobs=`` via ``run_suite(..., batch=True)``,
 """
 
 from repro.batch.chip import BatchChip, BatchObservation
-from repro.batch.policies import (
+from repro.kernel.policies import (
     BatchCompatError,
     BatchMaxBIPS,
     BatchODRL,

@@ -3,7 +3,7 @@
 :func:`simulate_batch` is the batched mirror of
 :func:`repro.sim.simulator.simulate`: it stacks a group of independent
 run cells into one :class:`~repro.batch.chip.BatchChip` (the epoch
-kernel) plus one :class:`~repro.batch.policies.BatchPolicy` and advances
+kernel) plus one :class:`~repro.kernel.policies.BatchPolicy` and advances
 every run with a single array epoch step, returning one ordinary
 :class:`~repro.sim.results.SimulationResult` per cell.  The loop body is
 a line-for-line transcription of the serial loop — same contract checks,
@@ -18,7 +18,7 @@ longest run and finished rows are masked out via the kernel's ``active``
 row mask, so shorter runs see exactly the operation sequence of a
 shorter batch.  Watchdog-supervised cells batch too — each run gets its
 own :class:`~repro.faults.watchdog.WatchdogController` wrapper, driven
-per run by :class:`~repro.batch.policies.PerRunPolicy`.
+per run by :class:`~repro.kernel.policies.PerRunPolicy`.
 
 :func:`batch_unsupported_reason` is the compatibility gate: tasks that
 trace, profile, or carry plant options the batched chip does not model
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.batch.chip import BatchChip, BatchObservation
-from repro.batch.policies import build_batch_policy
+from repro.kernel.policies import build_batch_policy
 from repro.contracts import (
     check_observation_sane,
     check_power_samples,
@@ -294,10 +294,9 @@ def simulate_batch(tasks: Sequence["CellTask"]) -> List[SimulationResult]:
         t0 = time.perf_counter()
         levels = policy.decide(obs, active)
         t1 = time.perf_counter()
-        # One decide advances all runs; the shared wall time is each run's
-        # decision_time entry (a wall-clock field, excluded from
-        # trace_equal just like the serial measurement jitter).
-        decision_time[e, :] = t1 - t0
+        # Per-run decide cost as the policy attributes it (wall clock,
+        # excluded from trace_equal like the serial measurement jitter).
+        decision_time[e] = policy.decide_seconds(t1 - t0, active)
         if active is not None:
             # Finished rows hold their last level: no transition stall, no
             # actuator command.  np.where (not in-place assignment) because

@@ -48,6 +48,8 @@ def run_e2(
     * ``reduction_vs_baseline[baseline][benchmark]`` — OD-RL's overshoot
       reduction versus each baseline,
     * ``reduction_vs_best_baseline`` — versus the lowest-overshoot baseline,
+    * ``n_undefined_reductions`` — reduction cells left ``None``: the
+      baseline never overshot but OD-RL did,
     * ``max_reduction`` — the headline "up to X % less" number.
 
     Parameters
@@ -81,26 +83,28 @@ def run_e2(
 
     baselines = [n for n in names if n != "od-rl"]
 
-    def _reduction(ours: float, theirs: float) -> float:
+    def _reduction(ours: float, theirs: float) -> Optional[float]:
         if theirs <= 0:
-            return 0.0 if ours <= 0 else -float("inf")
+            return 0.0 if ours <= 0 else None
         return 100.0 * (1.0 - ours / theirs)
 
     # Reduction of OD-RL's overshoot versus every baseline individually
     # ("up to X% less than state-of-the-art algorithms" is a max over both
     # benchmarks and baselines), plus versus the best baseline per
     # benchmark (the conservative comparison).
-    reduction_vs: Dict[str, Dict[str, float]] = {
+    reduction_vs: Dict[str, Dict[str, Optional[float]]] = {
         c: {b: _reduction(obe["od-rl"][b], obe[c][b]) for b in bench}
         for c in baselines
     }
-    reduction: Dict[str, float] = {
+    reduction: Dict[str, Optional[float]] = {
         b: _reduction(obe["od-rl"][b], min(obe[c][b] for c in baselines))
         for b in bench
     }
-    max_reduction = max(
-        v for row in reduction_vs.values() for v in row.values()
+    defined = [v for row in reduction_vs.values() for v in row.values() if v is not None]
+    n_undefined = sum(
+        v is None for row in [*reduction_vs.values(), reduction] for v in row.values()
     )
+    max_reduction = max(defined, default=0.0)
 
     report = "\n\n".join(
         [
@@ -127,6 +131,7 @@ def run_e2(
                     f"(paper claim C1: up to 98% less — measured max {max_reduction:.1f}%)"
                 ),
                 fmt="{:.1f}",
+                missing="n/a",
             ),
         ]
     )
@@ -139,6 +144,7 @@ def run_e2(
             "overshoot_fraction": ofrac,
             "reduction_vs_baseline": reduction_vs,
             "reduction_vs_best_baseline": reduction,
+            "n_undefined_reductions": n_undefined,
             "max_reduction": max_reduction,
             "results": results,
         },

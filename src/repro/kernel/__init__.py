@@ -7,8 +7,8 @@ is an ``n_runs=1`` view, worker processes (``jobs=N``) run the serial
 view per cell, and the batched backend (:mod:`repro.batch`) is the
 kernel plus stacking/unstacking adapters.  The batched controller
 implementations live in :mod:`repro.kernel.policies` (re-exported by
-``repro.batch.policies``); they are *not* imported here because they pull
-in the controller layer, which imports this package's views.
+:mod:`repro.batch`); they are *not* imported here because they pull in
+the controller layer, which imports this package's views.
 
 The kernel's array operations route through the namespace indirection in
 :mod:`repro.kernel.backend` (``numpy`` default), making a GPU (``cupy``)

@@ -8,10 +8,11 @@ Three shapes, selected by :func:`build_batch_policy`:
   the RNG-consuming action step plus the TD scatter run per run in the
   exact serial order (the RNG draw sequence per run is untouched).
 * :class:`BatchMaxBIPS` — all runs are DP-method
-  :class:`MaxBIPSController` instances sharing estimator tables: the
-  telemetry inversion vectorizes over runs and the knapsack DP runs all
-  runs per (core, level) inner step.  This is the batching that actually
-  pays — MaxBIPS spends ~90 % of its wall-clock inside ``solve_dp``.
+  :class:`MaxBIPSController` instances sharing estimator tables: one
+  stacked telemetry inversion, and a knapsack DP that advances all runs
+  per core through sliding-window shifts and the serial strict-``>``
+  level sweep.  This is the batching that actually pays — MaxBIPS
+  spends ~90 % of its wall-clock inside ``solve_dp``.
 * :class:`PerRunPolicy` — anything else (including watchdog-wrapped
   drivers): the kernel plant is still shared, but each run's serial
   controller consumes its own row view of the kernel observation.
@@ -31,10 +32,12 @@ reductions are row-view sums with the serial pairwise order.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.maxbips import MaxBIPSController
 from repro.contracts import check_q_table
@@ -76,9 +79,10 @@ class BatchPolicy(ABC):
         self.n_cores = self.controllers[0].n_cores
         self.n_levels = self.controllers[0].n_levels
 
-    @abstractmethod
     def reset(self) -> None:
         """Reset every run's controller state (start of the batch run)."""
+        for ctrl in self.controllers:
+            ctrl.reset()
 
     @abstractmethod
     def decide(
@@ -93,6 +97,16 @@ class BatchPolicy(ABC):
         controller state (RNG draws, counters, learner tables); their
         output rows are unspecified — the batch simulator freezes them.
         """
+
+    def decide_seconds(
+        self, stack_s: float, active: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Each run's ``decision_time`` entry for a ``decide`` that took
+        ``stack_s`` wall seconds: a vectorized decide advances all live
+        runs at once, so each is charged the amortized per-run cost, the
+        stack time over the number of active rows."""
+        n_active = self.n_runs if active is None else int(np.count_nonzero(active))
+        return np.full(self.n_runs, stack_s / max(n_active, 1))
 
     def degradation_extras(self, run: int) -> Optional[Dict[str, int]]:
         """Run ``run``'s degradation counters, mirroring the serial
@@ -121,9 +135,9 @@ class PerRunPolicy(BatchPolicy):
 
     kind = "per-run"
 
-    def reset(self) -> None:
-        for ctrl in self.controllers:
-            ctrl.reset()
+    def __init__(self, controllers: Sequence[Controller]) -> None:
+        super().__init__(controllers)
+        self._row_s = np.zeros(self.n_runs)
 
     def decide(
         self,
@@ -133,11 +147,22 @@ class PerRunPolicy(BatchPolicy):
         # Zeros, not empty: finished runs' rows must still be valid level
         # indices (the simulator overwrites them with the frozen levels).
         out = np.zeros((self.n_runs, self.n_cores), dtype=int)
+        self._row_s[:] = 0.0
         for r, ctrl in enumerate(self.controllers):
             if not _row_active(active, r):
                 continue
-            out[r] = ctrl.decide(None if bobs is None else bobs.row(r))
+            row = None if bobs is None else bobs.row(r)
+            t0 = time.perf_counter()
+            levels = ctrl.decide(row)
+            self._row_s[r] = time.perf_counter() - t0
+            out[r] = levels
         return out
+
+    def decide_seconds(
+        self, stack_s: float, active: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Each run's own ``decide`` wall time from the last call."""
+        return self._row_s.copy()
 
 
 class BatchODRL(BatchPolicy):
@@ -472,122 +497,91 @@ class BatchODRL(BatchPolicy):
 class BatchMaxBIPS(BatchPolicy):
     """All runs' MaxBIPS (DP method) decided by one batched knapsack.
 
-    The telemetry-to-prediction inversion vectorizes over runs; the DP
-    sweeps all runs together per (core, level) step via a gather-shift
-    that evaluates exactly the serial ``value[w - c] + gain`` additions.
-    Budgets may differ per run (each run has its own value table and
-    quantum).  The policy is epoch-stateless, so ragged masking needs no
-    gating — inactive rows simply compute unused (but valid) levels.
+    The telemetry-to-prediction inversion is the estimator's own stacked
+    :meth:`~repro.baselines.estimator.PowerPerfEstimator.predict_tables`;
+    the DP sweeps all runs together per core through a sliding window over
+    each run's ``-inf``-padded value row, which evaluates exactly the
+    serial ``value[w - c] + gain`` additions.  Budgets may differ per run
+    (each run has its own value table and quantum).  The policy is
+    epoch-stateless, so ragged masking needs no gating — inactive rows
+    simply compute unused (but valid) levels.
     """
 
     kind = "maxbips"
 
     def __init__(self, controllers: Sequence[MaxBIPSController]) -> None:
         super().__init__(controllers)
-        c0 = controllers[0]
-        self.cfg = c0.cfg
-        self.n_quanta = c0.n_quanta
-        estimator = c0._estimator
-        self._freqs = estimator._freqs
-        self._volts = estimator._volts
-        self._ceff = estimator._ceff
-        self._base_cpi = estimator._base_cpi
-        self._leak_per_level = estimator._leak_per_level
+        self.n_quanta = controllers[0].n_quanta
+        self._estimator = controllers[0]._estimator
         self._budgets = np.array([c.cfg.power_budget for c in controllers])
-        self._cores = np.arange(self.n_cores)
-
-    def reset(self) -> None:
-        for ctrl in self.controllers:
-            ctrl.reset()
 
     def decide(
         self,
         bobs: Optional[KernelObservation],
         active: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        cfg = self.cfg
-        n_runs, n_cores, n_levels = self.n_runs, self.n_cores, self.n_levels
         if bobs is None:
             # Cold predictions are telemetry-free, hence run-independent:
-            # compute once and tile by assignment (broadcast_to would give
+            # compute once and tile into copies (broadcast_to would give
             # stride-0 rows whose reductions differ from serial).
-            ctrl0 = self.controllers[0]
-            pred = ctrl0._estimator.cold_predictions(n_cores)  # type: ignore[attr-defined]
-            power3 = np.empty((n_runs, n_cores, n_levels))
-            power3[:] = pred.power
-            ips3 = np.empty((n_runs, n_cores, n_levels))
-            ips3[:] = pred.ips
+            pred = self._estimator.cold_predictions(self.n_cores)
+            power3 = np.tile(pred.power, (self.n_runs, 1, 1))
+            ips3 = np.tile(pred.ips, (self.n_runs, 1, 1))
         else:
-            levels = np.asarray(bobs.levels, dtype=int)
-            f_cur = self._freqs[self._cores[None, :], levels]
-            v_cur = self._volts[levels]
-            cycles = np.maximum(f_cur * cfg.epoch_time, 1.0)
-            ipc = np.clip(bobs.sensed_instructions / cycles, 1e-6, None)
-            mu = np.maximum(0.0, (1.0 / ipc - self._base_cpi)) / (
-                cfg.mem_latency * f_cur + 1e-30
+            power3, ips3 = self._estimator.predict_tables(
+                bobs.levels, bobs.sensed_instructions, bobs.sensed_power
             )
-            leak_cur = self._leak_per_level[self._cores[None, :], levels]
-            p_dyn = np.maximum(0.0, bobs.sensed_power - leak_cur)
-            act = p_dyn / (self._ceff * v_cur**2 * f_cur)
-            act = np.clip(act, cfg.activity_range[0], cfg.activity_range[1])
-            f = self._freqs
-            v2 = self._volts[None, :] ** 2
-            power3 = act[:, :, None] * self._ceff[:, None] * v2 * f + self._leak_per_level
-            ips3 = f / (self._base_cpi[:, None] + mu[:, :, None] * cfg.mem_latency * f)
         return self._solve_dp_batch(power3, ips3)
 
     def _solve_dp_batch(self, power3: np.ndarray, ips3: np.ndarray) -> np.ndarray:
         """Batched :func:`repro.baselines.maxbips.solve_dp`.
 
-        Per run and weight, the serial loop keeps the *first* level
-        attaining the maximum ``value[w - c] + gain`` (strict ``>``
-        against the running best); evaluating all levels at once and
-        reducing with first-occurrence ``argmax`` selects the same level,
-        so the surviving float is the same addition's result bit for bit.
-        Runs where even the all-bottom assignment overshoots return
-        all-zeros before any backtracking, exactly as the serial early
-        return does.
+        Each run's value row sits behind ``n_quanta + 1`` cells of ``-inf``
+        padding, so shifting it by a level's cost ``c`` is the sliding
+        window at offset ``n_quanta + 1 - c`` (a capped, over-budget cost
+        reads only padding).  Levels are swept with the serial strict ``>``
+        from a ``-inf`` running best: ties keep the first level, padded
+        cells never win, and each value is the serial addition bit for
+        bit.  Infeasible runs return all-zeros, as the serial early return.
         """
         n_runs, n_cores, n_levels = power3.shape
         n_quanta = self.n_quanta
+        width = n_quanta + 1
         quantum = self._budgets / n_quanta
         cost = np.minimum(
-            np.ceil(power3 / quantum[:, None, None]).astype(int), n_quanta + 1
+            np.ceil(power3 / quantum[:, None, None]).astype(int), width
         )
-        infeasible = np.zeros(n_runs, dtype=bool)
-        for r in range(n_runs):
-            if float(np.sum(power3[r, :, 0])) > self._budgets[r]:
-                infeasible[r] = True
+        infeasible = [
+            float(np.sum(power3[r, :, 0])) > self._budgets[r] for r in range(n_runs)
+        ]
 
-        neg_inf = -np.inf
-        value = np.full((n_runs, n_quanta + 1), neg_inf)
+        padded = np.full((n_runs, 2 * width), -np.inf)
+        value = padded[:, width:]
         value[:, 0] = 0.0
-        choice = np.zeros((n_runs, n_cores, n_quanta + 1), dtype=np.int8)
-        w_idx = np.arange(n_quanta + 1)
-        run_idx3 = np.arange(n_runs)[:, None, None]
+        windows = sliding_window_view(padded, width, axis=1)
+        offsets = width - cost
+        rows = np.arange(n_runs)[:, None]
+        choice = np.zeros((n_cores, n_runs, width), dtype=np.int8)
         for i in range(n_cores):
-            c = cost[:, i, :]
-            gain = ips3[:, i, :]
-            src = w_idx[None, None, :] - c[:, :, None]
-            ok = (c[:, :, None] <= n_quanta) & (src >= 0)
-            gathered = value[run_idx3, np.where(ok, src, 0)]
-            shifted = np.where(ok, gathered + gain[:, :, None], neg_inf)
-            best = np.argmax(shifted, axis=1)
-            value = np.take_along_axis(shifted, best[:, None, :], axis=1)[:, 0, :]
-            choice[:, i] = best.astype(np.int8)
+            shifted = windows[rows, offsets[:, i, :]]
+            shifted += ips3[:, i, :, None]
+            value.fill(-np.inf)
+            for lvl in range(n_levels):
+                better = shifted[:, lvl] > value
+                np.copyto(value, shifted[:, lvl], where=better)
+                choice[i][better] = lvl
 
+        w_best = np.argmax(value, axis=1).tolist()
+        finite = np.isfinite(value[rows[:, 0], w_best]).tolist()
         out = np.zeros((n_runs, n_cores), dtype=int)
-        for r in range(n_runs):
-            if infeasible[r]:
+        for r, w in enumerate(w_best):
+            if infeasible[r] or not finite[r]:
                 continue
-            w_best = int(np.argmax(value[r]))
-            if not np.isfinite(value[r, w_best]):
-                continue
-            w = w_best
+            costs = cost[r].tolist()
             for i in range(n_cores - 1, -1, -1):
-                lvl = int(choice[r, i, w])
+                lvl = choice.item(i, r, w)
                 out[r, i] = lvl
-                w -= int(cost[r, i, lvl])
+                w -= costs[i][lvl]
         return out
 
 

@@ -18,6 +18,7 @@ def format_table(
     title: str = "",
     fmt: str = "{:.3g}",
     row_header: str = "",
+    missing: str = "-",
 ) -> str:
     """Render a nested mapping ``rows[row][column] -> value`` as text.
 
@@ -25,7 +26,8 @@ def format_table(
     ----------
     rows:
         Outer keys are row labels (e.g. controller names), inner mappings
-        hold the column values.  Missing cells render as ``-``.
+        hold the column values.  Missing (or ``None``) cells render as
+        ``missing``.
     columns:
         Column order.
     title:
@@ -34,6 +36,8 @@ def format_table(
         ``str.format`` spec applied to each numeric cell.
     row_header:
         Label of the row-name column.
+    missing:
+        Text shown for missing cells.
     """
     if not columns:
         raise ValueError("columns must be non-empty")
@@ -43,7 +47,7 @@ def format_table(
         line = [str(row_name)]
         for col in columns:
             value = cells.get(col)
-            line.append("-" if value is None else fmt.format(value))
+            line.append(missing if value is None else fmt.format(value))
         body.append(line)
     widths = [
         max(len(str(r[i])) for r in [header] + body) for i in range(len(header))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.manycore.config import SystemConfig
 from repro.sim.interface import Controller
@@ -68,6 +67,9 @@ class MetricStatistics:
             raise ValueError(f"level must be in (0, 1), got {level}")
         if self.n < 2 or self.std <= 0.0:
             return (self.mean, self.mean)
+        # Imported here: scipy.stats costs every spawned worker ~1 s.
+        from scipy import stats as scipy_stats
+
         half_width = scipy_stats.t.ppf(0.5 + level / 2, self.n - 1) * self.std / np.sqrt(self.n)
         return (self.mean - half_width, self.mean + half_width)
 

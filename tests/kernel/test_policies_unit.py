@@ -7,17 +7,24 @@ telemetry), the graceful-degradation repair path, the per-field
 compatibility checks behind :func:`build_batch_policy`'s fallback, and
 the MaxBIPS infeasible-budget early exit.  Every option branch that
 batches is also checked bit-for-bit against the serial controllers it
-replaces.
+replaces; the batched MaxBIPS DP and the stacked estimator inversion are
+property-tested against per-row serial ``solve_dp`` / ``predict``, and
+``decide_seconds`` against the stack's wall time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.maxbips import MaxBIPSController
+from repro.baselines.estimator import LevelPredictions, PowerPerfEstimator
+from repro.baselines.maxbips import MaxBIPSController, solve_dp
 from repro.core.controller import ODRLController
 from repro.core.reward import RewardParams
 from repro.core.state import StateEncoder
@@ -164,6 +171,176 @@ class TestMaxBIPSBatch:
         levels = policy.decide(None)
         assert (levels[1] == 0).all()  # serial solve_dp's early return
         np.testing.assert_array_equal(levels[0], MaxBIPSController(CFG).decide(None))
+
+
+def _maxbips_policy(budgets, n_quanta):
+    policy = build_batch_policy(
+        [
+            MaxBIPSController(
+                dataclasses.replace(CFG, power_budget=b), n_quanta=n_quanta
+            )
+            for b in budgets
+        ]
+    )
+    assert isinstance(policy, BatchMaxBIPS)
+    return policy
+
+
+@st.composite
+def _dp_case(draw):
+    """Stacked DP inputs: power on a coarse grid (equal costs), ips from a
+    small set (equal-value ties), budgets mixed per run — some below the
+    all-bottom draw (infeasible rows), some so small that top levels cost
+    more than ``n_quanta`` quanta."""
+    n_runs = draw(st.integers(1, 4))
+    n_cores = draw(st.integers(1, 6))
+    n_levels = draw(st.integers(1, 4))
+    n_quanta = draw(st.integers(2, 40))
+    shape = (n_runs, n_cores, n_levels)
+    power = np.array(
+        draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 3.0, 9.0]),
+                      min_size=n_runs * n_cores * n_levels,
+                      max_size=n_runs * n_cores * n_levels))
+    ).reshape(shape)
+    ips = np.array(
+        draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.5]),
+                      min_size=power.size, max_size=power.size))
+    ).reshape(shape)
+    budgets = [
+        float(draw(st.sampled_from([0.1, 0.5, 1.0, 1.7, 3.0])) * n_cores)
+        for _ in range(n_runs)
+    ]
+    return power, ips, budgets, n_quanta
+
+
+class TestMaxBIPSDPDifferential:
+    """``_solve_dp_batch`` against per-row serial ``solve_dp``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dp_case())
+    def test_batched_dp_matches_serial_rows(self, case):
+        power, ips, budgets, n_quanta = case
+        got = _maxbips_policy(budgets, n_quanta)._solve_dp_batch(power, ips)
+        for r, budget in enumerate(budgets):
+            want = solve_dp(
+                LevelPredictions(power=power[r].copy(), ips=ips[r].copy()),
+                budget,
+                n_quanta,
+            )
+            assert np.array_equal(got[r], want), f"run {r}"
+
+    def test_estimator_shaped_tables_match_serial_rows(self):
+        rng = np.random.default_rng(3)
+        budgets = [20.0, 35.0, 50.0, 5.0, 90.0]
+        power = np.cumsum(rng.uniform(0.2, 4.0, (5, 16, 6)), axis=2)
+        ips = np.cumsum(rng.uniform(0.0, 1e9, (5, 16, 6)), axis=2)
+        got = _maxbips_policy(budgets, 300)._solve_dp_batch(power, ips)
+        for r, budget in enumerate(budgets):
+            want = solve_dp(LevelPredictions(power[r], ips[r]), budget, 300)
+            assert np.array_equal(got[r], want), f"run {r}"
+
+
+@st.composite
+def _telemetry(draw):
+    n_runs = draw(st.integers(1, 4))
+    size = n_runs * N_CORES
+    levels = draw(st.lists(st.integers(0, CFG.n_levels - 1), min_size=size, max_size=size))
+    values = st.one_of(st.just(0.0), st.floats(1e-3, 1e10, allow_nan=False))
+    instr = draw(st.lists(values, min_size=size, max_size=size))
+    power = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+                          min_size=size, max_size=size))
+    shape = (n_runs, N_CORES)
+    return (
+        np.array(levels).reshape(shape),
+        np.array(instr).reshape(shape),
+        np.array(power).reshape(shape),
+    )
+
+
+class TestStackedEstimator:
+    """``predict_tables`` on a stack equals per-row ``predict``, bytewise."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_telemetry(), st.booleans())
+    def test_stack_rows_match_predict(self, telemetry, hetero):
+        levels, instr, power = telemetry
+        estimator = PowerPerfEstimator(
+            CFG, hetero=big_little_map(N_CORES) if hetero else None
+        )
+        power3, ips3 = estimator.predict_tables(levels, instr, power)
+        for r in range(levels.shape[0]):
+            row = SimpleNamespace(
+                levels=levels[r].copy(),
+                sensed_instructions=instr[r].copy(),
+                sensed_power=power[r].copy(),
+            )
+            pred = estimator.predict(row)
+            assert power3[r].tobytes() == pred.power.tobytes()
+            assert ips3[r].tobytes() == pred.ips.tobytes()
+
+    def test_kernel_rows_match_predict(self):
+        estimator = PowerPerfEstimator(CFG)
+        kernel = EpochKernel([CFG] * 3, [WL] * 3, n_epochs=6)
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            bobs = kernel.step(rng.integers(0, CFG.n_levels, (3, N_CORES)))
+            power3, ips3 = estimator.predict_tables(
+                bobs.levels, bobs.sensed_instructions, bobs.sensed_power
+            )
+            for r in range(3):
+                pred = estimator.predict(bobs.row(r))
+                assert power3[r].tobytes() == pred.power.tobytes()
+                assert ips3[r].tobytes() == pred.ips.tobytes()
+
+
+class TestDecideSeconds:
+    """Per-run ``decision_time`` attribution of one stacked decide."""
+
+    def _timed(self, policy, bobs, active=None):
+        t0 = time.perf_counter()
+        policy.decide(bobs, active)
+        stack_s = time.perf_counter() - t0
+        return stack_s, policy.decide_seconds(stack_s, active)
+
+    def test_per_run_rows_are_own_decide_times(self):
+        policy = PerRunPolicy([MaxBIPSController(CFG) for _ in range(3)])
+        kernel = EpochKernel([CFG] * 3, [WL] * 3, n_epochs=2)
+        bobs = kernel.step(policy.decide(None))
+        active = np.array([True, False, True])
+        stack_s, rows = self._timed(policy, bobs, active)
+        assert rows.shape == (3,)
+        assert (rows[active] > 0).all()
+        assert (rows <= stack_s).all()
+        assert rows[1] == 0.0  # a finished run decided nothing
+        assert np.sum(rows) <= stack_s
+
+    @pytest.mark.parametrize("kind", ["od-rl", "maxbips"])
+    def test_vectorized_rows_sum_to_stack_time(self, kind):
+        make = (
+            (lambda s: ODRLController(CFG, seed=s))
+            if kind == "od-rl"
+            else (lambda s: MaxBIPSController(CFG))
+        )
+        policy = build_batch_policy([make(s) for s in range(4)])
+        assert isinstance(policy, (BatchODRL, BatchMaxBIPS))
+        kernel = EpochKernel([CFG] * 4, [WL] * 4, n_epochs=2)
+        bobs = kernel.step(policy.decide(None))
+        stack_s, rows = self._timed(policy, bobs)
+        assert np.sum(rows) == pytest.approx(stack_s)
+        assert np.all(rows == rows[0])
+        active = np.array([True, True, False, False])
+        stack_s, rows = self._timed(policy, bobs, active)
+        assert np.sum(rows[active]) == pytest.approx(stack_s)
+
+    def test_batched_results_record_amortized_time(self):
+        from repro.sim import run_suite, standard_controllers
+
+        lineup = {"maxbips": standard_controllers(seed=0)["maxbips"]}
+        workloads = {f"w{s}": mixed_workload(N_CORES, seed=s) for s in range(3)}
+        results = run_suite(CFG, workloads, lineup, 6, batch=True)
+        times = np.stack([results["maxbips"][w].decision_time for w in workloads])
+        # one vectorized decide per epoch, charged evenly to the 3 runs
+        np.testing.assert_array_equal(times, np.broadcast_to(times[0], times.shape))
 
 
 class _TweakedODRL(ODRLController):
