@@ -313,12 +313,17 @@ def _flatten(runs: Sequence[RunTransitions]) -> ReplayBuffer:
         )
     # Canonical order + dedupe: sort by content address, keep the longer
     # of two shards of the same run (a truncated shard is a prefix of the
-    # complete one, so the longer shard subsumes it).
+    # complete one, so the longer shard subsumes it).  On equal length the
+    # completed shard wins: a prefix cut just before ``run_end`` carries
+    # every transition but not the terminal flag.
     by_key: Dict[str, RunTransitions] = {}
     for run in runs:
         key = run.run_key
         kept = by_key.get(key)
-        if kept is None or run.n_transitions > kept.n_transitions:
+        if kept is None or (run.n_transitions, run.completed) > (
+            kept.n_transitions,
+            kept.completed,
+        ):
             by_key[key] = run
     ordered = [by_key[k] for k in sorted(by_key)]
 

@@ -140,6 +140,17 @@ class TestCanonicalization:
         assert with_prefix.digest == full.digest
         assert with_prefix.n_truncated_runs == 0
 
+    def test_prefix_missing_only_run_end_loses_tie(self, harvest_streams):
+        # Same transition count as the complete shard; listed first, it
+        # must still yield to the completed one (terminal flag kept).
+        full = buffer_from_events(harvest_streams)
+        assert harvest_streams[0][-1]["type"] == "run_end"
+        with_prefix = buffer_from_events(
+            [harvest_streams[0][:-1]] + list(harvest_streams)
+        )
+        assert with_prefix.digest == full.digest
+        assert with_prefix.n_truncated_runs == 0
+
     def test_mixed_geometry_shards_rejected(self, harvest_streams):
         events = [dict(e) for e in harvest_streams[1]]
         events[0] = dict(events[0], rl_gamma=0.99)
