@@ -4,11 +4,12 @@
 ``(n_runs, n_cores)`` epoch step — power, thermal, phase, sensor, and
 fault advance.  The serial chip (:class:`repro.manycore.chip.ManyCoreChip`)
 is an ``n_runs=1`` view, worker processes (``jobs=N``) run the serial
-view per cell, and the batched backend (:mod:`repro.batch`) is the
-kernel plus stacking/unstacking adapters.  The batched controller
-implementations live in :mod:`repro.kernel.policies` (re-exported by
-:mod:`repro.batch`); they are *not* imported here because they pull in
-the controller layer, which imports this package's views.
+view per cell, and the batched backend (:mod:`repro.batch`) builds one
+kernel per stack of cells.  Both drive their kernel through the one
+control loop, :func:`repro.sim.simulator.run_stack`.  The batch policies
+that decide for a stack live in :mod:`repro.kernel.policies`; they are
+*not* imported here because they pull in the controller layer, which
+imports this package's views.
 
 The kernel's array operations route through the namespace indirection in
 :mod:`repro.kernel.backend` (``numpy`` default), making a GPU (``cupy``)

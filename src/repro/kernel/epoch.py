@@ -2,12 +2,14 @@
 
 :class:`EpochKernel` is the single implementation of the plant's epoch
 step, operating on ``(n_runs, n_cores)`` state arrays.  Every execution
-backend is a view over it:
+backend runs it through the one control loop,
+:func:`repro.sim.simulator.run_stack`:
 
 * the serial chip (:class:`repro.manycore.chip.ManyCoreChip`) wraps an
   ``n_runs=1`` kernel and hands out row views;
-* the batched backend (:class:`repro.batch.chip.BatchChip`) *is* the
-  kernel plus a stacking constructor;
+* the batched backend (:func:`repro.batch.simulate_batch`) builds one
+  kernel per stack of cells, with phase streams precomputed
+  (``n_epochs=...``) and the vectorized exact-sensor path;
 * worker processes (``jobs=N``) run the serial view per cell.
 
 The bit-identity contract between all of them rests on three facts:

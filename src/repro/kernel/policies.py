@@ -14,10 +14,10 @@ Three shapes, selected by :func:`build_batch_policy`:
   level sweep.  This is the batching that actually pays — MaxBIPS
   spends ~90 % of its wall-clock inside ``solve_dp``.
 * :class:`PerRunPolicy` — anything else (including watchdog-wrapped
-  drivers): the kernel plant is still shared, but each run's serial
-  controller consumes its own row view of the kernel observation.
-  Bit-identical by construction, since the serial ``decide`` is the one
-  executing.
+  drivers), and every serial run (a one-row stack): the kernel plant is
+  still shared, but each run's serial controller consumes its own row
+  view of the kernel observation.  Bit-identical by construction, since
+  the serial ``decide`` is the one executing.
 
 Ragged stacks pass the ``active`` row mask of the kernel step through
 ``decide``: a finished run's controller is never invoked again — its RNG
@@ -43,7 +43,7 @@ from repro.baselines.maxbips import MaxBIPSController
 from repro.contracts import check_q_table
 from repro.core.budget import reallocate_budget
 from repro.core.controller import ODRLController
-from repro.kernel.epoch import KernelObservation
+from repro.kernel.epoch import KernelObservation, _row_active
 from repro.sim.interface import Controller
 
 __all__ = [
@@ -54,11 +54,6 @@ __all__ = [
     "BatchMaxBIPS",
     "build_batch_policy",
 ]
-
-
-def _row_active(active: Optional[np.ndarray], run: int) -> bool:
-    """Whether ``run`` is live this epoch (no mask means all rows live)."""
-    return active is None or bool(active[run])
 
 
 class BatchCompatError(ValueError):
@@ -95,7 +90,7 @@ class BatchPolicy(ABC):
         ``active`` is the ragged-stack row mask: rows with ``active[r]``
         false belong to finished runs and must not advance any per-run
         controller state (RNG draws, counters, learner tables); their
-        output rows are unspecified — the batch simulator freezes them.
+        output rows are unspecified — the control loop freezes them.
         """
 
     def decide_seconds(
@@ -112,7 +107,8 @@ class BatchPolicy(ABC):
         """Run ``run``'s degradation counters, mirroring the serial
         ``result.extras["degradation"]`` gate (present only when the
         controller carries an armed sanitizer).  Watchdog-wrapped drivers
-        are unwrapped first, as the serial simulator does."""
+        are unwrapped first.  The control loop reads these for both the
+        result extras and the per-epoch ``sanitizer`` incident events."""
         ctrl = self.controllers[run]
         inner = getattr(ctrl, "inner", ctrl)
         sanitizer = getattr(inner, "sanitizer", None)
@@ -126,11 +122,12 @@ class BatchPolicy(ABC):
 
 
 class PerRunPolicy(BatchPolicy):
-    """Generic fallback: serial controllers deciding on kernel-row views.
+    """Serial controllers deciding on kernel-row views.
 
     Each run's controller executes its own unmodified ``decide`` on a row
     view of the kernel observation, so any controller batches (plant-side
-    speedup only) and equivalence to serial is by construction.
+    speedup only) and equivalence to serial is by construction.  Serial
+    runs are one-row stacks of this policy.
     """
 
     kind = "per-run"
@@ -145,7 +142,7 @@ class PerRunPolicy(BatchPolicy):
         active: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         # Zeros, not empty: finished runs' rows must still be valid level
-        # indices (the simulator overwrites them with the frozen levels).
+        # indices (the control loop overwrites them with the frozen levels).
         out = np.zeros((self.n_runs, self.n_cores), dtype=int)
         self._row_s[:] = 0.0
         for r, ctrl in enumerate(self.controllers):
@@ -155,6 +152,13 @@ class PerRunPolicy(BatchPolicy):
             t0 = time.perf_counter()
             levels = ctrl.decide(row)
             self._row_s[r] = time.perf_counter() - t0
+            levels = np.asarray(levels)
+            if levels.shape != (self.n_cores,):
+                # Assigning into the row would broadcast a scalar or a
+                # (1,) array across every core; refuse as the chip does.
+                raise ValueError(
+                    f"levels must have shape ({self.n_cores},), got {levels.shape}"
+                )
             out[r] = levels
         return out
 
@@ -339,7 +343,7 @@ class BatchODRL(BatchPolicy):
         order, so each run's exploration stream is bit-identical.  Finished
         runs draw nothing — their streams stay frozen."""
         # Zeros, not empty: inactive rows must stay valid action indices
-        # (they index _deltas below before the simulator freezes the row).
+        # (they index _deltas below before the control loop freezes the row).
         actions = np.zeros((self.n_runs, self.n_cores), dtype=np.int64)
         for r in range(self.n_runs):
             if not _row_active(active, r):

@@ -24,7 +24,7 @@ loop is firmware.  Budget violation accounting lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -174,50 +174,27 @@ class ManyCoreChip:
         validate: bool | None = None,
         faults: Union["FaultCampaign", "FaultInjector", None] = None,
     ) -> None:
-        if not cfg.vf_levels:
-            raise ValueError("SystemConfig must carry a non-empty VF table")
-        if cfg.power_budget <= 0:
-            raise ValueError("SystemConfig.power_budget must be set and positive")
-        self.cfg = cfg
-        self.workload = workload
-        self.sensors = sensors if sensors is not None else SensorSuite.exact()
-        self.variation = (
-            variation if variation is not None else CoreVariation.nominal(cfg.n_cores)
-        )
-        if self.variation.n_cores != cfg.n_cores:
-            raise ValueError(
-                f"variation covers {self.variation.n_cores} cores but the chip "
-                f"has {cfg.n_cores}"
-            )
-        self.memory_system = memory_system
-        self.hetero = (
-            hetero if hetero is not None else HeterogeneousMap.homogeneous(cfg.n_cores)
-        )
-        if self.hetero.n_cores != cfg.n_cores:
-            raise ValueError(
-                f"hetero map covers {self.hetero.n_cores} cores but the chip "
-                f"has {cfg.n_cores}"
-            )
-        self._base_cpi = cfg.base_cpi * self.hetero.cpi_scale
-        start = cfg.n_levels - 1 if initial_level is None else initial_level
-        if not (0 <= start < cfg.n_levels):
-            raise ValueError(f"initial_level {start} outside VF table of {cfg.n_levels}")
-        injector = self._build_injector(faults)
         # Imported here, not at module level: the kernel imports this
         # module (for EpochObservation), so the view binds it lazily.
         from repro.kernel.epoch import EpochKernel
 
+        self.cfg = cfg
+        self.workload = workload
+        self.sensors = sensors if sensors is not None else SensorSuite.exact()
+        self.memory_system = memory_system
+        # The kernel validates every argument (VF table, budget, per-core
+        # maps, fault campaign, initial level) in the chip's own words.
         self._kernel = EpochKernel(
             [cfg],
             [workload],
             n_epochs=None,
-            faults=[injector],
+            faults=[faults],
             validate=validate,
             sensors=[self.sensors],
-            initial_levels=[start],
-            variations=[self.variation],
+            initial_levels=None if initial_level is None else [initial_level],
+            variations=[variation],
             memory_systems=[memory_system],
-            heteros=[self.hetero],
+            heteros=[hetero],
         )
         self.thermal = _ThermalView(self._kernel)
         # The kernel re-exposes variation/hetero through row views of its
@@ -227,24 +204,6 @@ class ManyCoreChip:
         self.variation = self._kernel.variations[0]
         self.hetero = self._kernel.heteros[0]
 
-    def _build_injector(
-        self, faults: Union["FaultCampaign", "FaultInjector", None]
-    ) -> "FaultInjector | None":
-        if faults is None:
-            return None
-        # Imported here, not at module level: repro.faults pulls in the
-        # simulator/controller layers, which import this module.
-        from repro.faults.campaign import FaultCampaign
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(faults) if isinstance(faults, FaultCampaign) else faults
-        if injector.n_cores != self.cfg.n_cores:
-            raise ValueError(
-                f"fault campaign covers {injector.n_cores} cores but the chip "
-                f"has {self.cfg.n_cores}"
-            )
-        return injector
-
     @property
     def n_cores(self) -> int:
         return self.cfg.n_cores
@@ -252,6 +211,12 @@ class ManyCoreChip:
     @property
     def n_levels(self) -> int:
         return self.cfg.n_levels
+
+    @property
+    def kernel(self) -> "EpochKernel":
+        """The one-row epoch kernel this chip views; the simulator's
+        control loop advances it directly."""
+        return self._kernel
 
     @property
     def levels(self) -> np.ndarray:
@@ -271,17 +236,6 @@ class ManyCoreChip:
     @validate.setter
     def validate(self, armed: bool) -> None:
         self._kernel.validate = armed
-
-    @property
-    def profiler(self) -> Optional[object]:
-        """Optional :class:`repro.obs.PhaseProfiler`; when attached (the
-        simulator does this under ``profile=True``) sensor reads are timed
-        into the ``sensor`` phase.  Write-only telemetry."""
-        return self._kernel.profiler
-
-    @profiler.setter
-    def profiler(self, profiler: Optional[object]) -> None:
-        self._kernel.profiler = profiler
 
     @property
     def epoch(self) -> int:

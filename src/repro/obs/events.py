@@ -58,9 +58,11 @@ Event types
     completed per the journal, and cells still pending.
 ``cell_batched`` / ``cell_fallback``
     Batched-backend routing: a cell executed inside a batch group (with
-    the group's index and size), or a cell the batch backend declined —
-    ``reason`` is a stable string such as ``"trace"``, ``"watchdog"`` or
-    ``"batch-error"`` (see :func:`repro.batch.batch_unsupported_reason`).
+    the group's index and size; a traced cell's run events follow it), or
+    a cell the batch backend declined — ``reason`` is a stable string
+    such as ``"profile"``, ``"faults-instance"``, ``"sim_kwargs:<key>"``
+    or ``"batch-error"`` (see
+    :func:`repro.batch.batch_unsupported_reason`).
 ``engine_summary``
     One per :func:`repro.parallel.engine.execute_cells` call: counter
     snapshot (cells run / cached / retried / failed, cache hits/misses).

@@ -335,7 +335,10 @@ def _run_batched(
 
     A group that raises is not fatal: every member is re-queued with the
     ``"batch-error"`` fallback reason and recomputed by the serial path,
-    so a batching defect can cost time but never a result.
+    so a batching defect can cost time but never a result.  Traced
+    members run with a :class:`~repro.obs.BufferRecorder` each, replayed
+    between ``cell_batched`` and ``cell_done``; a group that raises drops
+    its partial buffers, so the serial re-run emits each event once.
     """
     # Imported here, not at module level: repro.batch pulls in the full
     # plant + controller stack, which the engine otherwise avoids loading
@@ -360,8 +363,12 @@ def _run_batched(
     plan = plan_batches([tasks[i] for i in batchable], max_batch)
     for group_index, group in enumerate(plan):
         members = [batchable[j] for j in group]
+        buffers = [
+            BufferRecorder() if tasks[i].trace and rec.enabled else None
+            for i in members
+        ]
         try:
-            group_results = simulate_batch([tasks[i] for i in members])
+            group_results = simulate_batch([tasks[i] for i in members], buffers)
         except Exception:
             # Recorded and re-queued, never swallowed: every member is
             # recomputed by the serial/pool path below.
@@ -377,7 +384,7 @@ def _run_batched(
             leftovers.extend(members)
             continue
         metrics.inc("engine.batch_groups")
-        for i, result in zip(members, group_results):
+        for i, result, buffer in zip(members, group_results, buffers):
             results[i] = result
             metrics.inc("engine.cells_run")
             metrics.inc("engine.cells_batched")
@@ -390,6 +397,8 @@ def _run_batched(
                     group=group_index,
                     size=len(members),
                 )
+                if buffer is not None:
+                    _replay_events(rec, buffer.events)
                 rec.emit("cell_done", cell=tasks[i].cell.label(), attempts=1)
     leftovers.sort()
     return leftovers
@@ -452,8 +461,9 @@ def execute_cells(
         ``True`` stacks each compatible group whole; an integer caps the
         runs per stack.  Mixed budgets, seeds, epoch counts, fault
         campaigns, variation/hetero maps, and watchdog supervision all
-        stack.  Cells the backend declines (tracing, profiling,
-        non-default ``sensors``/``memory_system`` — see
+        stack, and traced cells stream each run's events as the serial
+        path does.  Cells the backend declines (profiling, non-default
+        ``sensors``/``memory_system`` — see
         :func:`repro.batch.batch_unsupported_reason`) or that fail inside
         a batch fall back to the serial/pool path with a recorded
         ``cell_fallback`` reason; results are bit-identical either way.

@@ -30,7 +30,7 @@ class TestSymbolTables:
 
     def test_fixture_tree_indexes_under_production_names(self):
         assert "repro.manycore.chip" in self.index.modules
-        assert "repro.batch.chip" in self.index.modules
+        assert "repro.kernel.epoch" in self.index.modules
 
     def test_methods_get_qualified_names(self):
         assert "repro.manycore.chip.ManyCoreChip.step" in self.index.functions
@@ -38,7 +38,7 @@ class TestSymbolTables:
         assert fn.class_name == "ManyCoreChip"
 
     def test_classes_table(self):
-        cls = self.index.classes["repro.batch.chip.BatchChip"]
+        cls = self.index.classes["repro.kernel.epoch.EpochKernel"]
         assert "step" in cls.methods
 
 

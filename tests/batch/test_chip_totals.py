@@ -1,4 +1,4 @@
-"""DET002 regression: BatchChip mirrors the serial energy/instruction totals.
+"""DET002 regression: a stacked EpochKernel mirrors the serial energy/instruction totals.
 
 The batched backend historically skipped the ``total_energy`` /
 ``total_instructions`` accumulators because the batch simulator computes
@@ -10,8 +10,8 @@ the serial ``float(np.sum(...))`` arithmetic, bit for bit.
 
 import numpy as np
 
-from repro.batch import BatchChip
 from repro.faults import FaultCampaign
+from repro.kernel import EpochKernel
 from repro.manycore import ManyCoreChip, default_system
 from repro.workloads import mixed_workload
 
@@ -26,7 +26,7 @@ def _build(campaigns=None):
         for f in (0.5, 0.6, 0.8)
     ]
     workloads = [mixed_workload(N_CORES, seed=s) for s in (0, 1, 2)]
-    batch = BatchChip(cfgs, workloads, N_EPOCHS, faults=campaigns)
+    batch = EpochKernel(cfgs, workloads, n_epochs=N_EPOCHS, faults=campaigns)
     serial = [
         ManyCoreChip(cfg, wl, faults=c)
         for cfg, wl, c in zip(cfgs, workloads, campaigns or [None] * N_RUNS)

@@ -77,8 +77,10 @@ class TestUnsupportedReasons:
         assert batch_unsupported_reason(task) is None
 
     def test_trace(self, cfg, workload, lineup):
+        # Traced cells batch: the control loop emits each row's events
+        # into that cell's own recorder.
         task = make_task(cfg, workload, lineup["od-rl"], trace=True)
-        assert batch_unsupported_reason(task) == "trace"
+        assert batch_unsupported_reason(task) is None
 
     def test_profile(self, cfg, workload, lineup):
         task = make_task(cfg, workload, lineup["od-rl"], profile=True)
@@ -286,7 +288,7 @@ class TestEngineBatchPath:
         ]
         serial = execute_cells(tasks, jobs=1)
 
-        def explode(group):
+        def explode(group, recorders=None):
             raise RuntimeError("deliberate batch failure")
 
         monkeypatch.setattr("repro.batch.simulate_batch", explode)
@@ -313,7 +315,7 @@ class TestEngineBatchPath:
         serial = execute_cells(tasks, jobs=1)
         monkeypatch.setattr(
             "repro.batch.simulate_batch",
-            lambda group: (_ for _ in ()).throw(RuntimeError("boom")),
+            lambda group, recorders=None: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         batched = execute_cells(tasks, jobs=1, batch=True)
         for a, b in zip(serial, batched):

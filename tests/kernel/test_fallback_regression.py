@@ -29,7 +29,6 @@ N_EPOCHS = 8
 #: Growing this set is an intentional API decision, not a side effect.
 ALLOWED_FALLBACK_REASONS = frozenset(
     {
-        "trace",
         "profile",
         "faults-instance",
         "sim_kwargs:sensors",
@@ -113,13 +112,6 @@ class TestFallbackRegression:
     def test_remaining_reasons_are_the_allowed_set(self, tmp_path):
         lineup = standard_controllers(seed=0)
         declining = [
-            CellTask(
-                RunCell(
-                    controller="trace", workload=WORKLOAD.name, budget=None,
-                    seed=0, n_epochs=N_EPOCHS,
-                ),
-                CFG, WORKLOAD, lineup["pid"], {}, trace=True,
-            ),
             CellTask(
                 RunCell(
                     controller="profile", workload=WORKLOAD.name, budget=None,

@@ -38,6 +38,7 @@ from repro.kernel.policies import (
 )
 from repro.manycore import default_system
 from repro.manycore.hetero import big_little_map
+from repro.sim.interface import Controller
 from repro.workloads import mixed_workload
 
 N_CORES = 4
@@ -341,6 +342,43 @@ class TestDecideSeconds:
         times = np.stack([results["maxbips"][w].decision_time for w in workloads])
         # one vectorized decide per epoch, charged evenly to the 3 runs
         np.testing.assert_array_equal(times, np.broadcast_to(times[0], times.shape))
+
+
+class _OneLevelController(Controller):
+    """Returns a ``(1,)`` level vector: malformed on any multi-core chip."""
+
+    name = "one-level"
+
+    def decide(self, obs):
+        return np.array([1])
+
+
+class TestPerRunLevelShape:
+    """A controller's level vector must cover every core, as the serial
+    chip has always required: a row assignment would otherwise broadcast
+    a scalar or a ``(1,)`` array across the whole row."""
+
+    SHAPE_ERROR = rf"levels must have shape \({N_CORES},\), got \(1,\)"
+
+    def test_policy_rejects_short_level_vector(self):
+        policy = PerRunPolicy([_OneLevelController(CFG) for _ in range(N_RUNS)])
+        with pytest.raises(ValueError, match=self.SHAPE_ERROR):
+            policy.decide(None)
+
+    def test_serial_and_batched_entry_points_both_raise(self):
+        from repro.batch import simulate_batch
+        from repro.parallel import CellTask, RunCell
+        from repro.sim import run_controller
+
+        with pytest.raises(ValueError, match=self.SHAPE_ERROR):
+            run_controller(CFG, WL, _OneLevelController(CFG), 5)
+        cell = RunCell(
+            controller="one-level", workload=WL.name, budget=None, seed=0,
+            n_epochs=5,
+        )
+        task = CellTask(cell, CFG, WL, _OneLevelController, {})
+        with pytest.raises(ValueError, match=self.SHAPE_ERROR):
+            simulate_batch([task])
 
 
 class _TweakedODRL(ODRLController):

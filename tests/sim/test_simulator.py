@@ -212,3 +212,48 @@ class TestRunController:
         assert seen[0] is None
         assert seen[1] is not None
         assert seen[1].epoch == 0
+
+
+class TestRunStack:
+    """The one control loop, driven directly."""
+
+    def test_vectorized_policy_refuses_harvest(self, cfg, wl):
+        from repro.core.controller import ODRLController
+        from repro.kernel import EpochKernel
+        from repro.kernel.policies import BatchODRL, build_batch_policy
+        from repro.obs import BufferRecorder
+        from repro.sim.simulator import run_stack
+
+        policy = build_batch_policy([ODRLController(cfg, seed=s) for s in (0, 1)])
+        assert isinstance(policy, BatchODRL)
+        kernel = EpochKernel([cfg, cfg], [wl, wl], n_epochs=5)
+        # An empty dataset would look like a learner that never updated.
+        with pytest.raises(ValueError, match="harvest"):
+            run_stack(
+                kernel, policy, [5, 5],
+                recorders=[BufferRecorder(), BufferRecorder()], harvest=True,
+            )
+
+    def test_epoch_counts_and_recorders_must_cover_every_row(self, cfg, wl):
+        from repro.kernel import EpochKernel
+        from repro.kernel.policies import PerRunPolicy
+        from repro.sim.simulator import run_stack
+
+        kernel = EpochKernel([cfg, cfg], [wl, wl], n_epochs=5)
+        policy = PerRunPolicy([FixedController(cfg), FixedController(cfg)])
+        with pytest.raises(ValueError, match="2 rows"):
+            run_stack(kernel, policy, [5])
+        with pytest.raises(ValueError, match="positive"):
+            run_stack(kernel, policy, [5, 0])
+        with pytest.raises(ValueError, match="1 recorders"):
+            run_stack(kernel, policy, [5, 5], recorders=[None])
+
+    def test_serial_controller_keeps_its_state(self, cfg, wl):
+        # simulate drives the caller's controller itself, so a learner's
+        # tables after the run are the run's tables.
+        from repro.core.controller import ODRLController
+
+        ctl = ODRLController(cfg, seed=0)
+        simulate(ManyCoreChip(cfg, wl), ctl, 20)
+        assert ctl.agents.visits.sum() > 0
+        assert ctl.last_update is not None
