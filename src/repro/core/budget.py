@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.contracts import check_budget_conservation, validation_enabled
 
-__all__ = ["reallocate_budget", "uniform_allocation"]
+__all__ = ["reallocate_budget", "reallocate_budgets", "uniform_allocation"]
 
 _MAX_ROUNDS_SAFETY = 10_000
 
@@ -137,4 +137,100 @@ def reallocate_budget(
             floors_w=floors,
             caps_w=caps,
         )
+    return allocation
+
+
+def reallocate_budgets(
+    total_budgets: np.ndarray,
+    scores: np.ndarray,
+    floors: np.ndarray,
+    caps: np.ndarray,
+    validate: Optional[bool] = None,
+) -> np.ndarray:
+    """:func:`reallocate_budget` for a stack of runs sharing floors and caps.
+
+    Row ``r`` of the result is ``reallocate_budget(total_budgets[r],
+    scores[r], floors, caps)`` bit for bit: every water-filling round is
+    the serial elementwise arithmetic on the rows still filling, the
+    per-row sums are ``axis=1`` reductions of C-contiguous stacks (the
+    serial pairwise order), and each row leaves the loop on exactly the
+    round its serial run would.
+
+    Parameters
+    ----------
+    total_budgets:
+        ``(n_runs,)`` chip budgets in watts.
+    scores:
+        ``(n_runs, n_cores)`` non-negative usefulness scores.
+    floors, caps:
+        ``(n_cores,)`` bounds shared by every run.
+    validate:
+        Arm the watt-conservation contract on every row.
+    """
+    totals = np.asarray(total_budgets, dtype=float)
+    scores = np.array(scores, dtype=float)
+    floors = np.asarray(floors, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    n_runs, n = scores.shape
+    if totals.shape != (n_runs,):
+        raise ValueError("total_budgets needs one budget per row of scores")
+    if floors.shape != (n,) or caps.shape != (n,):
+        raise ValueError("scores rows, floors and caps must have identical shapes")
+    if np.any(scores < 0):
+        raise ValueError("scores must be non-negative")
+    if n:
+        score_max = scores.max(axis=1)
+        norm = score_max > 0
+        scores[norm] = scores[norm] / score_max[norm, None]
+    if np.any(floors < 0) or np.any(caps < floors):
+        raise ValueError("need 0 <= floors <= caps elementwise")
+    floor_total = float(np.sum(floors))
+    short = totals < floor_total - 1e-9
+    if short.any():
+        raise ValueError(
+            f"budget {totals[short][0]:.3f} W cannot cover allocation floors "
+            f"totalling {floor_total:.3f} W — the TDP is infeasible for this chip"
+        )
+
+    cap_total = float(np.sum(caps))
+    granted = np.where(cap_total < totals, cap_total, totals)
+    allocation = np.tile(floors, (n_runs, 1))
+    remaining = granted - floor_total
+    headroom = caps - allocation
+    active = headroom > 1e-12
+    filling = np.flatnonzero((remaining > 1e-12) & active.any(axis=1))
+    rounds = 0
+    while filling.size:
+        rounds += 1
+        if rounds > _MAX_ROUNDS_SAFETY:  # pragma: no cover - defensive
+            raise RuntimeError("water-filling failed to converge")
+        live = active[filling]
+        weights = np.where(live, scores[filling], 0.0)
+        total_weight = weights.sum(axis=1)
+        flat = total_weight <= 0
+        if flat.any():
+            # No informative scores among active cores: share uniformly.
+            weights[flat] = live[flat].astype(float)
+            total_weight[flat] = weights[flat].sum(axis=1)
+        grant = remaining[filling, None] * (weights / total_weight[:, None])
+        room = headroom[filling]
+        overflow = grant >= room
+        grant = np.minimum(grant, room)
+        allocation[filling] += grant
+        remaining[filling] -= grant.sum(axis=1)
+        room = caps - allocation[filling]
+        headroom[filling] = room
+        live_after = room > 1e-12
+        active[filling] = live_after
+        # A row whose grant was fully absorbed (no active core hit its
+        # cap) is done, as is one with nothing left to give.
+        more = (
+            (overflow & live).any(axis=1)
+            & (remaining[filling] > 1e-12)
+            & live_after.any(axis=1)
+        )
+        filling = filling[more]
+    if validation_enabled(validate):
+        for row, total in zip(allocation, granted.tolist()):
+            check_budget_conservation(row, total, floors_w=floors, caps_w=caps)
     return allocation

@@ -11,17 +11,13 @@ that decide for a stack live in :mod:`repro.kernel.policies`; they are
 *not* imported here because they pull in the controller layer, which
 imports this package's views.
 
-The kernel's array operations route through the namespace indirection in
-:mod:`repro.kernel.backend` (``numpy`` default), making a GPU (``cupy``)
-target a configuration change rather than a rewrite.
-
 The bit-identity contract — every backend produces bit-for-bit the traces
 of the ``n_runs=1`` view — is pinned by ``tests/golden/`` and the
 backend-conformance suite in ``tests/kernel/``, and statically checked by
 the DET002 parity analyzer (see ``docs/static-analysis.md``).
 """
 
-from repro.kernel.backend import array_namespace, set_array_namespace
+from repro.kernel.backend import array_namespace
 from repro.kernel.epoch import EpochKernel, EpochObservation, KernelObservation
 
 __all__ = [
@@ -29,5 +25,4 @@ __all__ = [
     "EpochObservation",
     "KernelObservation",
     "array_namespace",
-    "set_array_namespace",
 ]

@@ -1,67 +1,19 @@
-"""Array-namespace indirection for the epoch kernel.
+"""The epoch kernel's array namespace: plain NumPy.
 
-The kernel's own array operations (``clip``, ``where``, ``maximum``, …)
-are routed through a swappable namespace so a GPU target (``cupy``) is a
-configuration change, not a rewrite.  NumPy is the default and the only
-namespace the bit-identity contract is proven against: the golden traces
-and the conformance suite pin the NumPy results, and any alternative
-namespace must reproduce them bit for bit before it can become a
-supported backend.
-
-The namespace is read once per :class:`~repro.kernel.epoch.EpochKernel`
-construction (kernels never switch mid-run), so swapping it affects only
-kernels built afterwards.
+The kernel calls ``numpy`` directly.  NumPy is the namespace the
+bit-identity contract is proven against — the golden traces and the
+conformance suite pin its results — so it is the only one.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from types import ModuleType
 
 import numpy
 
-__all__ = ["array_namespace", "set_array_namespace"]
-
-#: Functions the kernel calls on its namespace.  A replacement namespace
-#: (e.g. ``cupy``) must provide all of them with NumPy semantics.
-REQUIRED_FUNCTIONS = (
-    "asarray",
-    "empty",
-    "empty_like",
-    "zeros",
-    "full",
-    "abs",
-    "clip",
-    "where",
-    "maximum",
-    "ceil",
-    "sum",
-    "max",
-    "issubdtype",
-    "integer",
-)
-
-_active: Any = numpy
+__all__ = ["array_namespace"]
 
 
-def array_namespace() -> Any:
-    """The namespace new kernels bind at construction (``numpy`` default)."""
-    return _active
-
-
-def set_array_namespace(xp: Any) -> Any:
-    """Install ``xp`` as the kernel array namespace; returns the previous one.
-
-    ``xp`` must expose every name in :data:`REQUIRED_FUNCTIONS`.  Callers
-    swapping namespaces temporarily should restore the returned previous
-    namespace in a ``finally`` block — already-constructed kernels keep
-    the namespace they were built with either way.
-    """
-    missing = [name for name in REQUIRED_FUNCTIONS if not hasattr(xp, name)]
-    if missing:
-        raise ValueError(
-            f"array namespace lacks required functions: {sorted(missing)}"
-        )
-    global _active
-    previous = _active
-    _active = xp
-    return previous
+def array_namespace() -> ModuleType:
+    """The namespace the kernel computes with (``numpy``)."""
+    return numpy

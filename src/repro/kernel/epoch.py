@@ -16,26 +16,31 @@ The bit-identity contract between all of them rests on three facts:
 
 * every serial operation on an ``(n_cores,)`` vector is elementwise, so
   running it on a ``(n_runs, n_cores)`` array produces bit-identical rows;
-* per-run *reductions* (chip power, DP feasibility) are taken over row
-  views of C-contiguous arrays, which numpy reduces in the same pairwise
-  order as the serial 1-D array;
+* per-run *reductions* (chip power and instructions) are ``axis=1``
+  reductions of C-contiguous stacks, which numpy takes row by row in the
+  same pairwise order as the serial 1-D array
+  (``tests/kernel/test_row_reductions.py`` pins this);
 * the non-elementwise pieces — the thermal Laplacian matvec and the
-  stateful per-run components (fault injectors, sensor suites, memory
-  systems) — execute per run on row views, calling the exact same code
-  paths in the exact same order as an ``n_runs=1`` kernel would.
+  stateful per-run components (sensor suites, memory systems) — execute
+  per run on row views, calling the exact same code paths in the exact
+  same order as an ``n_runs=1`` kernel would.
+
+Fault injection is stacked, not per run: every run's campaign is compiled
+into mask planes (:class:`repro.faults.injector.FaultPlanes`), and the
+actuator filter, stuck-level capture, dead-core zeroing and sensor
+blackout are masked ``(n_runs, n_cores)`` operations on kernel-owned
+state.  Each run's :class:`~repro.faults.injector.FaultInjector` is a
+view of its row of that state.
 
 Ragged stacking: runs of different lengths share one kernel via the
 ``active`` row mask of :meth:`step`.  For an inactive (finished) row the
 kernel still advances the stacked arrays — that state is never read
 again, so the extra arithmetic is harmless — but every *stateful per-run
-effect* is suppressed: fault-injector calls, sensor reads, memory-system
-solves, and the energy/instruction accumulators.  Active rows therefore
-see exactly the operation sequence of a shorter batch, which is what the
-ragged property suite in ``tests/kernel/`` verifies against serial runs.
-
-Array operations go through the namespace indirection in
-:mod:`repro.kernel.backend` (``numpy`` by default) so a ``cupy`` target
-is a follow-on, not a rewrite.
+effect* is suppressed: fault injection and its counters, sensor reads,
+memory-system solves, and the energy/instruction accumulators.  Active
+rows therefore see exactly the operation sequence of a shorter batch,
+which is what the ragged property suite in ``tests/kernel/`` verifies
+against serial runs.
 """
 
 from __future__ import annotations
@@ -58,14 +63,13 @@ import numpy as np
 if TYPE_CHECKING:  # runtime import is lazy: repro.faults imports the
     # sim/controller layers, which import the serial view of this kernel.
     from repro.faults.campaign import FaultCampaign
-    from repro.faults.injector import FaultInjector
+    from repro.faults.injector import FaultInjector, FaultPlanes
 
 from repro.contracts import (
     check_level_indices,
     check_power_samples,
     validation_enabled,
 )
-from repro.kernel.backend import array_namespace
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
 from repro.manycore.core import activity_factor, instructions_per_second
@@ -87,7 +91,10 @@ class KernelObservation:
 
     Same fields as :class:`EpochObservation`, with a leading run axis on
     every array: shape ``(n_runs, n_cores)``.  ``epoch`` and ``time`` are
-    scalars — all runs in a stack share the epoch clock.  :meth:`row`
+    scalars — all runs in a stack share the epoch clock.  ``chip_power``
+    and ``chip_instructions`` are the ``(n_runs,)`` row sums of ``power``
+    and ``instructions``, bit-identical to each run's serial
+    ``EpochObservation.chip_power``/``chip_instructions``.  :meth:`row`
     recovers one run's :class:`EpochObservation` as views, so a serial
     controller can consume a kernel observation unchanged.
     """
@@ -103,6 +110,8 @@ class KernelObservation:
     sensed_power: np.ndarray
     sensed_instructions: np.ndarray
     sensed_temperature: np.ndarray
+    chip_power: np.ndarray
+    chip_instructions: np.ndarray
 
     @property
     def n_runs(self) -> int:
@@ -123,15 +132,6 @@ class KernelObservation:
             sensed_instructions=self.sensed_instructions[run],
             sensed_temperature=self.sensed_temperature[run],
         )
-
-    def chip_power(self, run: int) -> float:
-        """Total chip power of ``run`` this epoch (row-view reduction —
-        bit-identical to the serial ``EpochObservation.chip_power``)."""
-        return float(np.sum(self.power[run]))
-
-    def chip_instructions(self, run: int) -> float:
-        """Total instructions of ``run`` this epoch (row-view reduction)."""
-        return float(np.sum(self.instructions[run]))
 
 
 def _epoch_start_times(n_epochs: int, dt: float) -> np.ndarray:
@@ -176,7 +176,7 @@ def _stack_rows(values: Sequence[Any], n_runs: int, n_cores: int) -> np.ndarray:
 
     Assignment (not ``broadcast_to``) so every row is a real C-contiguous
     buffer: stride-0 rows reduce in a different pairwise order than the
-    serial 1-D array, and these stacks feed row-view reductions.
+    serial 1-D array, and these stacks feed the row reductions.
     """
     out = np.empty((n_runs, n_cores))
     for r, value in enumerate(values):
@@ -207,8 +207,9 @@ class EpochKernel:
         rescales the sampled intensities in place.
     faults:
         Optional per-run fault campaigns or pre-built injectors (``None``
-        entries run fault-free).  Each run gets its own stateful
-        :class:`FaultInjector`, applied on row views.
+        entries run fault-free).  The campaigns are applied as stacked
+        mask planes; each run's :class:`FaultInjector` reads its row of
+        the kernel-owned stuck-level and counter state.
     validate:
         Arm the per-epoch invariant contracts; ``None`` defers to
         ``REPRO_VALIDATE``.  The resolved switch is the public
@@ -278,8 +279,6 @@ class EpochKernel:
         self.n_levels = cfg0.n_levels
         self.n_epochs = n_epochs
         self.validate = validation_enabled(validate)
-        #: array namespace bound at construction (see repro.kernel.backend)
-        self._xp = array_namespace()
 
         self.sensors = self._per_run(sensors, "sensors")
         variation_list = self._per_run(variations, "variations")
@@ -368,6 +367,23 @@ class EpochKernel:
             (n_runs, n_cores), cfg0.technology.t_ambient, dtype=float
         )
         self.faults = self._build_injectors(faults)
+        #: kernel-owned fault state, one row per run: the level each stuck
+        #: actuator froze at (-1 = none) and the per-class sample counters
+        #: (columns in ``repro.faults.injector.COUNT_KINDS`` order)
+        self._stuck_levels = np.full((n_runs, n_cores), -1, dtype=int)
+        self._fault_counts = np.zeros((n_runs, 4), dtype=np.int64)
+        self._fault_planes: Optional["FaultPlanes"] = None
+        if any(injector is not None for injector in self.faults):
+            from repro.faults.injector import FaultPlanes
+
+            self._fault_planes = FaultPlanes(
+                [None if inj is None else inj.campaign for inj in self.faults]
+            )
+            for r, injector in enumerate(self.faults):
+                if injector is not None:
+                    injector.bind(
+                        self._stuck_levels[r : r + 1], self._fault_counts[r : r + 1]
+                    )
 
         if n_epochs is not None:
             times = _epoch_start_times(n_epochs, cfg0.epoch_time)
@@ -496,7 +512,7 @@ class EpochKernel:
 
         Mirrors the serial chip's reset exactly: levels go to the *top*
         level regardless of ``initial_levels`` (the uncontrolled state),
-        stateful per-run components (memory systems, fault injectors) are
+        stateful per-run components (memory systems, fault state) are
         reset, and sensor suites keep their register/RNG state — the
         serial chip never reset those either.
         """
@@ -511,9 +527,8 @@ class EpochKernel:
         for ms in self.memory_systems:
             if ms is not None:
                 ms.reset()
-        for injector in self.faults:
-            if injector is not None:
-                injector.reset()
+        self._stuck_levels.fill(-1)
+        self._fault_counts.fill(0)
         self.epoch = 0
         self.time = 0.0
         self.total_energy = np.zeros(self.n_runs, dtype=float)
@@ -533,34 +548,42 @@ class EpochKernel:
         active:
             Optional ``(n_runs,)`` boolean row mask for ragged stacks.
             Inactive rows advance arithmetically (their state is dead)
-            but suppress every stateful per-run effect — injector calls,
+            but suppress every stateful per-run effect — fault injection,
             sensor reads, memory solves, totals accumulation — so active
             rows are bit-identical to a stack without the finished runs.
         """
-        xp = self._xp
-        new_levels = xp.asarray(new_levels)
+        new_levels = np.asarray(new_levels)
         if new_levels.shape != (self.n_runs, self.n_cores):
             raise ValueError(
                 f"levels must have shape ({self.n_runs}, {self.n_cores}), "
                 f"got {new_levels.shape}"
             )
         n_levels = self.n_levels
-        if not xp.issubdtype(new_levels.dtype, xp.integer):
+        if not np.issubdtype(new_levels.dtype, np.integer):
             # .astype(int) truncates toward zero, exactly like the serial
             # per-element int(v).
             new_levels = new_levels.astype(int)
-        clamped = xp.clip(new_levels, 0, n_levels - 1).astype(int)
-        for r, injector in enumerate(self.faults):
-            if injector is not None and _row_active(active, r):
+        clamped = np.clip(new_levels, 0, n_levels - 1).astype(int)
+        planes = self._fault_planes
+        dead: Optional[np.ndarray] = None
+        blackout: Optional[np.ndarray] = None
+        if planes is not None:
+            counts = self._fault_counts
+            rows = planes.rows(self.epoch, active)
+            if planes.has_actuator:
                 # Actuator faults filter the command: dropped commands
                 # leave the level unchanged, stuck actuators hold their
                 # frozen level.  Applied before the stall so an unchanged
                 # level pays no transition penalty.
-                clamped[r] = injector.effective_levels(
-                    self.epoch, self.levels[r], clamped[r]
+                clamped = planes.actuate(
+                    rows, self.levels, clamped, self._stuck_levels, counts, active
                 )
+            if planes.has_dead:
+                dead = planes.dead(rows, counts)
+            if planes.has_blackout:
+                blackout = planes.blackout(rows, counts)
         # Stall time paid by cores that switched level this epoch.
-        stall = self._penalty[xp.abs(clamped - self.levels)]
+        stall = self._penalty[np.abs(clamped - self.levels)]
         self.levels = clamped
 
         cfg = self.cfg
@@ -569,8 +592,8 @@ class EpochKernel:
             mem = self._mem_stream[self.epoch]
             comp = self._comp_stream[self.epoch]
         else:
-            mem = xp.empty((self.n_runs, self.n_cores))
-            comp = xp.empty((self.n_runs, self.n_cores))
+            mem = np.empty((self.n_runs, self.n_cores))
+            comp = np.empty((self.n_runs, self.n_cores))
             for r, workload in enumerate(self.workloads):
                 row_mem, row_comp = workload.sample(self.time, self.n_cores)
                 mem[r] = row_mem
@@ -592,7 +615,7 @@ class EpochKernel:
         # Throughput: IPS while running, times the fraction of the epoch
         # not lost to the VF transition.
         ips = instructions_per_second(cfg, freq, mem, base_cpi=self._base_cpi)
-        run_fraction = xp.clip(1.0 - stall / dt, 0.0, 1.0)
+        run_fraction = np.clip(1.0 - stall / dt, 0.0, 1.0)
         instructions = ips * run_fraction * dt
 
         # Power: activity from the phase; temperature from the start of
@@ -611,13 +634,10 @@ class EpochKernel:
             * self._leak_mult
             * self._leak_scale
         )
-        for r, injector in enumerate(self.faults):
-            if injector is not None and _row_active(active, r):
-                dead = injector.dead_mask(self.epoch)
-                if dead.any():
-                    # A dead core retires nothing and draws leakage only.
-                    instructions[r] = xp.where(dead, 0.0, instructions[r])
-                    dyn[r] = xp.where(dead, 0.0, dyn[r])
+        if dead is not None:
+            # A dead core retires nothing and draws leakage only.
+            instructions = np.where(dead, 0.0, instructions)
+            dyn = np.where(dead, 0.0, dyn)
         power = dyn + leak
 
         if self.validate:
@@ -629,38 +649,38 @@ class EpochKernel:
 
         self._thermal_step(power, dt)
         self.time += dt
-        # Per-run row reductions, matching the serial float(np.sum(...))
-        # accumulation order bit for bit.
-        for r in range(self.n_runs):
-            if _row_active(active, r):
-                self.total_energy[r] += float(xp.sum(power[r])) * dt
-                self.total_instructions[r] += float(xp.sum(instructions[r]))
+        # Row reductions of C-contiguous stacks: each row sums in the
+        # serial float(np.sum(row)) order bit for bit.
+        chip_power = power.sum(axis=1)
+        chip_instructions = instructions.sum(axis=1)
+        if active is None:
+            self.total_energy += chip_power * dt
+            self.total_instructions += chip_instructions
+        else:
+            self.total_energy[active] += chip_power[active] * dt
+            self.total_instructions[active] += chip_instructions[active]
 
-        blackouts: List[frozenset] = []
-        for r, injector in enumerate(self.faults):
-            if injector is not None and _row_active(active, r):
-                blackouts.append(injector.blackout_channels(self.epoch))
-            else:
-                blackouts.append(frozenset())
         if self.sensors is None or all(s is None for s in self.sensors):
             # Vectorized exact-sensor path: identical readings to
             # SensorSuite.exact() without per-run read calls.
-            sensed_power = xp.maximum(power, 0.0)
-            sensed_instructions = xp.maximum(instructions, 0.0)
-            sensed_temperature = xp.maximum(self._temps, 0.0)
-            for r, blackout in enumerate(blackouts):
-                if "power" in blackout:
-                    sensed_power[r] = 0.0
-                if "perf" in blackout:
-                    sensed_instructions[r] = 0.0
-                if "temperature" in blackout:
-                    sensed_temperature[r] = 0.0
+            sensed_power = np.maximum(power, 0.0)
+            sensed_instructions = np.maximum(instructions, 0.0)
+            sensed_temperature = np.maximum(self._temps, 0.0)
+            if blackout is not None:
+                sensed_power[blackout[:, 0]] = 0.0
+                sensed_instructions[blackout[:, 1]] = 0.0
+                sensed_temperature[blackout[:, 2]] = 0.0
         else:
             profiler = self.profiler
             t_sense = time.perf_counter() if profiler is not None else 0.0
-            sensed_power = xp.empty_like(power)
-            sensed_instructions = xp.empty_like(instructions)
-            sensed_temperature = xp.empty_like(self._temps)
+            sensed_power = np.empty_like(power)
+            sensed_instructions = np.empty_like(instructions)
+            sensed_temperature = np.empty_like(self._temps)
+            blind = (
+                blackout.tolist()
+                if blackout is not None
+                else [[False, False, False]] * self.n_runs
+            )
             for r, suite in enumerate(self.sensors):
                 if suite is None or not _row_active(active, r):
                     # Finished runs read nothing: stateful (noisy) suites
@@ -669,15 +689,12 @@ class EpochKernel:
                     sensed_instructions[r] = 0.0
                     sensed_temperature[r] = 0.0
                     continue
-                blackout = blackouts[r]
-                sensed_power[r] = suite.power.read(
-                    power[r], blackout="power" in blackout
-                )
+                sensed_power[r] = suite.power.read(power[r], blackout=blind[r][0])
                 sensed_instructions[r] = suite.perf.read(
-                    instructions[r], blackout="perf" in blackout
+                    instructions[r], blackout=blind[r][1]
                 )
                 sensed_temperature[r] = suite.temperature.read(
-                    self._temps[r], blackout="temperature" in blackout
+                    self._temps[r], blackout=blind[r][2]
                 )
             if profiler is not None:
                 profiler.add("sensor", time.perf_counter() - t_sense)
@@ -694,6 +711,8 @@ class EpochKernel:
             sensed_power=sensed_power,
             sensed_instructions=sensed_instructions,
             sensed_temperature=sensed_temperature,
+            chip_power=chip_power,
+            chip_instructions=chip_instructions,
         )
         self.epoch += 1
         return obs

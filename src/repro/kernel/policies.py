@@ -4,9 +4,10 @@ Three shapes, selected by :func:`build_batch_policy`:
 
 * :class:`BatchODRL` — all runs are stock :class:`ODRLController` instances
   with matching hyper-parameters: Q/visit tables gain a leading run axis,
-  telemetry sanitization / reward / state encoding vectorize over runs, and
-  the RNG-consuming action step plus the TD scatter run per run in the
-  exact serial order (the RNG draw sequence per run is untouched).
+  and telemetry sanitization, reward, state encoding, the Q gather and
+  argmax, and the TD scatter run over the whole stack.  Only the three
+  RNG draws of the action step run per run, in the exact serial order
+  (the RNG draw sequence per run is untouched).
 * :class:`BatchMaxBIPS` — all runs are DP-method
   :class:`MaxBIPSController` instances sharing estimator tables: one
   stacked telemetry inversion, and a knapsack DP that advances all runs
@@ -27,7 +28,8 @@ arrays keep advancing harmlessly (they are never read).
 
 Every vectorized expression here replicates its serial counterpart's
 operation order element for element (see ``docs/batch.md``); per-run
-reductions are row-view sums with the serial pairwise order.
+reductions are ``axis=1`` reductions of C-contiguous stacks, which keep
+the serial pairwise order (``tests/kernel/test_row_reductions.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.maxbips import MaxBIPSController
 from repro.contracts import check_q_table
-from repro.core.budget import reallocate_budget
+from repro.core.budget import reallocate_budgets
 from repro.core.controller import ODRLController
 from repro.kernel.epoch import KernelObservation, _row_active
 from repro.sim.interface import Controller
@@ -191,7 +193,7 @@ class BatchODRL(BatchPolicy):
         self.action_mode = c0.action_mode
         self.realloc_period = c0.realloc_period
         self.degradation = c0.degradation
-        self._budgets = [c.cfg.power_budget for c in controllers]
+        self._budgets = np.array([c.cfg.power_budget for c in controllers])
         self._deltas = c0._deltas
         self._freqs = c0._freqs
         self._instr_scale = c0._instr_scale
@@ -205,7 +207,12 @@ class BatchODRL(BatchPolicy):
         self.n_actions = agents0.n_actions
         self._q_init = agents0._init
         self._agents_validate = agents0.validate
-        self._agent_idx = np.arange(self.n_cores)
+        #: row of each (run, core) agent's first state in the Q/visit
+        #: tables viewed as (n_runs * n_cores * n_states, n_actions)
+        self._table_base = (
+            np.arange(self.n_runs * self.n_cores).reshape(self.n_runs, self.n_cores)
+            * agents0.n_states
+        )
         self._san_policy = c0.sanitizer.policy
         self.reset()
 
@@ -214,25 +221,27 @@ class BatchODRL(BatchPolicy):
             ctrl.reset()
         n_runs, n_cores = self.n_runs, self.n_cores
         # Steal the freshly reset per-run learner state; from here on the
-        # stacked arrays are the single source of truth.
+        # stacked arrays are the single source of truth.  np.stack makes
+        # them C-contiguous, so the flat views _act and _update index
+        # through are views, not copies.
         self.q = np.stack(
             [c.agents.q for c in self.controllers]  # type: ignore[union-attr]
         )
         self.visits = np.stack(
             [c.agents.visits for c in self.controllers]  # type: ignore[union-attr]
         )
-        self.step_counts = [0] * n_runs
+        self.step_counts = np.zeros(n_runs, dtype=np.int64)
         self._rngs = [
             c.agents._rng for c in self.controllers  # type: ignore[union-attr]
         ]
         self.allocation = np.stack(
             [c.allocation for c in self.controllers]  # type: ignore[attr-defined]
         )
-        self.guard = [0.0] * n_runs
+        self.guard = np.zeros(n_runs)
         self._window_ipc = np.zeros((n_runs, n_cores))
         self._window_epochs = 0
-        self._window_over = [0] * n_runs
-        self.agents_repaired = [0] * n_runs
+        self._window_over = np.zeros(n_runs, dtype=np.int64)
+        self.agents_repaired = np.zeros(n_runs, dtype=np.int64)
         self._prev_states: Optional[np.ndarray] = None
         self._prev_actions: Optional[np.ndarray] = None
         self._prev_trusted: Optional[np.ndarray] = None
@@ -243,16 +252,16 @@ class BatchODRL(BatchPolicy):
         self._san_last_temp = np.full(
             (n_runs, n_cores), self._san_policy.fallback_temperature_k
         )
-        self.rejected_samples = [0] * n_runs
-        self.fallback_samples = [0] * n_runs
+        self.rejected_samples = np.zeros(n_runs, dtype=np.int64)
+        self.fallback_samples = np.zeros(n_runs, dtype=np.int64)
 
     def degradation_extras(self, run: int) -> Optional[Dict[str, int]]:
         if not self.degradation:
             return None
         return {
-            "rejected_samples": self.rejected_samples[run],
-            "fallback_samples": self.fallback_samples[run],
-            "agents_repaired": self.agents_repaired[run],
+            "rejected_samples": int(self.rejected_samples[run]),
+            "fallback_samples": int(self.fallback_samples[run]),
+            "agents_repaired": int(self.agents_repaired[run]),
         }
 
     def _sanitize(
@@ -263,7 +272,7 @@ class BatchODRL(BatchPolicy):
         active: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Batched :meth:`TelemetrySanitizer.sanitize`: every operation is
-        elementwise; the counter tallies are per-run row sums.  Finished
+        elementwise; the counter tallies are per-run row counts.  Finished
         runs' register rows keep advancing (never read again) but their
         reported counters freeze."""
         policy = self._san_policy
@@ -275,9 +284,7 @@ class BatchODRL(BatchPolicy):
             & (instructions >= 0.0)
             & (temperature >= policy.min_temperature_k)
         )
-        for r in range(self.n_runs):
-            if _row_active(active, r):
-                self.rejected_samples[r] += int(np.sum(~valid[r]))
+        self.rejected_samples += _live_counts(~valid, active)
         self._san_last_power = np.where(valid, power, self._san_last_power)
         self._san_last_instr = np.where(valid, instructions, self._san_last_instr)
         self._san_last_temp = np.where(valid, temperature, self._san_last_temp)
@@ -289,9 +296,7 @@ class BatchODRL(BatchPolicy):
             & (self._san_staleness <= policy.max_staleness_epochs)
         )
         fallback = ~valid & ~hold
-        for r in range(self.n_runs):
-            if _row_active(active, r):
-                self.fallback_samples[r] += int(np.sum(fallback[r]))
+        self.fallback_samples += _live_counts(fallback, active)
         out_power = np.where(valid, power, self._san_last_power)
         out_instr = np.where(valid, instructions, self._san_last_instr)
         out_temp = np.where(valid, temperature, self._san_last_temp)
@@ -301,7 +306,7 @@ class BatchODRL(BatchPolicy):
         return out_power, out_instr, out_temp, valid
 
     def _compute_rewards(
-        self, instructions: np.ndarray, power: np.ndarray
+        self, instructions: np.ndarray, power: np.ndarray, chip_power: np.ndarray
     ) -> np.ndarray:
         params = self.reward_params
         throughput_norm = instructions / self._instr_scale
@@ -311,17 +316,23 @@ class BatchODRL(BatchPolicy):
             reward = reward - params.energy_weight * (power / self.allocation)
         if params.chip_overshoot_weight > 0:
             # The chip-level term is a per-run scalar; the serial path
-            # subtracts it even when zero, so the batch does too.
-            for r in range(self.n_runs):
-                budget = self._budgets[r]
-                if budget > 0:
-                    chip_over = max(
-                        0.0, (float(np.sum(power[r])) - budget) / budget
-                    )
-                    reward[r] = reward[r] - params.chip_overshoot_weight * chip_over
+            # subtracts it even when zero, so the batch does too.  Budgets
+            # are positive (ODRLController's uniform_allocation refuses
+            # others).  where(x > 0, x, 0) is the serial max(0.0, x), NaN
+            # included.
+            budget = self._budgets
+            chip_over = (chip_power - budget) / budget
+            chip_over = np.where(chip_over > 0.0, chip_over, 0.0)
+            reward = reward - params.chip_overshoot_weight * chip_over[:, None]
         return reward
 
     def _repair_nonfinite(self, active: Optional[np.ndarray]) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(self.q)
+        if np.isfinite(total):
+            # Any NaN or inf entry makes the sum non-finite, so a finite
+            # sum clears every table in one pass.
+            return np.zeros((self.n_runs, self.n_cores), dtype=bool)
         bad = ~np.isfinite(self.q).all(axis=(2, 3))
         if active is not None:
             # A finished run's learner is frozen: its tables are exactly
@@ -331,31 +342,43 @@ class BatchODRL(BatchPolicy):
         if bad.any():
             self.q[bad] = self._q_init
             self.visits[bad] = 0
-            for r in range(self.n_runs):
-                n_bad = int(np.sum(bad[r]))
-                if n_bad:
-                    self.agents_repaired[r] += n_bad
+            self.agents_repaired += np.count_nonzero(bad, axis=1)
         return bad
 
     def _act(self, states: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
-        """Epsilon-greedy per run.  The three RNG draws per epoch (tie-break
-        jitter, explore coin, random action) happen per run in the serial
-        order, so each run's exploration stream is bit-identical.  Finished
-        runs draw nothing — their streams stay frozen."""
-        # Zeros, not empty: inactive rows must stay valid action indices
-        # (they index _deltas below before the control loop freezes the row).
-        actions = np.zeros((self.n_runs, self.n_cores), dtype=np.int64)
-        for r in range(self.n_runs):
-            if not _row_active(active, r):
-                continue
+        """Epsilon-greedy over the stack.  The three RNG draws per epoch
+        (tie-break jitter, explore coin, random action) happen per run in
+        the serial order, so each run's exploration stream is
+        bit-identical; the Q gather, the jittered argmax and the explore
+        select then run over the whole stack.  Finished runs draw nothing
+        — their streams stay frozen — and act 0."""
+        n_runs, n_cores, n_actions = self.n_runs, self.n_cores, self.n_actions
+        jitter = np.zeros((n_runs, n_cores, n_actions))
+        coins = np.ones((n_runs, n_cores))
+        random_actions = np.zeros((n_runs, n_cores), dtype=np.int64)
+        eps = np.zeros(n_runs)
+        # Runs mostly share a step count: evaluate the schedule once per
+        # distinct count (the same float a per-run call returns).
+        steps = self.step_counts.tolist()
+        eps_at = {step: self.epsilon(step) for step in set(steps)}
+        runs = range(n_runs) if active is None else np.flatnonzero(active).tolist()
+        for r in runs:
             rng = self._rngs[r]
-            qs = self.q[r, self._agent_idx, states[r]]
-            jitter = rng.random(qs.shape) * 1e-12
-            greedy_actions = np.argmax(qs + jitter, axis=1)
-            eps = self.epsilon(self.step_counts[r])
-            explore = rng.random(self.n_cores) < eps
-            random_actions = rng.integers(self.n_actions, size=self.n_cores)
-            actions[r] = np.where(explore, random_actions, greedy_actions)
+            rng.random(out=jitter[r])
+            coins[r] = rng.random(n_cores)
+            random_actions[r] = rng.integers(n_actions, size=n_cores)
+            eps[r] = eps_at[steps[r]]
+        jitter *= 1e-12
+        explore = coins < eps[:, None]
+        qs = np.take(
+            self.q.reshape(-1, n_actions), self._table_base + states, axis=0
+        )
+        greedy_actions = np.argmax(qs + jitter, axis=2)
+        actions = np.where(explore, random_actions, greedy_actions)
+        if active is not None:
+            # Zeros, not stale picks: inactive rows must stay valid action
+            # indices (they index _deltas before the loop freezes the row).
+            actions[~active] = 0
         return actions
 
     def _update(
@@ -368,32 +391,46 @@ class BatchODRL(BatchPolicy):
         masks: Optional[np.ndarray],
         active: Optional[np.ndarray],
     ) -> None:
-        for r in range(self.n_runs):
-            if not _row_active(active, r):
-                continue
-            q = self.q[r]
-            if self.td_rule == "sarsa":
-                bootstrap = q[self._agent_idx, next_states[r], next_actions[r]]
-            else:
-                bootstrap = np.max(q[self._agent_idx, next_states[r]], axis=1)
-            idx = self._agent_idx if masks is None else self._agent_idx[masks[r]]
-            if idx.size == 0:
-                # Fully masked run: nothing learned, schedule clock frozen
-                # (matches the serial early return).
-                continue
-            row_states = states[r][idx]
-            row_actions = actions[r][idx]
-            cell_visits = self.visits[r][idx, row_states, row_actions]
-            a = self.alpha.value(cell_visits)
-            target = rewards[r][idx] + self.gamma * bootstrap[idx]
-            td = target - q[idx, row_states, row_actions]
-            q[idx, row_states, row_actions] += a * td
-            self.visits[r][idx, row_states, row_actions] += 1
-            self.step_counts[r] += 1
-            if self._agents_validate:
-                check_q_table(
-                    q[idx, row_states, row_actions], step=self.step_counts[r]
-                )
+        """One TD scatter over every live ``(run, core)`` agent.
+
+        ``live = mask & active`` in row-major order; every cell is a
+        distinct ``(run, core)`` agent, so the scatter (through flat views
+        of the stacked tables) has no duplicate indices and each value is
+        the serial per-run update bit for bit (bootstraps are read before
+        any write, as serially).  A run's schedule clock ticks only if one
+        of its agents learned — a fully masked run matches the serial
+        early return."""
+        live = np.ones(states.shape, dtype=bool) if masks is None else masks
+        if active is not None:
+            live = live & active[:, None]
+        cells = np.flatnonzero(live)
+        if cells.size == 0:
+            return
+        n_actions = self.n_actions
+        q = self.q.reshape(-1)
+        visits = self.visits.reshape(-1)
+        base = self._table_base.reshape(-1)[cells]
+        next_rows = base + next_states.reshape(-1)[cells]
+        if self.td_rule == "sarsa":
+            bootstrap = q[next_rows * n_actions + next_actions.reshape(-1)[cells]]
+        else:
+            bootstrap = np.max(
+                np.take(self.q.reshape(-1, n_actions), next_rows, axis=0), axis=1
+            )
+        sa = (base + states.reshape(-1)[cells]) * n_actions + actions.reshape(-1)[
+            cells
+        ]
+        a = self.alpha.value(visits[sa])
+        target = rewards.reshape(-1)[cells] + self.gamma * bootstrap
+        td = target - q[sa]
+        q[sa] += a * td
+        visits[sa] += 1
+        learned = live.any(axis=1)
+        self.step_counts += learned
+        if self._agents_validate:
+            runs = cells // self.n_cores
+            for r in np.flatnonzero(learned).tolist():
+                check_q_table(q[sa[runs == r]], step=int(self.step_counts[r]))
 
     def decide(
         self,
@@ -421,44 +458,43 @@ class BatchODRL(BatchPolicy):
         cycles = freq * self.cfg.epoch_time
         ipc = instructions / np.maximum(cycles, 1.0)
 
-        rewards = self._compute_rewards(instructions, power)
+        chip_power = power.sum(axis=1)
+        rewards = self._compute_rewards(instructions, power, chip_power)
 
         self._window_ipc += ipc
         self._window_epochs += 1
-        for r in range(n_runs):
-            if not _row_active(active, r):
-                continue
-            if float(np.sum(power[r])) > self._budgets[r]:
-                self._window_over[r] += 1
+        self._window_over += _live_counts(chip_power > self._budgets, active)
         # realloc_period is compat-equal across runs and the window counter
         # ticks every epoch for every run, so one shared scalar suffices
         # and all runs reallocate on the same epochs (as serial runs do —
         # a ragged stack's runs are prefixes of the shared epoch timeline,
         # so every active run sees the serial reallocation schedule).
         if self.realloc_period > 0 and self._window_epochs >= self.realloc_period:
+            runs = (
+                np.arange(n_runs) if active is None else np.flatnonzero(active)
+            )
+            over_rate = self._window_over[runs] / self._window_epochs
+            guard = np.clip(
+                self.guard[runs]
+                + ODRLController.GUARD_GAIN * (over_rate - ODRLController.GUARD_TARGET),
+                0.0,
+                ODRLController.GUARD_MAX,
+            )
+            self.guard[runs] = guard
+            distributable = (1.0 - guard) * self._budgets[runs]
+            # Never guard below feasibility: where(f > d, f, d) is the
+            # serial max(d, f).
             floors_total = float(np.sum(self._floors))
-            for r in range(n_runs):
-                if not _row_active(active, r):
-                    continue
-                over_rate = self._window_over[r] / self._window_epochs
-                self.guard[r] = float(
-                    np.clip(
-                        self.guard[r]
-                        + ODRLController.GUARD_GAIN
-                        * (over_rate - ODRLController.GUARD_TARGET),
-                        0.0,
-                        ODRLController.GUARD_MAX,
-                    )
-                )
-                distributable = (1.0 - self.guard[r]) * self._budgets[r]
-                distributable = max(distributable, floors_total)
-                scores = self._window_ipc[r] / self._window_epochs
-                self.allocation[r] = reallocate_budget(
-                    distributable, scores, self._floors, self._caps
-                )
+            distributable = np.where(
+                floors_total > distributable, floors_total, distributable
+            )
+            scores = self._window_ipc[runs] / self._window_epochs
+            self.allocation[runs] = reallocate_budgets(
+                distributable, scores, self._floors, self._caps
+            )
             self._window_ipc[:] = 0.0
             self._window_epochs = 0
-            self._window_over = [0] * n_runs
+            self._window_over[:] = 0
 
         states = self.encoder.encode(power, self.allocation, ipc, levels)
         if self.degradation:
@@ -587,6 +623,13 @@ class BatchMaxBIPS(BatchPolicy):
                 out[r, i] = lvl
                 w -= costs[i][lvl]
         return out
+
+
+def _live_counts(flags: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
+    """Per-run count of true ``flags`` (``(n_runs, ...)`` bool), zero for
+    inactive runs — a finished run's counters freeze."""
+    counts = np.count_nonzero(flags.reshape(len(flags), -1), axis=1)
+    return counts if active is None else np.where(active, counts, 0)
 
 
 def _check_odrl_group(ctrls: List[ODRLController]) -> None:

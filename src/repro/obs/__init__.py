@@ -15,8 +15,7 @@ Three pieces:
   :class:`TimingBreakdown`, the per-epoch decide/plant/sensor/contracts/
   sanitizer/watchdog wall-clock split.
 * :mod:`repro.obs.metrics` — :class:`CounterRegistry`, the shared
-  counter/gauge namespace behind the fault and parallel subsystems'
-  tallies.
+  counter/gauge namespace behind the parallel subsystems' tallies.
 
 Hard rule: observability is **write-only** with respect to the
 simulation.  No control-flow decision may read a recorder, profiler, or

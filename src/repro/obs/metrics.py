@@ -1,9 +1,9 @@
-"""Counter/gauge registry shared by the fault and parallel subsystems.
+"""Counter/gauge registry shared by the parallel subsystems.
 
 Before this module, each subsystem grew its own ad-hoc tally dict
-(``FaultInjector.counts``, ``ResultCache.hits``/``misses``, the engine's
-retry bookkeeping) with no common way to snapshot or diff them.  A
-:class:`CounterRegistry` gives them one namespace-qualified home:
+(``ResultCache.hits``/``misses``, the engine's retry bookkeeping) with no
+common way to snapshot or diff them.  A :class:`CounterRegistry` gives
+them one namespace-qualified home:
 
 >>> reg = CounterRegistry()
 >>> reg.inc("cache.hits")
@@ -20,7 +20,7 @@ ever knowing a recorder exists.
 
 The registry is observability state: nothing in the simulation may read
 values back out of it to make decisions.  Legacy surfaces
-(``FaultInjector.counts`` etc.) remain as read-only compatibility views
+(``ResultCache.hits`` etc.) remain as read-only compatibility views
 over the registry so existing tests and result extras are unchanged.
 """
 

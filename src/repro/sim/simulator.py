@@ -319,10 +319,9 @@ def run_stack(
                 last_time_s = obs.time
             # Recording is unmasked — finished rows record dead (but
             # finite) state that the per-row slicing below never reads.
-            for r in range(n_runs):
-                chip_power[e, r] = obs.chip_power(r)
-                chip_instructions[e, r] = obs.chip_instructions(r)
-                max_temperature[e, r] = float(np.max(obs.temperature[r]))
+            chip_power[e] = obs.chip_power
+            chip_instructions[e] = obs.chip_instructions
+            max_temperature[e] = obs.temperature.max(axis=1)
             for name, series in per_core.items():
                 series[e] = getattr(obs, name)
 

@@ -14,5 +14,7 @@ class BatchODRL:
     def _update(self, r, states, actions, rewards, next_states):
         q = self.q[r]
         q[...] += 0.1
-        self.visits[r][...] += 1
+        # a flat view is still the table: writing through it mutates visits
+        visits = self.visits.reshape(-1)
+        visits[...] += 1
         self.step_counts[r] += 1

@@ -1,0 +1,244 @@
+"""Fault planes: the stacked fault step against one-row kernels.
+
+The kernel applies every run's campaign through stacked mask planes
+(:class:`repro.faults.injector.FaultPlanes`) on kernel-owned state.  The
+conformance property: on a ragged stack mixing campaign rows and
+fault-free rows, every active row equals an ``n_runs=1`` kernel of that
+row after every step — levels, power, all three sensed arrays and the
+injector counts — and finished rows freeze.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults import FaultInjector
+from repro.faults.campaign import (
+    SENSOR_CHANNELS,
+    ActuatorFault,
+    CoreDeathFault,
+    FaultCampaign,
+    TelemetryBlackout,
+)
+from repro.faults.injector import compile_planes
+from repro.kernel.epoch import EpochKernel
+from repro.manycore import default_system
+from repro.manycore.sensors import SensorSuite
+from repro.workloads import mixed_workload
+
+N_CORES = 4
+N_LEVELS = 4
+MAX_EPOCHS = 12
+FAR = 10**9
+CFG = default_system(n_cores=N_CORES, n_levels=N_LEVELS, budget_fraction=0.6)
+WL = mixed_workload(N_CORES, seed=1)
+ZERO_COUNTS = {"dead": 0, "dropped": 0, "stuck": 0, "blackout": 0}
+
+#: start epochs: inside the run, just past its last epoch, or very far out
+_starts = st.one_of(
+    st.integers(0, MAX_EPOCHS - 1),
+    st.integers(MAX_EPOCHS, MAX_EPOCHS + 3),
+    st.just(FAR),
+)
+_cores = st.integers(0, N_CORES - 1)
+_windows = st.one_of(st.none(), st.integers(1, 5))
+
+
+@st.composite
+def _refreezing_stuck(draw):
+    """Two stuck windows on one core: the second re-freezes at whatever
+    level is in force when it begins."""
+    core = draw(_cores)
+    start = draw(st.integers(0, MAX_EPOCHS - 2))
+    first = draw(st.integers(1, 3))
+    gap = draw(st.integers(1, 3))
+    return (
+        ActuatorFault(core, start, first, "stuck"),
+        ActuatorFault(core, start + first + gap, draw(_windows), "stuck"),
+    )
+
+
+@st.composite
+def _campaigns(draw):
+    deaths = draw(
+        st.lists(st.builds(CoreDeathFault, _cores, _starts, _windows), max_size=3)
+    )
+    actuators = draw(
+        st.lists(
+            st.builds(
+                ActuatorFault,
+                _cores,
+                _starts,
+                _windows,
+                st.sampled_from(("drop", "stuck")),
+            ),
+            max_size=3,
+        )
+    )
+    for pair in draw(st.lists(_refreezing_stuck(), max_size=1)):
+        actuators.extend(pair)
+    blackouts = draw(
+        st.lists(
+            st.builds(
+                TelemetryBlackout,
+                _starts,
+                st.integers(1, 4),
+                st.lists(
+                    st.sampled_from(SENSOR_CHANNELS), min_size=1, max_size=3, unique=True
+                ).map(tuple),
+            ),
+            max_size=2,
+        )
+    )
+    return FaultCampaign(
+        n_cores=N_CORES,
+        core_deaths=tuple(deaths),
+        actuator_faults=tuple(actuators),
+        blackouts=tuple(blackouts),
+    )
+
+
+@st.composite
+def _stacks(draw):
+    """Rows of ``(campaign or None, n_epochs)``; rows may share a campaign."""
+    pool = draw(st.lists(_campaigns(), min_size=1, max_size=3))
+    n_runs = draw(st.integers(1, 5))
+    rows = [
+        (
+            draw(st.one_of(st.none(), st.sampled_from(pool))),
+            draw(st.integers(1, MAX_EPOCHS)),
+        )
+        for _ in range(n_runs)
+    ]
+    return rows, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+def _kernel(campaigns, n_epochs, suites):
+    n = len(campaigns)
+    return EpochKernel(
+        [CFG] * n,
+        [WL] * n,
+        n_epochs=n_epochs,
+        faults=campaigns,
+        sensors=[SensorSuite.exact() for _ in range(n)] if suites else None,
+    )
+
+
+class TestStackedFaultConformance:
+    @settings(max_examples=60, deadline=None)
+    @given(_stacks())
+    def test_ragged_stack_rows_match_one_row_kernels(self, case):
+        rows, seed, suites = case
+        campaigns = [c for c, _ in rows]
+        lengths = np.array([n for _, n in rows])
+        horizon = int(lengths.max())
+        stack = _kernel(campaigns, horizon, suites)
+        singles = [_kernel([c], horizon, suites) for c in campaigns]
+        commands = np.random.default_rng(seed).integers(
+            0, N_LEVELS, (horizon, len(rows), N_CORES)
+        )
+        for e in range(horizon):
+            active = lengths > e
+            levels = np.where(active[:, None], commands[e], stack.levels)
+            obs = stack.step(levels, active=active)
+            for r, single in enumerate(singles):
+                if active[r]:
+                    want = single.step(commands[e, r][None])
+                    for field in (
+                        "levels",
+                        "power",
+                        "sensed_power",
+                        "sensed_instructions",
+                        "sensed_temperature",
+                    ):
+                        got = getattr(obs, field)[r]
+                        assert got.tobytes() == getattr(want, field)[0].tobytes(), (
+                            f"epoch {e} row {r} {field}"
+                        )
+                if campaigns[r] is not None:
+                    assert stack.faults[r].counts == single.faults[0].counts, (
+                        f"epoch {e} row {r} counts"
+                    )
+        stack.reset()
+        for injector in stack.faults:
+            if injector is not None:
+                assert injector.counts == ZERO_COUNTS
+
+
+class TestPlanes:
+    def test_far_start_compiles_to_a_few_segments(self):
+        campaign = FaultCampaign(
+            n_cores=N_CORES,
+            core_deaths=(CoreDeathFault(0, FAR, None),),
+            actuator_faults=(ActuatorFault(1, FAR, 3, "stuck"),),
+            blackouts=(TelemetryBlackout(FAR, 2, ("perf",)),),
+        )
+        planes = compile_planes(campaign)
+        assert planes.starts == (0, FAR, FAR + 2, FAR + 3)
+        assert planes.dead.shape == (4, N_CORES)
+        assert planes.blackout.shape == (4, len(SENSOR_CHANNELS))
+        injector = FaultInjector(campaign)
+        assert not injector.dead_mask(FAR - 1).any()
+        assert injector.dead_mask(FAR + 10**6)[0]
+        assert injector.blackout_channels(FAR + 1) == {"perf"}
+        assert injector.blackout_channels(FAR + 2) == frozenset()
+
+    def test_equal_campaigns_share_compiled_planes(self):
+        a = FaultCampaign.random(N_CORES, 40, rate=0.3, seed=5)
+        b = FaultCampaign.random(N_CORES, 40, rate=0.3, seed=5)
+        assert a is not b
+        assert compile_planes(a) is compile_planes(b)
+
+    def test_planes_match_campaign_queries(self):
+        campaign = FaultCampaign.random(N_CORES, 60, rate=0.4, seed=9)
+        planes = compile_planes(campaign)
+        for epoch in range(70):
+            k = int(np.searchsorted(planes.starts, epoch, side="right")) - 1
+            np.testing.assert_array_equal(planes.dead[k], campaign.dead_mask(epoch))
+            np.testing.assert_array_equal(planes.drop[k], campaign.drop_mask(epoch))
+            np.testing.assert_array_equal(planes.stuck[k], campaign.stuck_mask(epoch))
+            channels = {
+                c for c, on in zip(SENSOR_CHANNELS, planes.blackout[k]) if on
+            }
+            assert channels == campaign.blackout_channels(epoch)
+
+    def test_kernel_step_makes_no_injector_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel called a per-row injector method")
+
+        for name in ("effective_levels", "dead_mask", "blackout_channels"):
+            monkeypatch.setattr(FaultInjector, name, refuse)
+        campaign = FaultCampaign.random(N_CORES, 20, rate=0.4, seed=3)
+        kernel = _kernel([campaign, None, campaign], 20, suites=False)
+        for _ in range(20):
+            kernel.step(np.ones((3, N_CORES), dtype=int))
+        assert kernel.faults[0].counts == kernel.faults[2].counts
+        assert sum(kernel.faults[0].counts.values()) > 0
+
+    def test_prebuilt_injector_keeps_its_state_when_bound(self):
+        campaign = FaultCampaign(
+            n_cores=N_CORES,
+            actuator_faults=(ActuatorFault(2, 0, None, "stuck"),),
+        )
+        injector = FaultInjector(campaign)
+        injector.effective_levels(0, np.full(N_CORES, 1), np.full(N_CORES, 3))
+        kernel = _kernel([injector], 4, suites=False)
+        assert kernel.faults[0] is injector
+        assert injector.counts["stuck"] == 1
+        obs = kernel.step(np.full((1, N_CORES), 0))
+        # the capture made before binding still holds the actuator at 1
+        assert obs.levels[0, 2] == 1
+        assert injector.counts["stuck"] == 2
+        kernel.reset()
+        assert injector.counts == ZERO_COUNTS
+
+
+@pytest.mark.parametrize("kind", ["dead", "dropped", "stuck", "blackout"])
+def test_counts_are_a_fresh_dict(kind):
+    injector = FaultInjector(FaultCampaign.none(N_CORES))
+    counts = injector.counts
+    counts[kind] = 99
+    assert injector.counts == ZERO_COUNTS

@@ -118,7 +118,7 @@ class TestODRLDegradation:
         bobs = kernel.step(policy.decide(None))
         policy.q[0, 1] = np.nan  # corrupt run 0's agent on core 1
         levels = policy.decide(bobs)
-        assert policy.agents_repaired == [1, 0]
+        assert policy.agents_repaired.tolist() == [1, 0]
         assert levels[0, 1] == 0  # safe-state reflex parks the core
         assert np.isfinite(policy.q).all()  # table reinitialized
 
@@ -129,14 +129,14 @@ class TestODRLDegradation:
         assert isinstance(policy, BatchODRL)
         _drive(policy, n_epochs=3)
         q_before = policy.q.copy()
-        counts_before = list(policy.step_counts)
+        counts_before = policy.step_counts.tolist()
         states = np.zeros((N_RUNS, N_CORES), dtype=int)
         actions = np.zeros((N_RUNS, N_CORES), dtype=int)
         rewards = np.ones((N_RUNS, N_CORES))
         masks = np.zeros((N_RUNS, N_CORES), dtype=bool)
         policy._update(states, actions, rewards, states, actions, masks, None)
         np.testing.assert_array_equal(policy.q, q_before)
-        assert policy.step_counts == counts_before
+        assert policy.step_counts.tolist() == counts_before
 
     def test_validated_agents_check_updated_cells(self, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "1")

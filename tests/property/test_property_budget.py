@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import reallocate_budget
+from repro.core.budget import reallocate_budgets
 
 N = st.integers(min_value=1, max_value=40)
 
@@ -158,3 +159,38 @@ def test_zero_score_core_gets_floor_when_budget_tight(problem):
     if others_cap - float(np.sum(alloc[1:])) > 1e-6:
         # Scored cores still had headroom, so the zero-score core got nothing.
         assert alloc[0] <= floors[0] + 1e-6
+
+
+@st.composite
+def stacked_problem(draw):
+    """Several runs' budgets and scores over shared floors and caps;
+    some score rows are all-zero or have zeros on the active cores, so
+    the uniform-share fallback and early exits are exercised."""
+    n = draw(N)
+    n_runs = draw(st.integers(1, 6))
+    floors = draw(arrays(float, n, elements=st.floats(0.0, 3.0, allow_nan=False)))
+    headroom = draw(arrays(float, n, elements=st.floats(0.0, 5.0, allow_nan=False)))
+    caps = floors + headroom
+    scores = draw(
+        arrays(
+            float,
+            (n_runs, n),
+            elements=st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_nan=False)),
+        )
+    )
+    scores[draw(arrays(bool, n_runs))] = 0.0
+    slack = draw(
+        arrays(float, n_runs, elements=st.floats(0.0, 1.3, allow_nan=False))
+    )
+    budgets = np.sum(floors) + slack * (np.sum(caps) - np.sum(floors) + 1.0)
+    return budgets, scores, floors, caps
+
+
+@given(stacked_problem())
+@settings(max_examples=300, deadline=None)
+def test_stacked_rows_are_the_serial_allocations(problem):
+    budgets, scores, floors, caps = problem
+    stacked = reallocate_budgets(budgets, scores, floors, caps)
+    for r, budget in enumerate(budgets.tolist()):
+        serial = reallocate_budget(budget, scores[r], floors, caps)
+        assert stacked[r].tobytes() == serial.tobytes(), f"run {r}"

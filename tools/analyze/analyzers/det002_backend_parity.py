@@ -171,11 +171,25 @@ def _self_attr(node: ast.expr) -> Optional[str]:
     return None
 
 
+#: ndarray methods whose result can be a view of the receiver, so a store
+#: through ``self.q.reshape(-1)[i]`` (or an alias of it) writes ``q``.
+VIEW_METHODS = frozenset({"reshape", "ravel", "view"})
+
+
 def _peel_subscripts(node: ast.expr) -> ast.expr:
-    """``self.visits[r][idx]`` -> ``self.visits``; ``q[idx]`` -> ``q``."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return node
+    """``self.visits[r][idx]`` -> ``self.visits``; ``q[idx]`` -> ``q``;
+    ``self.q.reshape(-1)[idx]`` -> ``self.q``."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in VIEW_METHODS
+        ):
+            node = node.func.value
+        else:
+            return node
 
 
 def _collect_aliases(fn_node: ast.AST) -> Dict[str, str]:
