@@ -29,7 +29,8 @@ of one batch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from dataclasses import fields
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.campaign import FaultCampaign
 from repro.kernel.epoch import EpochKernel
@@ -130,14 +131,15 @@ def _option_token(key: str, value: Any) -> Any:
     return value
 
 
-def _group_signature(task: "CellTask", index: int) -> str:
+def _group_signature(task: "CellTask") -> Optional[str]:
     """Hash of everything that must be uniform within one batch group.
 
     Budgets are stripped from the config and ``faults`` from the options:
     those may vary per run inside a stack, as may seeds, workloads, and
-    — since the kernel masks finished rows — epoch counts.  Factories
-    that cannot be fingerprinted (lambdas, closures) get a per-task
-    signature, i.e. a singleton group — still batched, just alone.
+    — since the kernel masks finished rows — epoch counts.  ``None`` for
+    factories that cannot be fingerprinted (lambdas, closures): the
+    planner gives those a per-task signature, i.e. a singleton group —
+    still batched, just alone.
     """
     from repro.parallel.cache import (
         CacheKeyError,
@@ -157,7 +159,25 @@ def _group_signature(task: "CellTask", index: int) -> str:
         token = controller_fingerprint(_seedless(task.factory))
         return stable_hash((token, task.cfg.with_budget(1.0), options))
     except CacheKeyError:
-        return f"<singleton:{index}>"
+        return None
+
+
+def _signature_inputs(task: "CellTask") -> Tuple[int, ...]:
+    """Identity of every input of :func:`_group_signature`, budget aside.
+
+    Tasks of one grid share their factory and options objects, and their
+    configs are ``with_budget`` copies of one base that share every other
+    field object.  Equal identities mean equal inputs, hence an equal
+    signature, so the planner hashes once per distinct identity.  (Equal
+    *values* are not enough: ``0.0 == -0.0`` but the two hash apart.)
+    """
+    cfg = task.cfg
+    return (
+        id(task.factory),
+        id(task.sim_kwargs),
+        id(type(cfg)),
+        *(id(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "power_budget"),
+    )
 
 
 def plan_batches(tasks: Sequence["CellTask"], max_batch: int) -> List[List[int]]:
@@ -169,17 +189,17 @@ def plan_batches(tasks: Sequence["CellTask"], max_batch: int) -> List[List[int]]
     """
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    # Keyed by object identities, valid while ``tasks`` holds the objects.
+    signatures: Dict[Tuple[int, ...], Optional[str]] = {}
     groups: Dict[str, List[int]] = {}
-    order: List[str] = []
     for i, task in enumerate(tasks):
-        sig = _group_signature(task, i)
-        if sig not in groups:
-            groups[sig] = []
-            order.append(sig)
-        groups[sig].append(i)
+        key = _signature_inputs(task)
+        if key not in signatures:
+            signatures[key] = _group_signature(task)
+        sig = signatures[key] or f"<singleton:{i}>"
+        groups.setdefault(sig, []).append(i)
     plan: List[List[int]] = []
-    for sig in order:
-        members = groups[sig]
+    for members in groups.values():
         for start in range(0, len(members), max_batch):
             plan.append(members[start : start + max_batch])
     return plan

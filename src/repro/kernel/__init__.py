@@ -17,12 +17,10 @@ backend-conformance suite in ``tests/kernel/``, and statically checked by
 the DET002 parity analyzer (see ``docs/static-analysis.md``).
 """
 
-from repro.kernel.backend import array_namespace
 from repro.kernel.epoch import EpochKernel, EpochObservation, KernelObservation
 
 __all__ = [
     "EpochKernel",
     "EpochObservation",
     "KernelObservation",
-    "array_namespace",
 ]

@@ -465,7 +465,14 @@ class EpochKernel:
         mem = np.empty((self.n_epochs, self.n_runs, self.n_cores))
         comp = np.empty((self.n_epochs, self.n_runs, self.n_cores))
         tracks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: id(workload) -> the first row built from it
+        built: Dict[int, int] = {}
         for r, workload in enumerate(self.workloads):
+            first = built.setdefault(id(workload), r)
+            if first != r:
+                mem[:, r] = mem[:, first]
+                comp[:, r] = comp[:, first]
+                continue
             for i in range(self.n_cores):
                 seq = workload.sequence_for_core(i)
                 track = tracks.get(id(seq))

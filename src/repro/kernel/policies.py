@@ -1,6 +1,6 @@
 """Batched controller policies: N runs' controllers advanced in lockstep.
 
-Three shapes, selected by :func:`build_batch_policy`:
+Four shapes, selected by :func:`build_batch_policy`:
 
 * :class:`BatchODRL` — all runs are stock :class:`ODRLController` instances
   with matching hyper-parameters: Q/visit tables gain a leading run axis,
@@ -14,6 +14,10 @@ Three shapes, selected by :func:`build_batch_policy`:
   per core through sliding-window shifts and the serial strict-``>``
   level sweep.  This is the batching that actually pays — MaxBIPS
   spends ~90 % of its wall-clock inside ``solve_dp``.
+* :class:`BatchPID` — all runs are stock :class:`PIDCappingController`
+  instances sharing gains and VF table: the PI loop is elementwise, so
+  the row power sums, the velocity-form update, the clip and the
+  half-to-even rounding run over the whole stack in one call.
 * :class:`PerRunPolicy` — anything else (including watchdog-wrapped
   drivers), and every serial run (a one-row stack): the kernel plant is
   still shared, but each run's serial controller consumes its own row
@@ -42,6 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.maxbips import MaxBIPSController
+from repro.baselines.pid import PIDCappingController
 from repro.contracts import check_q_table
 from repro.core.budget import reallocate_budgets
 from repro.core.controller import ODRLController
@@ -54,6 +59,7 @@ __all__ = [
     "PerRunPolicy",
     "BatchODRL",
     "BatchMaxBIPS",
+    "BatchPID",
     "build_batch_policy",
 ]
 
@@ -625,6 +631,69 @@ class BatchMaxBIPS(BatchPolicy):
         return out
 
 
+class BatchPID(BatchPolicy):
+    """All runs' PI power caps advanced by one vectorized decide.
+
+    Each row is one :class:`PIDCappingController`: the chip power is the
+    row sum of the *sensed* power (the serial ``np.sum`` bit for bit), the
+    velocity-form command update keeps the serial ``delta += …`` order
+    through a ``where`` on the has-previous-error mask, and ``np.rint``
+    rounds half to even as Python's ``round`` does.  Budgets may differ
+    per run.  Only active rows write state, so a finished run's command
+    freezes where a standalone run of its length leaves it.
+    """
+
+    kind = "pid"
+
+    def __init__(self, controllers: Sequence[PIDCappingController]) -> None:
+        super().__init__(controllers)
+        self.kp = controllers[0].kp
+        self.ki = controllers[0].ki
+        self._budgets = np.array([c.cfg.power_budget for c in controllers])
+        self.reset()
+
+    def reset(self) -> None:
+        super().reset()
+        ctrls: List[PIDCappingController] = self.controllers  # type: ignore[assignment]
+        self._command = np.array([c._command for c in ctrls])
+        self._prev_error = np.array(
+            [0.0 if c._prev_error is None else c._prev_error for c in ctrls]
+        )
+        self._has_prev = np.array([c._prev_error is not None for c in ctrls])
+
+    def decide(
+        self,
+        bobs: Optional[KernelObservation],
+        active: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        if bobs is not None:
+            power = bobs.sensed_power.sum(axis=1)
+            # The serial update is Python float arithmetic, which turns
+            # inf - inf into NaN silently; so does this one.
+            with np.errstate(invalid="ignore", over="ignore"):
+                error = (self._budgets - power) / self._budgets
+                delta = np.where(
+                    self._has_prev,
+                    self.ki * error + self.kp * (error - self._prev_error),
+                    self.ki * error,
+                )
+                command = np.clip(self._command + delta, 0.0, self.n_levels - 1)
+            if active is None:
+                self._prev_error = error
+                self._has_prev[:] = True
+                self._command = command
+            else:
+                np.copyto(self._prev_error, error, where=active)
+                self._has_prev |= active
+                np.copyto(self._command, command, where=active)
+        if not np.isfinite(self._command).all():
+            # The serial int(round(nan)) raises; never cast NaN to a level.
+            raise ValueError(f"non-finite PID command: {self._command.tolist()}")
+        out = np.empty((self.n_runs, self.n_cores), dtype=int)
+        out[:] = np.rint(self._command).astype(int)[:, None]
+        return out
+
+
 def _live_counts(flags: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
     """Per-run count of true ``flags`` (``(n_runs, ...)`` bool), zero for
     inactive runs — a finished run's counters freeze."""
@@ -697,6 +766,17 @@ def _check_maxbips_group(ctrls: List[MaxBIPSController]) -> None:
             raise BatchCompatError("estimator tables differ across runs")
 
 
+def _check_pid_group(ctrls: List[PIDCappingController]) -> None:
+    c0 = ctrls[0]
+    for c in ctrls:
+        if type(c) is not PIDCappingController:
+            raise BatchCompatError(f"not a stock PIDCappingController: {type(c).__name__}")
+        if c.kp != c0.kp or c.ki != c0.ki:
+            raise BatchCompatError("PID gains differ across runs")
+        if c.cfg.vf_levels != c0.cfg.vf_levels:
+            raise BatchCompatError("VF tables differ across runs")
+
+
 def build_batch_policy(controllers: Sequence[Controller]) -> BatchPolicy:
     """Pick the batch policy for a controller group.
 
@@ -718,6 +798,10 @@ def build_batch_policy(controllers: Sequence[Controller]) -> BatchPolicy:
             mb = [c for c in ctrls if isinstance(c, MaxBIPSController)]
             _check_maxbips_group(mb)
             return BatchMaxBIPS(mb)
+        if all(isinstance(c, PIDCappingController) for c in ctrls):
+            pid = [c for c in ctrls if isinstance(c, PIDCappingController)]
+            _check_pid_group(pid)
+            return BatchPID(pid)
     except BatchCompatError:
         return PerRunPolicy(ctrls)
     return PerRunPolicy(ctrls)

@@ -9,6 +9,10 @@ serial path, never lose cells), and composition with the result cache
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import functools
+
 import pytest
 
 from repro.baselines import StaticUniformController
@@ -194,6 +198,52 @@ class TestPlanBatches:
             for _ in range(2)
         ]
         assert plan_batches(tasks, 8) == [[0], [1]]
+
+    def test_shared_unfingerprintable_factory_stays_singleton(self, cfg, workload):
+        def factory(c):
+            return StaticUniformController(c)
+
+        shared = lambda c: factory(c)  # noqa: E731 - no stable identity
+        tasks = [make_task(cfg, workload, shared) for _ in range(3)]
+        assert plan_batches(tasks, 8) == [[0], [1], [2]]
+
+    def test_shared_inputs_plan_as_fresh_copies(self, cfg, workload, lineup):
+        # The planner hashes once per distinct (factory, options, config
+        # fields) identity; rebuilding every task from fresh copies must
+        # not move a single task between groups.
+        options = {"faults": FaultCampaign.random(N_CORES, N_EPOCHS, rate=0.2, seed=1)}
+        tasks = [
+            make_task(cfg.with_budget(cfg.power_budget * f), workload, lineup[name],
+                      sim_kwargs=options)
+            for name in ("od-rl", "pid", "maxbips")
+            for f in (0.6, 0.9, 1.2)
+        ]
+        tasks.insert(4, make_task(cfg, workload, lineup["pid"], sim_kwargs={"hetero": None}))
+        fresh = [
+            dataclasses.replace(
+                t,
+                cfg=dataclasses.replace(
+                    t.cfg, vf_levels=copy.deepcopy(t.cfg.vf_levels),
+                    technology=copy.deepcopy(t.cfg.technology),
+                ),
+                factory=functools.partial(
+                    t.factory.func, *t.factory.args, **t.factory.keywords
+                ),
+                sim_kwargs=dict(t.sim_kwargs),
+            )
+            for t in tasks
+        ]
+        plan = plan_batches(tasks, 2)
+        assert plan == plan_batches(fresh, 2)
+        assert plan == [[0, 1], [2], [3, 4], [5, 6], [7, 8], [9]]
+
+    def test_equal_but_differently_hashed_configs_split(self, cfg, workload, lineup):
+        # 0.0 == -0.0, but the signature hashes exact bit patterns.
+        tasks = [
+            make_task(dataclasses.replace(cfg, mem_latency=m), workload, lineup["pid"])
+            for m in (0.0, -0.0, 0.0)
+        ]
+        assert plan_batches(tasks, 8) == [[0, 2], [1]]
 
     def test_rejects_nonpositive_max_batch(self, cfg, workload, lineup):
         with pytest.raises(ValueError, match="max_batch"):

@@ -1,9 +1,11 @@
-"""EXPERIMENTS.md's E2 claims against the E2 artifact.
+"""EXPERIMENTS.md's E2 and E4 claims against their artifacts.
 
 The E2 over-budget energy table and the C1 headline row are copied from
-``benchmarks/results/E2.txt``.  These tests parse both documents and fail
-when they disagree at the printed precision, so the prose cannot drift
-from the artifact again.
+``benchmarks/results/E2.txt``; the E4 gain ranges, the C2b headline rows
+(EXPERIMENTS.md and README.md) and the C2b magnitude note from
+``benchmarks/results/E4.txt``.  These tests parse the documents and the
+artifacts and fail when they disagree at the printed precision, so the
+prose cannot drift from the artifacts again.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 DOC = ROOT / "EXPERIMENTS.md"
+README = ROOT / "README.md"
 ARTIFACT = ROOT / "benchmarks" / "results" / "E2.txt"
+E4_ARTIFACT = ROOT / "benchmarks" / "results" / "E4.txt"
 
-#: C1 row wording -> baseline row name in the artifact
+#: doc wording of a baseline -> its row name in the artifacts
 C1_BASELINES = {
     "PID": "pid",
     "greedy ascent": "greedy-ascent",
@@ -29,23 +33,23 @@ C1_BASELINES = {
 Table = Dict[str, List[str]]
 
 
+def _parse_table(artifact: Path, title: str) -> Tuple[List[str], Table]:
+    """(column names, rows as printed) of the block titled ``title``."""
+    blocks = artifact.read_text().split("\n\n")
+    block = next(b for b in blocks if title in b)
+    lines = block.strip().splitlines()
+    header = lines.index(next(line for line in lines if line.startswith("-")))
+    columns = lines[header - 1].split()
+    rows = {
+        cells[0]: cells[1:] for cells in (line.split() for line in lines[header + 1 :])
+    }
+    return columns, rows
+
+
 def _artifact_tables() -> Tuple[List[str], Table, Table]:
     """(benchmarks, over-budget energy rows, reduction % rows) as printed."""
-    blocks = ARTIFACT.read_text().split("\n\n")
-
-    def parse(title: str) -> Tuple[List[str], Table]:
-        block = next(b for b in blocks if title in b)
-        lines = block.strip().splitlines()
-        header = lines.index(next(line for line in lines if line.startswith("-")))
-        columns = lines[header - 1].split()
-        rows = {
-            cells[0]: cells[1:]
-            for cells in (line.split() for line in lines[header + 1 :])
-        }
-        return columns, rows
-
-    benchmarks, energy = parse("over-budget energy (J)")
-    _, reduction = parse("overshoot reduction %")
+    benchmarks, energy = _parse_table(ARTIFACT, "over-budget energy (J)")
+    _, reduction = _parse_table(ARTIFACT, "overshoot reduction %")
     return benchmarks, energy, reduction
 
 
@@ -107,3 +111,83 @@ class TestC1Row:
         ]
         assert len(measured) > 0
         assert _c1_ranges()[wording] == (min(measured), max(measured))
+
+
+def _e4_gains() -> Dict[str, List[float]]:
+    """OD-RL's efficiency gain % per baseline, one value per benchmark."""
+    _, rows = _parse_table(E4_ARTIFACT, "efficiency gain %")
+    return {name: [float(v) for v in values] for name, values in rows.items()}
+
+
+def _best_baseline_range() -> Tuple[float, float]:
+    """Range over the benchmarks of the gain vs that benchmark's most
+    efficient baseline (the smallest gain in its column)."""
+    columns = list(zip(*_e4_gains().values()))
+    per_benchmark = [min(column) for column in columns]
+    return min(per_benchmark), max(per_benchmark)
+
+
+def _max_gain() -> Tuple[float, str, str]:
+    """(largest gain, its baseline row, its benchmark) in the E4 table."""
+    benchmarks, _ = _parse_table(E4_ARTIFACT, "efficiency gain %")
+    return max(
+        (gain, baseline, benchmark)
+        for baseline, gains in _e4_gains().items()
+        for gain, benchmark in zip(gains, benchmarks)
+    )
+
+
+def _c2b_claim(row: str) -> Tuple[float, str, str, float, float]:
+    """(max gain, baseline, benchmark, best-baseline low, high) of a C2b row."""
+    match = re.search(
+        r"up to ([\d.]+) % \(vs (\w+) on (\w+)\); ([\d.]+) to ([\d.]+) % vs the "
+        r"most efficient baseline",
+        row,
+    )
+    assert match, row
+    top, baseline, benchmark, lo, hi = match.groups()
+    return float(top), baseline, benchmark, float(lo), float(hi)
+
+
+def _headline_row(path: Path, prefix: str) -> str:
+    return next(line for line in path.read_text().splitlines() if line.startswith(prefix))
+
+
+class TestE4Gains:
+    def _prose_ranges(self) -> Dict[str, Tuple[float, float]]:
+        text = DOC.read_text()
+        section = text[text.index("### E4") : text.index("#### E2/E3/E4 addendum")]
+        prose = " ".join(section.split())
+        return {
+            name: (float(lo), float(hi))
+            for lo, hi, name in re.findall(
+                r"\+([\d.]+)–([\d.]+) % vs ([A-Za-z ]+?)(?=\s*[,(.])", prose
+            )
+        }
+
+    def test_every_baseline_is_reported(self):
+        assert set(self._prose_ranges()) == set(C1_BASELINES)
+        assert set(_e4_gains()) == set(C1_BASELINES.values())
+
+    @pytest.mark.parametrize("wording", sorted(C1_BASELINES))
+    def test_prose_range_matches_artifact(self, wording):
+        gains = _e4_gains()[C1_BASELINES[wording]]
+        assert self._prose_ranges()[wording] == (min(gains), max(gains))
+
+    @pytest.mark.parametrize(
+        "path, prefix", [(DOC, "| C2b"), (README, "| C2b")], ids=["experiments", "readme"]
+    )
+    def test_c2b_headline_matches_artifact(self, path, prefix):
+        top, baseline, benchmark, lo, hi = _c2b_claim(_headline_row(path, prefix))
+        best, best_baseline, best_benchmark = _max_gain()
+        assert top == best
+        assert C1_BASELINES[baseline] == best_baseline
+        assert benchmark == best_benchmark
+        assert (lo, hi) == _best_baseline_range()
+
+    def test_magnitude_note_matches_artifact(self):
+        text = DOC.read_text()
+        note = " ".join(text[text.index("Notes on C2b") :].split("\n\n")[0].split())
+        (largest,) = re.findall(r"largest gain in E4 is ([\d.]+) %", note)
+        assert float(largest) == _max_gain()[0]
+        assert "~11" not in note

@@ -5,15 +5,22 @@ heterogeneous core maps, and ragged epoch counts batchable.  This module
 pins that won: the standard-controller suite must produce **zero**
 serial fallbacks under every supported scenario, and the set of reasons
 that still legitimately force the serial path must not silently grow.
+It also pins the stack policy a pid group gets: the vectorized
+``BatchPID`` for stock controllers in every plant scenario, the serial
+decide (``PerRunPolicy``) for watchdog-wrapped or mixed-gain groups.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.batch import batch_unsupported_reason, plan_batches
+from repro.baselines.pid import PIDCappingController
+from repro.batch import batch_unsupported_reason, plan_batches, simulate_batch
 from repro.faults import FaultCampaign
+from repro.kernel.policies import BatchPID, PerRunPolicy
 from repro.manycore import default_system
 from repro.manycore.hetero import big_little_map
 from repro.manycore.variation import sample_variation
@@ -149,3 +156,59 @@ class TestFallbackRegression:
                 _suite_tasks(SCENARIO_KWARGS[scenario])[0] for _ in range(3)
             ]
             assert plan_batches(tasks, 8) == [[0, 1, 2]], scenario
+
+
+def _pid_tasks(sim_kwargs, factories):
+    """One pid cell per factory, at budgets spread around the default."""
+    tasks = []
+    for k, factory in enumerate(factories):
+        cfg = CFG.with_budget(CFG.power_budget * (0.8 + 0.2 * k))
+        cell = RunCell(
+            controller="pid", workload=WORKLOAD.name, budget=cfg.power_budget,
+            seed=0, n_epochs=N_EPOCHS - k,
+        )
+        tasks.append(CellTask(cell, cfg, WORKLOAD, factory, dict(sim_kwargs)))
+    return tasks
+
+
+def _stack_policy(monkeypatch, tasks):
+    """The batch policy class :func:`simulate_batch` drives ``tasks`` with."""
+    import repro.batch.simulator as batch_simulator
+
+    picked = []
+    real = batch_simulator.build_batch_policy
+
+    def spy(drivers):
+        policy = real(drivers)
+        picked.append(type(policy))
+        return policy
+
+    monkeypatch.setattr(batch_simulator, "build_batch_policy", spy)
+    simulate_batch(tasks)
+    (policy_type,) = picked
+    return policy_type
+
+
+class TestPIDRouting:
+    """Stock pid stacks decide through :class:`BatchPID`; anything it does
+    not model stays on the serial decide through :class:`PerRunPolicy`."""
+
+    @pytest.mark.parametrize("scenario", ["clean", "faults", "variation", "hetero"])
+    def test_stock_pid_groups_get_batch_pid(self, monkeypatch, scenario):
+        pid = standard_controllers(seed=0)["pid"]
+        tasks = _pid_tasks(SCENARIO_KWARGS[scenario], [pid] * 3)
+        assert plan_batches(tasks, 8) == [[0, 1, 2]]
+        assert _stack_policy(monkeypatch, tasks) is BatchPID
+
+    def test_watchdog_pid_stays_per_run(self, monkeypatch):
+        pid = standard_controllers(seed=0)["pid"]
+        tasks = _pid_tasks(SCENARIO_KWARGS["watchdog"], [pid] * 3)
+        assert _stack_policy(monkeypatch, tasks) is PerRunPolicy
+
+    def test_mixed_gain_pid_stays_per_run(self, monkeypatch):
+        factories = [
+            functools.partial(PIDCappingController),
+            functools.partial(PIDCappingController, kp=1.0),
+        ]
+        tasks = _pid_tasks({}, factories)
+        assert _stack_policy(monkeypatch, tasks) is PerRunPolicy
