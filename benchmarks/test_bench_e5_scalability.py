@@ -21,7 +21,8 @@ def test_bench_e5_scalability(benchmark):
     print()
     print(result)
     # Claim C3 shape: the centralized optimizer's advantage-free cost gap
-    # grows with core count and reaches tens-of-x at hundreds of cores.
+    # grows with every step in core count and reaches tens-of-x at
+    # hundreds of cores.
     speedups = result.data["speedups"]
-    assert speedups[-1] > speedups[0]
+    assert all(b > a for a, b in zip(speedups, speedups[1:])), speedups
     assert result.data["speedup_at_max_cores"] > 30.0

@@ -1,11 +1,9 @@
 """Tabular Q-learning, vectorized over a population of independent agents.
 
-The paper runs one agent per core.  All agents share the same state/action
-spaces but learn independent Q-tables; batching them into one
-``(n_agents, n_states, n_actions)`` array lets a single numpy update serve
-hundreds of cores per epoch — this is what makes OD-RL's per-decision cost
-O(n) with a tiny constant, the property behind the paper's scalability
-claim (C3).
+The paper runs one agent per core, each with its own Q-table over shared
+state/action spaces.  This population is the per-agent reference learner
+(centralized-rl runs it); OD-RL runs the same act/update rules on stacks
+of runs in :class:`repro.kernel.policies.BatchODRL`.
 
 Two temporal-difference rules are supported:
 
@@ -237,26 +235,6 @@ class QLearningPopulation:
             check_q_table(
                 self.q[idx, row_states, row_actions], step=self.step_count
             )
-
-    def repair_nonfinite(self) -> np.ndarray:
-        """Safe-state reflex: reinitialize any agent whose table went bad.
-
-        Scans every agent's Q-table for non-finite values; corrupted
-        agents get their table refilled with the optimistic init and their
-        visit counts cleared — the agent restarts learning from scratch
-        while the other agents keep theirs.
-
-        Returns
-        -------
-        numpy.ndarray
-            Boolean mask, shape ``(n_agents,)``, of the agents that were
-            reinitialized (all-False when every table is finite).
-        """
-        bad = ~np.isfinite(self.q).all(axis=(1, 2))
-        if bad.any():
-            self.q[bad] = self._init
-            self.visits[bad] = 0
-        return bad
 
     def greedy_policy(self) -> np.ndarray:
         """Current greedy action per (agent, state), shape

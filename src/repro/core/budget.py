@@ -176,6 +176,10 @@ def reallocate_budgets(
         raise ValueError("total_budgets needs one budget per row of scores")
     if floors.shape != (n,) or caps.shape != (n,):
         raise ValueError("scores rows, floors and caps must have identical shapes")
+    if n_runs == 1:
+        # One row: the serial loop's scalar bookkeeping costs less than
+        # the stack's per-round gathers, and the row is the same bits.
+        return reallocate_budget(float(totals[0]), scores[0], floors, caps, validate)[None]
     if np.any(scores < 0):
         raise ValueError("scores must be non-negative")
     if n:

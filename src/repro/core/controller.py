@@ -17,27 +17,36 @@ correlated fluctuations.  This closes the loop on *chip*-level overshoot
 without any per-core model.
 
 The controller follows the :class:`repro.sim.interface.Controller` protocol
-and consumes only sensed telemetry.
+and consumes only sensed telemetry.  It is a one-row view of the only
+OD-RL implementation, the stacked learner
+:class:`repro.kernel.policies.BatchODRL`, as
+:class:`~repro.manycore.chip.ManyCoreChip` views the epoch kernel: it
+holds the run's configuration, seed and exploration stream, its learned
+state lives in row 0 of its own one-row stack, and ``decide`` hands the
+observation's arrays to that stack.  Controllers stack into one
+:class:`BatchODRL` when all are stock with equal hyper-parameters and
+``thermal_limit`` (budgets, seeds, warm starts and profilers may differ);
+a watchdog-wrapped one decides per run, through its one-row stack.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+import weakref
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import numpy as np
 
-from repro.core.agent import QLearningPopulation
-from repro.core.budget import reallocate_budget, uniform_allocation
 from repro.core.policy_io import restore_snapshot, snapshot_policy
-from repro.core.reward import RewardParams, compute_reward, max_epoch_instructions
+from repro.core.reward import RewardParams
 from repro.core.state import StateEncoder
-from repro.faults.sanitizer import SanitizerPolicy, TelemetrySanitizer
+from repro.faults.sanitizer import SanitizerPolicy
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
 from repro.manycore.hetero import HeterogeneousMap
-from repro.manycore.power import core_power
 from repro.sim.interface import Controller
+
+if TYPE_CHECKING:
+    from repro.kernel.policies import BatchODRL
 
 __all__ = ["ODRLController"]
 
@@ -150,6 +159,10 @@ class ODRLController(Controller):
                 "thermal_limit must exceed the ambient temperature "
                 f"({cfg.technology.t_ambient} K)"
             )
+        if not (0 <= gamma < 1):
+            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+        if td_rule not in ("q", "sarsa"):
+            raise ValueError(f"td_rule must be 'q' or 'sarsa', got {td_rule!r}")
         self.thermal_limit = thermal_limit
         self.action_mode = action_mode
         self.realloc_period = realloc_period
@@ -163,28 +176,20 @@ class ODRLController(Controller):
         self.reward_params = (
             reward_params if reward_params is not None else RewardParams()
         )
-        self._seed = seed
-        self._deltas = np.array(self.RELATIVE_DELTAS, dtype=int)
-        n_actions = (
+        self.gamma = gamma
+        self.td_rule = td_rule
+        self.n_states = self.encoder.n_states
+        self.n_actions = (
             len(self.RELATIVE_DELTAS) if action_mode == "relative" else cfg.n_levels
         )
-        self.agents = QLearningPopulation(
-            n_agents=cfg.n_cores,
-            n_states=self.encoder.n_states,
-            n_actions=n_actions,
-            gamma=gamma,
-            rng=np.random.default_rng(seed),
-            optimistic_init=1.0 / (1.0 - gamma),
-            td_rule=td_rule,
-        )
         self.degradation = degradation
-        self.sanitizer = TelemetrySanitizer(cfg.n_cores, sanitizer_policy)
-        #: optional :class:`repro.obs.PhaseProfiler`; when attached (the
-        #: simulator does this under ``profile=True``) the sanitizer pass
-        #: is timed into the ``sanitizer`` phase.  Never read back.
-        self.profiler = None
-        self._freqs = np.array([f for f, _ in cfg.vf_levels])
-        self._instr_scale = max_epoch_instructions(cfg)
+        self.sanitizer_policy = (
+            sanitizer_policy if sanitizer_policy is not None else SanitizerPolicy()
+        )
+        self._seed = seed
+        #: the run's exploration stream; a stack of this controller's row
+        #: draws from it, so the stream is the run's wherever it decides
+        self._rng = np.random.default_rng(seed)
         self._floors, self._caps = self._power_bounds(cfg, hetero)
         if float(np.sum(self._floors)) > cfg.power_budget:
             raise ValueError(
@@ -192,7 +197,14 @@ class ODRLController(Controller):
                 "infeasible even with every core at the bottom VF level"
             )
         self._pretrained = dict(pretrained) if pretrained is not None else None
-        self.reset()
+        # Imported here: repro.kernel.policies imports this module.
+        from repro.kernel.policies import BatchODRL
+
+        #: the one-row stack holding this run's learned state; its reset
+        #: (run here) applies ``pretrained``, so a bad snapshot raises now.
+        #: It sees this controller through a weak proxy: a reference cycle
+        #: would keep every finished run's tables alive until a full GC.
+        self.stack: "BatchODRL" = BatchODRL([weakref.proxy(self)])
 
     @staticmethod
     def _power_bounds(
@@ -230,6 +242,13 @@ class ODRLController(Controller):
 
         return bound(f_bot, v_bot), bound(f_top, v_top)
 
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Unpickling: relink the stack's weak proxy, which BatchODRL's
+        # __getstate__ drops because it cannot be pickled.
+        self.__dict__.update(state)
+        if self.stack.controllers is None:
+            self.stack.controllers = [weakref.proxy(self)]
+
     def reset(self) -> None:
         """Forget all learning and return to the uniform allocation.
 
@@ -237,173 +256,26 @@ class ODRLController(Controller):
         tables instead of a cold start (warm-start semantics survive the
         ``reset=True`` every simulation run performs).
         """
-        self.agents.reset()
-        self.allocation = uniform_allocation(self.cfg.power_budget, self.n_cores)
-        # Uniform allocation can exceed a core's cap on loose budgets; clamp
-        # into the feasible box (the first reallocation fixes shares anyway).
-        self.allocation = np.clip(self.allocation, self._floors, self._caps)
-        self._prev_states: Optional[np.ndarray] = None
-        self._prev_actions: Optional[np.ndarray] = None
-        self._prev_trusted: Optional[np.ndarray] = None
-        self.sanitizer.reset()
-        self.agents_repaired = 0
-        self._epoch = 0
-        self._window_ipc = np.zeros(self.n_cores)
-        self._window_epochs = 0
-        self._window_over_epochs = 0
-        self.guard = 0.0
-        #: harvest-mode scratch: the arrays of the most recent TD update
-        #: (see :meth:`decide`); ``None`` on epochs with no update.  Read
-        #: only by the simulator's transition harvester — never by any
-        #: control-flow decision.
-        self.last_update: Optional[Dict[str, np.ndarray]] = None
-        if self._pretrained is not None:
-            restore_snapshot(self, self._pretrained)
-
-    def _actions_to_levels(self, actions: np.ndarray, current: np.ndarray) -> np.ndarray:
-        """Translate agent actions into VF levels for the next epoch."""
-        if self.action_mode == "absolute":
-            return actions
-        return np.clip(current + self._deltas[actions], 0, self.n_levels - 1)
+        self.stack.reset()
 
     def decide(self, obs: Optional[EpochObservation]) -> np.ndarray:
-        # Cleared up front so a decide that raises (watchdog recovery)
-        # cannot leave a stale update for the harvester to re-emit.
-        self.last_update = None
         if obs is None:
-            # No telemetry yet: start every core mid-ladder, a neutral point
-            # that is safe on tight budgets and close on loose ones.
-            start = self._full(self.n_levels // 2)
-            self._prev_actions = None
-            return start
-
-        levels = obs.levels
-        if self.degradation:
-            profiler = self.profiler
-            t_san = time.perf_counter() if profiler is not None else 0.0
-            telemetry = self.sanitizer.sanitize(
-                obs.sensed_power,
-                obs.sensed_instructions,
-                obs.sensed_temperature,
-                self.allocation,
-            )
-            if profiler is not None:
-                profiler.add("sanitizer", time.perf_counter() - t_san)
-            power = telemetry.power
-            instructions = telemetry.instructions
-            temperature = telemetry.temperature
-            trusted = telemetry.trusted
-        else:
-            power = obs.sensed_power
-            instructions = obs.sensed_instructions
-            temperature = obs.sensed_temperature
-            trusted = np.ones(self.n_cores, dtype=bool)
-        freq = self._freqs[levels]
-        cycles = freq * self.cfg.epoch_time
-        ipc = instructions / np.maximum(cycles, 1.0)
-
-        rewards = compute_reward(
-            self.reward_params,
-            instructions,
-            power,
-            self.allocation,
-            self._instr_scale,
-            chip_budget=self.cfg.power_budget,
+            return self.stack.step(None, None, None, None)[0]
+        # The hop: the observation's row arrays as one-row [None] views.
+        arrays = (
+            ("levels", obs.levels),
+            ("sensed_power", obs.sensed_power),
+            ("sensed_instructions", obs.sensed_instructions),
+            ("sensed_temperature", obs.sensed_temperature),
         )
-        if self.thermal_limit is not None:
-            excess = np.maximum(0.0, temperature - self.thermal_limit)
-            rewards = rewards - self.THERMAL_PENALTY_PER_K * excess
-
-        # Coarse level: windowed IPC drives the budget shares; the adaptive
-        # guard band closes the loop on chip-level overshoot.  Reallocation
-        # runs before state encoding so the agents always act (and the TD
-        # update always bootstraps) on the current shares.
-        self._window_ipc += ipc
-        self._window_epochs += 1
-        if float(np.sum(power)) > self.cfg.power_budget:
-            self._window_over_epochs += 1
-        if (
-            self.realloc_period > 0
-            and self._window_epochs >= self.realloc_period
-        ):
-            over_rate = self._window_over_epochs / self._window_epochs
-            self.guard = float(
-                np.clip(
-                    self.guard + self.GUARD_GAIN * (over_rate - self.GUARD_TARGET),
-                    0.0,
-                    self.GUARD_MAX,
-                )
-            )
-            distributable = (1.0 - self.guard) * self.cfg.power_budget
-            # Never guard below feasibility: floors must stay covered.
-            distributable = max(distributable, float(np.sum(self._floors)))
-            scores = self._window_ipc / self._window_epochs
-            self.allocation = reallocate_budget(
-                distributable, scores, self._floors, self._caps
-            )
-            self._window_ipc[:] = 0.0
-            self._window_epochs = 0
-            self._window_over_epochs = 0
-
-        states = self.encoder.encode(power, self.allocation, ipc, levels)
-        if self.degradation:
-            # Safe-state reflex: a corrupted Q-table (non-finite rows) is
-            # wiped before it can steer an action or absorb an update.
-            repaired = self.agents.repair_nonfinite()
-            if repaired.any():
-                self.agents_repaired += int(np.sum(repaired))
-        else:
-            repaired = np.zeros(self.n_cores, dtype=bool)
-        actions = self.agents.act(states)
-        if self._prev_states is not None and self._prev_actions is not None:
-            mask: Optional[np.ndarray] = None
-            if self.degradation:
-                prev_trusted = (
-                    self._prev_trusted
-                    if self._prev_trusted is not None
-                    else np.ones(self.n_cores, dtype=bool)
-                )
-                # An update is only as good as the telemetry on both of its
-                # ends; repaired agents' stale (state, action) pair refers
-                # to the table that was just wiped.
-                mask = trusted & prev_trusted & ~repaired
-            self.agents.update(
-                self._prev_states,
-                self._prev_actions,
-                rewards,
-                states,
-                next_actions=actions,
-                mask=mask,
-            )
-            # References, not copies: the harvester serializes them before
-            # the next decide call can rebind any of these arrays.
-            self.last_update = {
-                "states": self._prev_states,
-                "actions": self._prev_actions,
-                "rewards": rewards,
-                "next_states": states,
-                "next_actions": actions,
-                "mask": (
-                    mask if mask is not None else np.ones(self.n_cores, dtype=bool)
-                ),
-            }
-        self._prev_states = states
-        self._prev_actions = actions
-        self._prev_trusted = trusted
-        self._epoch += 1
-        next_levels = self._actions_to_levels(actions, levels)
-        if repaired.any():
-            # Park freshly reinitialized agents at the safe bottom level
-            # for one epoch while their table restarts from scratch.
-            next_levels = np.where(repaired, 0, next_levels)
-        if self.thermal_limit is not None:
-            # DTM reflex: a core at/over the limit steps down no matter
-            # what its agent chose; the agent still learns from the reward.
-            hot = temperature >= self.thermal_limit
-            next_levels = np.where(
-                hot, np.maximum(levels - 1, 0), next_levels
-            )
-        return next_levels
+        shape = (self.n_cores,)
+        for name, arr in arrays:
+            if np.shape(arr) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {np.shape(arr)}")
+        levels, power, instructions, temperature = (
+            np.asarray(arr)[None] for _, arr in arrays
+        )
+        return self.stack.step(levels, power, instructions, temperature)[0]
 
     def checkpoint(self) -> Dict[str, np.ndarray]:
         """Snapshot the learned state for crash/restart recovery.
@@ -425,3 +297,56 @@ class ODRLController(Controller):
         exactly the information a real restart would have.
         """
         restore_snapshot(self, snapshot)
+
+    # -- the row's state, read through the stack ---------------------------
+    @property
+    def q(self) -> np.ndarray:
+        """Q-tables, ``(n_cores, n_states, n_actions)`` (a view)."""
+        return self.stack.q[0]
+
+    @property
+    def visits(self) -> np.ndarray:
+        """Per-(core, state, action) visit counts (a view)."""
+        return self.stack.visits[0]
+
+    @property
+    def step_count(self) -> int:
+        """TD updates so far: the exploration schedule's clock."""
+        return int(self.stack.step_counts[0])
+
+    @property
+    def allocation(self) -> np.ndarray:
+        """Per-core budget shares in watts (a view)."""
+        return self.stack.allocation[0]
+
+    @allocation.setter
+    def allocation(self, shares: np.ndarray) -> None:
+        self.stack.allocation[0] = shares
+
+    @property
+    def guard(self) -> float:
+        """Adaptive guard band: the budget fraction withheld."""
+        return float(self.stack.guard[0])
+
+    @property
+    def agents_repaired(self) -> int:
+        """Agents reinitialized by the safe-state reflex this run."""
+        return int(self.stack.agents_repaired[0])
+
+    @property
+    def last_update(self) -> Optional[Dict[str, np.ndarray]]:
+        """Harvest-mode scratch: the arrays of the most recent TD update
+        (``None`` on epochs with no update).  Read only by the simulator's
+        transition harvester — never by any control-flow decision."""
+        return self.stack.last_update(0)
+
+    @property
+    def profiler(self) -> Any:
+        """Optional :class:`repro.obs.PhaseProfiler`; when attached (the
+        simulator does this under ``profile=True``) the sanitizer pass is
+        timed into the ``sanitizer`` phase.  Never read back."""
+        return self.stack.profiler
+
+    @profiler.setter
+    def profiler(self, profiler: Any) -> None:
+        self.stack.profiler = profiler

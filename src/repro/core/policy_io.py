@@ -6,7 +6,10 @@ flashes the policy learned at burn-in, or migrates it across reboots.
 These helpers serialize an :class:`~repro.core.controller.ODRLController`'s
 learned state (Q-tables, visit counts, budget shares, guard band, and the
 coarse-level reallocation window) and restore it into a *compatible*
-controller.
+controller.  That state is a row of the stacked learner
+(:class:`repro.kernel.policies.BatchODRL`): a controller's is row 0 of
+its one-row stack, and :func:`restore_row` warm-starts any row of a
+larger stack.
 
 Two granularities share one format:
 
@@ -44,12 +47,14 @@ import numpy as np
 
 if TYPE_CHECKING:
     from repro.core.controller import ODRLController
+    from repro.kernel.policies import BatchODRL
 
 __all__ = [
     "save_policy",
     "load_policy",
     "snapshot_policy",
     "restore_snapshot",
+    "restore_row",
     "SUPPORTED_VERSIONS",
 ]
 
@@ -63,30 +68,33 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 def snapshot_policy(controller: "ODRLController") -> Dict[str, np.ndarray]:
     """Capture the controller's learned state as a dict of arrays.
 
-    The snapshot is a deep copy: later learning does not mutate it.
+    The state is row 0 of the controller's one-row learner stack.  The
+    snapshot is a deep copy: later learning does not mutate it.
     """
+    stack = controller.stack
     return {
         "format_version": np.array(_FORMAT_VERSION),
-        "n_cores": np.array(controller.n_cores),
-        "n_states": np.array(controller.agents.n_states),
-        "n_actions": np.array(controller.agents.n_actions),
-        "action_mode": np.array(controller.action_mode),
-        "q": controller.agents.q.copy(),
-        "visits": controller.agents.visits.copy(),
-        "step_count": np.array(controller.agents.step_count),
-        "allocation": controller.allocation.copy(),
-        "guard": np.array(controller.guard),
-        "epoch": np.array(controller._epoch),
-        "window_ipc": controller._window_ipc.copy(),
-        "window_epochs": np.array(controller._window_epochs),
-        "window_over_epochs": np.array(controller._window_over_epochs),
+        "n_cores": np.array(stack.n_cores),
+        "n_states": np.array(stack.n_states),
+        "n_actions": np.array(stack.n_actions),
+        "action_mode": np.array(stack.action_mode),
+        "q": stack.q[0].copy(),
+        "visits": stack.visits[0].copy(),
+        "step_count": np.array(stack.step_counts[0]),
+        "allocation": stack.allocation[0].copy(),
+        "guard": np.array(stack.guard[0]),
+        "epoch": np.array(stack._epochs[0]),
+        "window_ipc": stack._window_ipc[0].copy(),
+        "window_epochs": np.array(stack._window_epochs[0]),
+        "window_over_epochs": np.array(stack._window_over[0]),
     }
 
 
 def restore_snapshot(
     controller: "ODRLController", snapshot: Dict[str, np.ndarray]
 ) -> None:
-    """Restore a :func:`snapshot_policy` capture into ``controller``.
+    """Restore a :func:`snapshot_policy` capture into ``controller``
+    (row 0 of its one-row learner stack).
 
     Raises
     ------
@@ -99,6 +107,12 @@ def restore_snapshot(
         here — they parameterize :mod:`repro.offline`, not the tabular
         controller.
     """
+    restore_row(controller.stack, 0, snapshot)
+
+
+def restore_row(stack: "BatchODRL", row: int, snapshot: Dict[str, np.ndarray]) -> None:
+    """:func:`restore_snapshot` into row ``row`` of a learner stack: how a
+    stack warm-starts the rows of pretrained controllers on reset."""
     version = int(snapshot["format_version"])
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(
@@ -106,9 +120,9 @@ def restore_snapshot(
             f"{SUPPORTED_VERSIONS}"
         )
     checks = (
-        ("n_cores", controller.n_cores),
-        ("n_states", controller.agents.n_states),
-        ("n_actions", controller.agents.n_actions),
+        ("n_cores", stack.n_cores),
+        ("n_states", stack.n_states),
+        ("n_actions", stack.n_actions),
     )
     for key, expected in checks:
         found = int(snapshot[key])
@@ -118,28 +132,28 @@ def restore_snapshot(
                 f"has {expected}"
             )
     mode = str(snapshot["action_mode"])
-    if mode != controller.action_mode:
+    if mode != stack.action_mode:
         raise ValueError(
             f"policy action_mode mismatch: file has {mode!r}, controller "
-            f"has {controller.action_mode!r}"
+            f"has {stack.action_mode!r}"
         )
-    controller.agents.q = snapshot["q"].copy()
-    controller.agents.visits = snapshot["visits"].copy()
-    controller.agents.step_count = int(snapshot["step_count"])
-    controller.allocation = snapshot["allocation"].copy()
-    controller.guard = float(snapshot["guard"])
+    stack.q[row] = snapshot["q"]
+    stack.visits[row] = snapshot["visits"]
+    stack.step_counts[row] = int(snapshot["step_count"])
+    stack.allocation[row] = snapshot["allocation"]
+    stack.guard[row] = float(snapshot["guard"])
     if version >= 2:
-        controller._epoch = int(snapshot["epoch"])
-        controller._window_ipc = snapshot["window_ipc"].copy()
-        controller._window_epochs = int(snapshot["window_epochs"])
-        controller._window_over_epochs = int(snapshot["window_over_epochs"])
+        stack._epochs[row] = int(snapshot["epoch"])
+        stack._window_ipc[row] = snapshot["window_ipc"]
+        stack._window_epochs[row] = int(snapshot["window_epochs"])
+        stack._window_over[row] = int(snapshot["window_over_epochs"])
     else:
         # v1 predates the window accumulators: restart the window, as
         # every v1 reader did.
-        controller._epoch = 0
-        controller._window_ipc = np.zeros(controller.n_cores)
-        controller._window_epochs = 0
-        controller._window_over_epochs = 0
+        stack._epochs[row] = 0
+        stack._window_ipc[row] = 0.0
+        stack._window_epochs[row] = 0
+        stack._window_over[row] = 0
 
 
 def save_policy(controller: "ODRLController", path: Union[str, Path]) -> None:

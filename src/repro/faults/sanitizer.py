@@ -27,6 +27,7 @@ actually produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -95,33 +96,41 @@ class SanitizedTelemetry:
 
 
 class TelemetrySanitizer:
-    """Per-run stateful sanitizer for one controller's telemetry stream.
+    """Stateful sanitizer for one telemetry stream, or a stack of them.
 
     Parameters
     ----------
     n_cores:
-        Number of cores (and telemetry lanes).
+        Number of cores (and telemetry lanes) of one stream, or the
+        ``(n_runs, n_cores)`` shape of a stack of independent streams.
+        The registers take that shape; the rejected/fallback counters
+        take the leading run axis (0-d for one stream, ``(n_runs,)`` for
+        a stack).
     policy:
         Rejection/staleness tunables; defaults are conservative.
     """
 
-    def __init__(self, n_cores: int, policy: SanitizerPolicy | None = None) -> None:
-        if n_cores < 1:
+    def __init__(
+        self, n_cores: int | Tuple[int, int], policy: SanitizerPolicy | None = None
+    ) -> None:
+        shape = (n_cores,) if isinstance(n_cores, (int, np.integer)) else tuple(n_cores)
+        if min(shape) < 1:
             raise ValueError(f"n_cores must be >= 1, got {n_cores}")
         self.policy = policy if policy is not None else SanitizerPolicy()
-        self.n_cores = n_cores
-        self.rejected_samples = 0
-        self.fallback_samples = 0
-        self._staleness = np.zeros(n_cores, dtype=int)
-        self._have_good = np.zeros(n_cores, dtype=bool)
-        self._last_power = np.zeros(n_cores)
-        self._last_instructions = np.zeros(n_cores)
-        self._last_temperature = np.full(n_cores, self.policy.fallback_temperature_k)
+        self.shape = shape
+        self.n_cores = shape[-1]
+        self.rejected_samples = np.zeros(shape[:-1], dtype=np.int64)
+        self.fallback_samples = np.zeros(shape[:-1], dtype=np.int64)
+        self._staleness = np.zeros(shape, dtype=int)
+        self._have_good = np.zeros(shape, dtype=bool)
+        self._last_power = np.zeros(shape)
+        self._last_instructions = np.zeros(shape)
+        self._last_temperature = np.full(shape, self.policy.fallback_temperature_k)
 
     def reset(self) -> None:
         """Forget held readings and counters (start of a fresh run)."""
-        self.rejected_samples = 0
-        self.fallback_samples = 0
+        self.rejected_samples.fill(0)
+        self.fallback_samples.fill(0)
         self._staleness.fill(0)
         self._have_good.fill(False)
         self._last_power.fill(0.0)
@@ -134,6 +143,7 @@ class TelemetrySanitizer:
         instructions: np.ndarray,
         temperature: np.ndarray,
         allocation: np.ndarray,
+        active: Optional[np.ndarray] = None,
     ) -> SanitizedTelemetry:
         """Vet one epoch of raw sensor readings.
 
@@ -148,6 +158,10 @@ class TelemetrySanitizer:
         allocation:
             Current per-core budget shares in watts — the allocation-
             neutral power estimate used beyond the staleness window.
+        active:
+            Ragged-stack row mask, ``(n_runs,)`` bool: the counters of
+            rows with ``active[r]`` false (finished runs) freeze.  Their
+            registers keep advancing; they are never read again.
         """
         policy = self.policy
         power = np.asarray(power, dtype=float)
@@ -160,10 +174,8 @@ class TelemetrySanitizer:
             ("temperature", temperature),
             ("allocation", allocation),
         ):
-            if arr.shape != (self.n_cores,):
-                raise ValueError(
-                    f"{name} must have shape ({self.n_cores},), got {arr.shape}"
-                )
+            if arr.shape != self.shape:
+                raise ValueError(f"{name} must have shape {self.shape}, got {arr.shape}")
 
         valid = (
             np.isfinite(power)
@@ -173,7 +185,7 @@ class TelemetrySanitizer:
             & (instructions >= 0.0)
             & (temperature >= policy.min_temperature_k)
         )
-        self.rejected_samples += int(np.sum(~valid))
+        self.rejected_samples += self._tally(~valid, active)
 
         # Accepted readings refresh the hold registers.
         self._last_power = np.where(valid, power, self._last_power)
@@ -188,7 +200,7 @@ class TelemetrySanitizer:
             & (self._staleness <= policy.max_staleness_epochs)
         )
         fallback = ~valid & ~hold
-        self.fallback_samples += int(np.sum(fallback))
+        self.fallback_samples += self._tally(fallback, active)
 
         out_power = np.where(valid, power, self._last_power)
         out_instr = np.where(valid, instructions, self._last_instructions)
@@ -206,3 +218,9 @@ class TelemetrySanitizer:
             trusted=valid,
             staleness=self._staleness.copy(),
         )
+
+    @staticmethod
+    def _tally(flags: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
+        """Per-stream count of true ``flags``, zero on inactive rows."""
+        counts = np.count_nonzero(flags, axis=-1)
+        return counts if active is None else np.where(active, counts, 0)

@@ -2,12 +2,16 @@
 
 Four shapes, selected by :func:`build_batch_policy`:
 
-* :class:`BatchODRL` — all runs are stock :class:`ODRLController` instances
-  with matching hyper-parameters: Q/visit tables gain a leading run axis,
-  and telemetry sanitization, reward, state encoding, the Q gather and
-  argmax, and the TD scatter run over the whole stack.  Only the three
-  RNG draws of the action step run per run, in the exact serial order
-  (the RNG draw sequence per run is untouched).
+* :class:`BatchODRL` — the OD-RL learner itself, the only OD-RL decide:
+  Q/visit tables carry a leading run axis, and telemetry sanitization,
+  reward, state encoding, the Q gather and argmax, the TD scatter and the
+  budget reallocation run over the whole stack.  Only the three RNG draws
+  of the action step run per run, in the exact serial order.  Every
+  :class:`ODRLController` is a one-row view of a :class:`BatchODRL`; a
+  group of them stacks into one when all are stock controllers with the
+  same hyper-parameters, power bounds and ``thermal_limit`` (or none).
+  Budgets, seeds, ``pretrained`` warm starts (restored per row, window
+  included) and attached profilers may differ per row.
 * :class:`BatchMaxBIPS` — all runs are DP-method
   :class:`MaxBIPSController` instances sharing estimator tables: one
   stacked telemetry inversion, and a knapsack DP that advances all runs
@@ -19,10 +23,12 @@ Four shapes, selected by :func:`build_batch_policy`:
   the row power sums, the velocity-form update, the clip and the
   half-to-even rounding run over the whole stack in one call.
 * :class:`PerRunPolicy` — anything else (including watchdog-wrapped
-  drivers), and every serial run (a one-row stack): the kernel plant is
-  still shared, but each run's serial controller consumes its own row
-  view of the kernel observation.  Bit-identical by construction, since
-  the serial ``decide`` is the one executing.
+  drivers, and od-rl groups with differing thermal limits), and every
+  serial run (a one-row stack): the kernel plant is still shared, but
+  each run's serial controller consumes its own row view of the kernel
+  observation.  Bit-identical by construction, since the serial
+  ``decide`` is the one executing — for od-rl, its own one-row
+  :class:`BatchODRL`.
 
 Ragged stacks pass the ``active`` row mask of the kernel step through
 ``decide``: a finished run's controller is never invoked again — its RNG
@@ -39,17 +45,22 @@ the serial pairwise order (``tests/kernel/test_row_reductions.py``).
 from __future__ import annotations
 
 import time
+import weakref
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.maxbips import MaxBIPSController
 from repro.baselines.pid import PIDCappingController
-from repro.contracts import check_q_table
-from repro.core.budget import reallocate_budgets
+from repro.contracts import check_q_table, validation_enabled
+from repro.core.agent import default_alpha_schedule, default_epsilon_schedule
+from repro.core.budget import reallocate_budgets, uniform_allocation
 from repro.core.controller import ODRLController
+from repro.core.policy_io import restore_row
+from repro.core.reward import max_epoch_instructions
+from repro.faults.sanitizer import TelemetrySanitizer
 from repro.kernel.epoch import KernelObservation, _row_active
 from repro.sim.interface import Controller
 
@@ -113,20 +124,14 @@ class BatchPolicy(ABC):
 
     def degradation_extras(self, run: int) -> Optional[Dict[str, int]]:
         """Run ``run``'s degradation counters, mirroring the serial
-        ``result.extras["degradation"]`` gate (present only when the
-        controller carries an armed sanitizer).  Watchdog-wrapped drivers
-        are unwrapped first.  The control loop reads these for both the
-        result extras and the per-epoch ``sanitizer`` incident events."""
+        ``result.extras["degradation"]`` gate (present only for a learner
+        with its sanitizer armed).  Watchdog-wrapped drivers are unwrapped
+        first; an OD-RL controller reports its one-row stack's row.  The
+        control loop reads these for both the result extras and the
+        per-epoch ``sanitizer`` incident events."""
         ctrl = self.controllers[run]
-        inner = getattr(ctrl, "inner", ctrl)
-        sanitizer = getattr(inner, "sanitizer", None)
-        if sanitizer is not None and getattr(inner, "degradation", False):
-            return {
-                "rejected_samples": sanitizer.rejected_samples,
-                "fallback_samples": sanitizer.fallback_samples,
-                "agents_repaired": getattr(inner, "agents_repaired", 0),
-            }
-        return None
+        stack = getattr(getattr(ctrl, "inner", ctrl), "stack", None)
+        return None if stack is None else stack.degradation_extras(0)
 
 
 class PerRunPolicy(BatchPolicy):
@@ -178,141 +183,127 @@ class PerRunPolicy(BatchPolicy):
 
 
 class BatchODRL(BatchPolicy):
-    """All runs' OD-RL controllers advanced by one vectorized decide.
+    """The OD-RL learner: a stack of runs' agent rows advanced in lockstep.
 
-    Construct via :func:`build_batch_policy`, which verifies that every
-    controller is a stock :class:`ODRLController` with identical
-    hyper-parameters (budgets and seeds may differ).  The per-run RNG
-    streams, TD updates, counters and reallocation windows replicate the
-    serial controller exactly — see the compat check for the full list of
-    what must match.
+    Each row is one run: its Q/visit tables, budget shares, guard band,
+    reallocation window, epoch counter and sanitizer registers.  Only the
+    three RNG draws of the action step run per row, in the serial order,
+    from each run's own stream.  An :class:`ODRLController` is row 0 of a
+    one-row stack, so a stacked run and that run alone execute this code.
+    Rows may differ in budget, seed and warm start; build stacks of
+    several controllers via :func:`build_batch_policy`, which checks what
+    must match.
     """
 
     kind = "od-rl"
 
+    #: optional :class:`repro.obs.PhaseProfiler` timing the sanitizer pass
+    profiler = None
+
     def __init__(self, controllers: Sequence[ODRLController]) -> None:
         super().__init__(controllers)
         c0 = controllers[0]
-        self.cfg = c0.cfg
+        cfg = self.cfg = c0.cfg
         self.encoder = c0.encoder
         self.reward_params = c0.reward_params
         self.action_mode = c0.action_mode
         self.realloc_period = c0.realloc_period
         self.degradation = c0.degradation
-        self._budgets = np.array([c.cfg.power_budget for c in controllers])
-        self._deltas = c0._deltas
-        self._freqs = c0._freqs
-        self._instr_scale = c0._instr_scale
+        self.thermal_limit = c0.thermal_limit
+        self.gamma = c0.gamma
+        self.td_rule = c0.td_rule
+        self.n_states = c0.n_states
+        self.n_actions = c0.n_actions
+        self.epsilon = default_epsilon_schedule()
+        self.alpha = default_alpha_schedule()
+        self._q_init = 1.0 / (1.0 - self.gamma)
+        self._agents_validate = validation_enabled(None)
+        self._deltas = np.array(c0.RELATIVE_DELTAS, dtype=int)
+        self._freqs = np.array([f for f, _ in cfg.vf_levels])
+        self._instr_scale = max_epoch_instructions(cfg)
         self._floors = c0._floors
         self._caps = c0._caps
-        agents0 = c0.agents
-        self.gamma = agents0.gamma
-        self.td_rule = agents0.td_rule
-        self.epsilon = agents0.epsilon
-        self.alpha = agents0.alpha
-        self.n_actions = agents0.n_actions
-        self._q_init = agents0._init
-        self._agents_validate = agents0.validate
+        self._floors_total = float(np.sum(self._floors))
+        self._rngs = [c._rng for c in controllers]
         #: row of each (run, core) agent's first state in the Q/visit
         #: tables viewed as (n_runs * n_cores * n_states, n_actions)
         self._table_base = (
             np.arange(self.n_runs * self.n_cores).reshape(self.n_runs, self.n_cores)
-            * agents0.n_states
+            * self.n_states
         )
-        self._san_policy = c0.sanitizer.policy
+        self.sanitizer = TelemetrySanitizer(
+            (self.n_runs, self.n_cores), c0.sanitizer_policy
+        )
         self.reset()
 
+    def __getstate__(self) -> Dict[str, object]:
+        # A controller's own stack sees it through a weak proxy, which does
+        # not pickle; the controller relinks it when it is unpickled.
+        state = dict(self.__dict__)
+        if any(isinstance(c, weakref.ProxyType) for c in self.controllers):
+            state["controllers"] = None
+        return state
+
     def reset(self) -> None:
-        for ctrl in self.controllers:
-            ctrl.reset()
+        """Cold-start every row, then warm-start the rows whose controller
+        carries a ``pretrained`` snapshot.  The run's exploration streams
+        are not reset (a controller's stream runs on across resets)."""
         n_runs, n_cores = self.n_runs, self.n_cores
-        # Steal the freshly reset per-run learner state; from here on the
-        # stacked arrays are the single source of truth.  np.stack makes
-        # them C-contiguous, so the flat views _act and _update index
-        # through are views, not copies.
-        self.q = np.stack(
-            [c.agents.q for c in self.controllers]  # type: ignore[union-attr]
-        )
-        self.visits = np.stack(
-            [c.agents.visits for c in self.controllers]  # type: ignore[union-attr]
-        )
+        self._budgets = np.array([c.cfg.power_budget for c in self.controllers])
+        tables = (n_runs, n_cores, self.n_states, self.n_actions)
+        # C-contiguous, so the flat views _act and _update index through
+        # are views, not copies.
+        self.q = np.full(tables, self._q_init)
+        self.visits = np.zeros(tables, dtype=np.int64)
         self.step_counts = np.zeros(n_runs, dtype=np.int64)
-        self._rngs = [
-            c.agents._rng for c in self.controllers  # type: ignore[union-attr]
-        ]
-        self.allocation = np.stack(
-            [c.allocation for c in self.controllers]  # type: ignore[attr-defined]
+        # Uniform shares can exceed a core's cap on loose budgets; clamp
+        # into the feasible box (the first reallocation fixes shares).
+        self.allocation = np.clip(
+            np.stack([uniform_allocation(b, n_cores) for b in self._budgets.tolist()]),
+            self._floors,
+            self._caps,
         )
         self.guard = np.zeros(n_runs)
         self._window_ipc = np.zeros((n_runs, n_cores))
-        self._window_epochs = 0
+        self._window_epochs = np.zeros(n_runs, dtype=np.int64)
         self._window_over = np.zeros(n_runs, dtype=np.int64)
+        #: decides with telemetry per row (the snapshot's ``epoch``)
+        self._epochs = np.zeros(n_runs, dtype=np.int64)
         self.agents_repaired = np.zeros(n_runs, dtype=np.int64)
         self._prev_states: Optional[np.ndarray] = None
         self._prev_actions: Optional[np.ndarray] = None
         self._prev_trusted: Optional[np.ndarray] = None
-        self._san_staleness = np.zeros((n_runs, n_cores), dtype=int)
-        self._san_have_good = np.zeros((n_runs, n_cores), dtype=bool)
-        self._san_last_power = np.zeros((n_runs, n_cores))
-        self._san_last_instr = np.zeros((n_runs, n_cores))
-        self._san_last_temp = np.full(
-            (n_runs, n_cores), self._san_policy.fallback_temperature_k
-        )
-        self.rejected_samples = np.zeros(n_runs, dtype=np.int64)
-        self.fallback_samples = np.zeros(n_runs, dtype=np.int64)
+        self._last_update: Optional[Dict[str, np.ndarray]] = None
+        self._last_active: Optional[np.ndarray] = None
+        self.sanitizer.reset()
+        for r, ctrl in enumerate(self.controllers):
+            pretrained = ctrl._pretrained  # type: ignore[attr-defined]
+            if pretrained is not None:
+                restore_row(self, r, pretrained)
 
     def degradation_extras(self, run: int) -> Optional[Dict[str, int]]:
         if not self.degradation:
             return None
         return {
-            "rejected_samples": int(self.rejected_samples[run]),
-            "fallback_samples": int(self.fallback_samples[run]),
+            "rejected_samples": int(self.sanitizer.rejected_samples[run]),
+            "fallback_samples": int(self.sanitizer.fallback_samples[run]),
             "agents_repaired": int(self.agents_repaired[run]),
         }
 
-    def _sanitize(
-        self,
-        power: np.ndarray,
-        instructions: np.ndarray,
-        temperature: np.ndarray,
-        active: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`TelemetrySanitizer.sanitize`: every operation is
-        elementwise; the counter tallies are per-run row counts.  Finished
-        runs' register rows keep advancing (never read again) but their
-        reported counters freeze."""
-        policy = self._san_policy
-        valid = (
-            np.isfinite(power)
-            & np.isfinite(instructions)
-            & np.isfinite(temperature)
-            & (power > policy.power_floor_w)
-            & (instructions >= 0.0)
-            & (temperature >= policy.min_temperature_k)
-        )
-        self.rejected_samples += _live_counts(~valid, active)
-        self._san_last_power = np.where(valid, power, self._san_last_power)
-        self._san_last_instr = np.where(valid, instructions, self._san_last_instr)
-        self._san_last_temp = np.where(valid, temperature, self._san_last_temp)
-        self._san_have_good |= valid
-        self._san_staleness = np.where(valid, 0, self._san_staleness + 1)
-        hold = (
-            ~valid
-            & self._san_have_good
-            & (self._san_staleness <= policy.max_staleness_epochs)
-        )
-        fallback = ~valid & ~hold
-        self.fallback_samples += _live_counts(fallback, active)
-        out_power = np.where(valid, power, self._san_last_power)
-        out_instr = np.where(valid, instructions, self._san_last_instr)
-        out_temp = np.where(valid, temperature, self._san_last_temp)
-        out_power = np.where(fallback, self.allocation, out_power)
-        out_instr = np.where(fallback, 0.0, out_instr)
-        out_temp = np.where(fallback, policy.fallback_temperature_k, out_temp)
-        return out_power, out_instr, out_temp, valid
+    def last_update(self, run: int) -> Optional[Dict[str, np.ndarray]]:
+        """Row ``run``'s transition of the most recent decide's TD update,
+        or ``None``: harvest scratch, valid until the next decide."""
+        update, active = self._last_update, self._last_active
+        if update is None or (active is not None and not active[run]):
+            return None
+        return {key: value[run] for key, value in update.items()}
 
     def _compute_rewards(
-        self, instructions: np.ndarray, power: np.ndarray, chip_power: np.ndarray
+        self,
+        instructions: np.ndarray,
+        power: np.ndarray,
+        temperature: np.ndarray,
+        chip_power: np.ndarray,
     ) -> np.ndarray:
         params = self.reward_params
         throughput_norm = instructions / self._instr_scale
@@ -321,16 +312,64 @@ class BatchODRL(BatchPolicy):
         if params.energy_weight > 0:
             reward = reward - params.energy_weight * (power / self.allocation)
         if params.chip_overshoot_weight > 0:
-            # The chip-level term is a per-run scalar; the serial path
-            # subtracts it even when zero, so the batch does too.  Budgets
-            # are positive (ODRLController's uniform_allocation refuses
-            # others).  where(x > 0, x, 0) is the serial max(0.0, x), NaN
-            # included.
+            # The chip-level term is a per-run scalar (compute_reward's
+            # max(0.0, x) is where(x > 0, x, 0), NaN included); budgets
+            # are positive, as uniform_allocation checks on reset.
             budget = self._budgets
             chip_over = (chip_power - budget) / budget
             chip_over = np.where(chip_over > 0.0, chip_over, 0.0)
             reward = reward - params.chip_overshoot_weight * chip_over[:, None]
+        if self.thermal_limit is not None:
+            excess = np.maximum(0.0, temperature - self.thermal_limit)
+            penalty = self.controllers[0].THERMAL_PENALTY_PER_K  # type: ignore[attr-defined]
+            reward = reward - penalty * excess
         return reward
+
+    def _reallocate(
+        self, ipc: np.ndarray, over: np.ndarray, active: Optional[np.ndarray]
+    ) -> None:
+        """The coarse level: accumulate each live row's window, then re-
+        divide the budget of every live row whose window is full by its
+        windowed IPC, behind its adaptive guard band."""
+        self._window_ipc += ipc
+        if active is None:
+            self._window_epochs += 1
+            self._window_over += over
+        else:
+            self._window_epochs += active
+            self._window_over += over & active
+        if self.realloc_period == 0:
+            return
+        full = self._window_epochs >= self.realloc_period
+        if active is not None:
+            full &= active
+        if not full.any():
+            return
+        # Views when every row reallocates (always for one row).
+        runs = slice(None) if full.all() else np.flatnonzero(full)
+        window = self._window_epochs[runs]
+        over_rate = self._window_over[runs] / window
+        # The guard constants are read from the controller, which may
+        # override them per instance (equal across a stack's rows).
+        c0: ODRLController = self.controllers[0]  # type: ignore[assignment]
+        guard = np.clip(
+            self.guard[runs] + c0.GUARD_GAIN * (over_rate - c0.GUARD_TARGET),
+            0.0,
+            c0.GUARD_MAX,
+        )
+        self.guard[runs] = guard
+        distributable = (1.0 - guard) * self._budgets[runs]
+        # Never guard below feasibility: where(f > d, f, d) is max(d, f).
+        distributable = np.where(
+            self._floors_total > distributable, self._floors_total, distributable
+        )
+        scores = self._window_ipc[runs] / window[:, None]
+        self.allocation[runs] = reallocate_budgets(
+            distributable, scores, self._floors, self._caps
+        )
+        self._window_ipc[runs] = 0.0
+        self._window_epochs[runs] = 0
+        self._window_over[runs] = 0
 
     def _repair_nonfinite(self, active: Optional[np.ndarray]) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -443,92 +482,109 @@ class BatchODRL(BatchPolicy):
         bobs: Optional[KernelObservation],
         active: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        n_runs, n_cores = self.n_runs, self.n_cores
         if bobs is None:
+            return self.step(None, None, None, None, active)
+        return self.step(
+            bobs.levels,
+            bobs.sensed_power,
+            bobs.sensed_instructions,
+            bobs.sensed_temperature,
+            active,
+        )
+
+    def step(
+        self,
+        levels: Optional[np.ndarray],
+        sensed_power: Optional[np.ndarray],
+        sensed_instructions: Optional[np.ndarray],
+        sensed_temperature: Optional[np.ndarray],
+        active: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`decide` on the observation's ``levels``, ``sensed_power``
+        (watts), ``sensed_instructions`` and ``sensed_temperature`` (kelvin)
+        arrays, all ``None`` before the first epoch: the entry a controller
+        view hops through with ``[None]`` row views."""
+        n_runs, n_cores = self.n_runs, self.n_cores
+        # Each run's budget as its controller's config states it now (a
+        # run may change its budget between epochs).
+        self._budgets = np.array([c.cfg.power_budget for c in self.controllers])
+        # Cleared up front so a decide that raises (watchdog recovery)
+        # cannot leave a stale update for the harvester to re-emit.
+        self._last_update = None
+        if levels is None:
+            # No telemetry yet: start every core mid-ladder, a neutral point
+            # that is safe on tight budgets and close on loose ones.
             self._prev_actions = None
             return np.full((n_runs, n_cores), self.n_levels // 2, dtype=int)
 
-        levels = bobs.levels
         if self.degradation:
-            power, instructions, _temperature, trusted = self._sanitize(
-                bobs.sensed_power,
-                bobs.sensed_instructions,
-                bobs.sensed_temperature,
+            profiler = self.profiler
+            t_san = time.perf_counter() if profiler is not None else 0.0
+            telemetry = self.sanitizer.sanitize(
+                sensed_power,
+                sensed_instructions,
+                sensed_temperature,
+                self.allocation,
                 active,
             )
+            if profiler is not None:
+                profiler.add("sanitizer", time.perf_counter() - t_san)
+            power = telemetry.power
+            instructions = telemetry.instructions
+            temperature = telemetry.temperature
+            trusted = telemetry.trusted
         else:
-            power = bobs.sensed_power
-            instructions = bobs.sensed_instructions
+            power = sensed_power
+            instructions = sensed_instructions
+            temperature = sensed_temperature
             trusted = np.ones((n_runs, n_cores), dtype=bool)
         freq = self._freqs[levels]
         cycles = freq * self.cfg.epoch_time
         ipc = instructions / np.maximum(cycles, 1.0)
 
         chip_power = power.sum(axis=1)
-        rewards = self._compute_rewards(instructions, power, chip_power)
-
-        self._window_ipc += ipc
-        self._window_epochs += 1
-        self._window_over += _live_counts(chip_power > self._budgets, active)
-        # realloc_period is compat-equal across runs and the window counter
-        # ticks every epoch for every run, so one shared scalar suffices
-        # and all runs reallocate on the same epochs (as serial runs do —
-        # a ragged stack's runs are prefixes of the shared epoch timeline,
-        # so every active run sees the serial reallocation schedule).
-        if self.realloc_period > 0 and self._window_epochs >= self.realloc_period:
-            runs = (
-                np.arange(n_runs) if active is None else np.flatnonzero(active)
-            )
-            over_rate = self._window_over[runs] / self._window_epochs
-            guard = np.clip(
-                self.guard[runs]
-                + ODRLController.GUARD_GAIN * (over_rate - ODRLController.GUARD_TARGET),
-                0.0,
-                ODRLController.GUARD_MAX,
-            )
-            self.guard[runs] = guard
-            distributable = (1.0 - guard) * self._budgets[runs]
-            # Never guard below feasibility: where(f > d, f, d) is the
-            # serial max(d, f).
-            floors_total = float(np.sum(self._floors))
-            distributable = np.where(
-                floors_total > distributable, floors_total, distributable
-            )
-            scores = self._window_ipc[runs] / self._window_epochs
-            self.allocation[runs] = reallocate_budgets(
-                distributable, scores, self._floors, self._caps
-            )
-            self._window_ipc[:] = 0.0
-            self._window_epochs = 0
-            self._window_over[:] = 0
+        rewards = self._compute_rewards(instructions, power, temperature, chip_power)
+        # Reallocation runs before state encoding so the agents always act
+        # (and the TD update always bootstraps) on the current shares.
+        self._reallocate(ipc, chip_power > self._budgets, active)
 
         states = self.encoder.encode(power, self.allocation, ipc, levels)
         if self.degradation:
+            # Safe-state reflex: a corrupted Q-table (non-finite rows) is
+            # wiped before it can steer an action or absorb an update.
             repaired = self._repair_nonfinite(active)
         else:
             repaired = np.zeros((n_runs, n_cores), dtype=bool)
         actions = self._act(states, active)
         if self._prev_states is not None and self._prev_actions is not None:
-            masks: Optional[np.ndarray] = None
-            if self.degradation:
-                prev_trusted = (
-                    self._prev_trusted
-                    if self._prev_trusted is not None
-                    else np.ones((n_runs, n_cores), dtype=bool)
-                )
-                masks = trusted & prev_trusted & ~repaired
+            # An update is only as good as the telemetry on both of its
+            # ends; repaired agents' stale (state, action) pair refers to
+            # the table that was just wiped.
+            masks = trusted & self._prev_trusted & ~repaired
             self._update(
                 self._prev_states,
                 self._prev_actions,
                 rewards,
                 states,
                 actions,
-                masks,
+                masks if self.degradation else None,
                 active,
             )
+            # References, not copies: the harvester serializes them before
+            # the next decide can rebind any of these arrays.
+            self._last_update = {
+                "states": self._prev_states,
+                "actions": self._prev_actions,
+                "rewards": rewards,
+                "next_states": states,
+                "next_actions": actions,
+                "mask": masks,
+            }
+            self._last_active = active
         self._prev_states = states
         self._prev_actions = actions
         self._prev_trusted = trusted
+        self._epochs += 1 if active is None else active
         if self.action_mode == "absolute":
             next_levels = actions
         else:
@@ -536,7 +592,14 @@ class BatchODRL(BatchPolicy):
                 levels + self._deltas[actions], 0, self.n_levels - 1
             )
         if repaired.any():
+            # Park freshly reinitialized agents at the safe bottom level
+            # for one epoch while their table restarts from scratch.
             next_levels = np.where(repaired, 0, next_levels)
+        if self.thermal_limit is not None:
+            # DTM reflex: a core at/over the limit steps down no matter
+            # what its agent chose; the agent still learns from the reward.
+            hot = temperature >= self.thermal_limit
+            next_levels = np.where(hot, np.maximum(levels - 1, 0), next_levels)
         return next_levels
 
 
@@ -694,11 +757,13 @@ class BatchPID(BatchPolicy):
         return out
 
 
-def _live_counts(flags: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
-    """Per-run count of true ``flags`` (``(n_runs, ...)`` bool), zero for
-    inactive runs — a finished run's counters freeze."""
-    counts = np.count_nonzero(flags.reshape(len(flags), -1), axis=1)
-    return counts if active is None else np.where(active, counts, 0)
+#: What every row of a :class:`BatchODRL` must share: hyper-parameters,
+#: the thermal limit, and the class constants an instance may override.
+_ODRL_SHARED = (
+    "thermal_limit", "action_mode", "realloc_period", "degradation", "encoder",
+    "reward_params", "sanitizer_policy", "gamma", "td_rule", "RELATIVE_DELTAS",
+    "GUARD_TARGET", "GUARD_GAIN", "GUARD_MAX", "THERMAL_PENALTY_PER_K",
+)
 
 
 def _check_odrl_group(ctrls: List[ODRLController]) -> None:
@@ -706,40 +771,9 @@ def _check_odrl_group(ctrls: List[ODRLController]) -> None:
     for c in ctrls:
         if type(c) is not ODRLController:
             raise BatchCompatError(f"not a stock ODRLController: {type(c).__name__}")
-        if c.thermal_limit is not None:
-            raise BatchCompatError("thermal_limit is not batch-supported")
-        if c.profiler is not None:
-            raise BatchCompatError("profiled controllers do not batch")
-        if getattr(c, "_pretrained", None) is not None:
-            # BatchODRL.reset() restacks fresh learner state (zero step
-            # counts, zero guard); a warm-started controller's restored
-            # snapshot would be silently discarded.  Route to PerRunPolicy,
-            # which runs the serial decide and preserves the warm start
-            # bit-for-bit.
-            raise BatchCompatError("pretrained (warm-start) controllers do not batch")
-        if c.action_mode != c0.action_mode:
-            raise BatchCompatError("action_mode differs across runs")
-        if c.realloc_period != c0.realloc_period:
-            raise BatchCompatError("realloc_period differs across runs")
-        if c.degradation != c0.degradation:
-            raise BatchCompatError("degradation flag differs across runs")
-        if c.encoder != c0.encoder:
-            raise BatchCompatError("state encoder differs across runs")
-        if c.reward_params != c0.reward_params:
-            raise BatchCompatError("reward params differ across runs")
-        if c.sanitizer.policy != c0.sanitizer.policy:
-            raise BatchCompatError("sanitizer policy differs across runs")
-        a, a0 = c.agents, c0.agents
-        if (
-            a.gamma != a0.gamma
-            or a.td_rule != a0.td_rule
-            or a.n_states != a0.n_states
-            or a.n_actions != a0.n_actions
-            or a._init != a0._init
-            or a.epsilon != a0.epsilon
-            or a.alpha != a0.alpha
-        ):
-            raise BatchCompatError("agent hyper-parameters differ across runs")
+        for name in _ODRL_SHARED:
+            if getattr(c, name) != getattr(c0, name):
+                raise BatchCompatError(f"{name} differs across runs")
         if not np.array_equal(c._floors, c0._floors) or not np.array_equal(
             c._caps, c0._caps
         ):

@@ -20,10 +20,10 @@ Booting from such a snapshot:
 * :func:`build_linear_controller` — a :class:`~repro.offline.agents.
   LinearQController` over the snapshot's ``linear_weights``.
 
-Warm-started controllers deliberately do not batch
-(:class:`~repro.kernel.policies.BatchODRL` restacks cold learner state
-on reset); the batch harness routes them through ``PerRunPolicy``, which
-runs the serial decide and preserves the warm start bit-for-bit.
+Warm-started controllers stack like cold ones: the stacked learner
+(:class:`~repro.kernel.policies.BatchODRL`) restores each row's snapshot
+on reset, reallocation window included, so a batched warm start is the
+serial warm start bit for bit.
 """
 
 from __future__ import annotations

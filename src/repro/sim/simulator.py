@@ -221,10 +221,10 @@ def run_stack(
     times the decide / plant / contracts phases of the whole stack (and,
     attached to the kernel and the drivers, their sensor, sanitizer and
     watchdog phases).  ``harvest`` emits ``transition`` events from each
-    traced row's ``last_update``, so it needs the serial controllers of a
-    :class:`~repro.kernel.policies.PerRunPolicy`: a vectorized policy
-    keeps no per-run transitions, and is a ``ValueError`` rather than an
-    empty dataset.
+    traced row's controller's ``last_update``, so it needs the serial
+    controllers of a :class:`~repro.kernel.policies.PerRunPolicy`: a
+    vectorized policy decides without them, and is a ``ValueError``
+    rather than an empty dataset.
     """
     from repro.kernel.policies import PerRunPolicy
 
@@ -245,7 +245,7 @@ def run_stack(
         if not isinstance(policy, PerRunPolicy):
             raise ValueError(
                 f"harvest needs per-run controllers; the {policy.kind} batch "
-                "policy keeps no per-run transitions"
+                "policy decides without them"
             )
         for inner in inners:
             if not hasattr(inner, "last_update"):
@@ -276,12 +276,15 @@ def run_stack(
             "instructions": np.empty(shape),
         }
 
-    # Duck-typed attachment: the kernel times its sensor reads, each
-    # driver its sanitizer pass, the watchdog its wrapper overhead — each
-    # only if it carries a ``profiler`` attribute.
+    # Duck-typed attachment: the kernel times its sensor reads, the OD-RL
+    # learner (a stacked policy, or each driver's one-row stack) its
+    # sanitizer pass, the watchdog its wrapper overhead — each only if it
+    # carries a ``profiler`` attribute.
     profiled: List[Any] = []
     if profiler is not None:
         profiled = [kernel, *drivers, *(i for i, d in zip(inners, drivers) if i is not d)]
+        if hasattr(policy, "profiler"):
+            profiled.append(policy)
     for target in profiled:
         target.profiler = profiler
     try:
@@ -438,11 +441,10 @@ class _RowTrace:
             "watchdog": inner is not driver,
         }
         if self._learner is not None:
-            agents = getattr(inner, "agents")
             manifest["harvest"] = True
-            manifest["rl_n_states"] = int(agents.n_states)
-            manifest["rl_n_actions"] = int(agents.n_actions)
-            manifest["rl_gamma"] = float(agents.gamma)
+            manifest["rl_n_states"] = int(getattr(inner, "n_states"))
+            manifest["rl_n_actions"] = int(getattr(inner, "n_actions"))
+            manifest["rl_gamma"] = float(getattr(inner, "gamma"))
             manifest["rl_action_mode"] = str(getattr(inner, "action_mode", ""))
         return manifest
 

@@ -18,3 +18,10 @@ class BatchODRL:
         visits = self.visits.reshape(-1)
         visits[...] += 1
         self.step_counts[r] += 1
+
+    def step(self, levels, power, instructions, temperature):
+        self.allocation = self.allocation + 0.0
+        return levels
+
+    def reset(self):
+        self.q = None

@@ -114,11 +114,23 @@ class TestDet002Diffs:
         fat = [
             v.message
             for v in _run("det002_bad", "DET002")
-            if "beyond its kernel handle" in v.message
+            if "beyond its kernel handle" in v.message and "ManyCoreChip" in v.message
         ]
         assert len(fat) == 1
         assert "total_energy" in fat[0]
         assert "_kernel" in fat[0]
+
+    def test_reports_fat_controller_view(self):
+        # The OD-RL controller is a one-row view of the stacked learner:
+        # learner state it keeps beside its ``stack`` handle is flagged.
+        fat = [
+            v.message
+            for v in _run("det002_bad", "DET002")
+            if "ODRLController" in v.message
+        ]
+        assert len(fat) == 1
+        assert "_epoch" in fat[0]
+        assert "`stack`" in fat[0]
 
     def test_reports_draw_mismatch_as_multisets(self):
         mismatch = [

@@ -210,35 +210,6 @@ class TestMaskedUpdate:
         assert pop.step_count == 1
 
 
-class TestRepairNonfinite:
-    def test_all_finite_is_a_no_op(self):
-        pop = make_pop()
-        q_before = pop.q.copy()
-        bad = pop.repair_nonfinite()
-        assert not bad.any()
-        assert np.array_equal(pop.q, q_before)
-
-    def test_corrupted_agent_reinitialized_others_kept(self):
-        pop = make_pop(3, 2, 2, optimistic_init=1.0)
-        pop.update(np.zeros(3, dtype=int), np.zeros(3, dtype=int),
-                   np.ones(3), np.zeros(3, dtype=int))
-        survivor_q = pop.q[2].copy()
-        pop.q[1, 0, 1] = np.nan
-        bad = pop.repair_nonfinite()
-        np.testing.assert_array_equal(bad, [False, True, False])
-        assert np.all(pop.q[1] == 1.0)
-        assert pop.visits[1].sum() == 0
-        assert np.array_equal(pop.q[2], survivor_q)
-        assert pop.visits[2].sum() == 1
-
-    def test_inf_also_detected(self):
-        pop = make_pop(2, 2, 2, optimistic_init=0.0)
-        pop.q[0, 1, 0] = np.inf
-        bad = pop.repair_nonfinite()
-        np.testing.assert_array_equal(bad, [True, False])
-        assert np.isfinite(pop.q).all()
-
-
 class TestSarsa:
     def test_rule_validation(self):
         with pytest.raises(ValueError, match="td_rule"):

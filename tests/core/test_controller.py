@@ -24,23 +24,23 @@ class TestConstruction:
         ctl = ODRLController(cfg)
         assert ctl.name == "od-rl"
         assert ctl.action_mode == "relative"
-        assert ctl.agents.n_agents == cfg.n_cores
+        assert ctl.q.shape[0] == cfg.n_cores
 
     def test_absolute_mode_action_space(self, cfg):
         ctl = ODRLController(cfg, action_mode="absolute")
-        assert ctl.agents.n_actions == cfg.n_levels
+        assert ctl.n_actions == cfg.n_levels
 
     def test_relative_mode_action_space(self, cfg):
         ctl = ODRLController(cfg, action_mode="relative")
-        assert ctl.agents.n_actions == len(ODRLController.RELATIVE_DELTAS)
+        assert ctl.n_actions == len(ODRLController.RELATIVE_DELTAS)
 
     def test_rejects_bad_action_mode(self, cfg):
         with pytest.raises(ValueError, match="action_mode"):
             ODRLController(cfg, action_mode="sideways")
 
     def test_td_rule_options(self, cfg):
-        assert ODRLController(cfg, td_rule="sarsa").agents.td_rule == "sarsa"
-        assert ODRLController(cfg).agents.td_rule == "q"
+        assert ODRLController(cfg, td_rule="sarsa").td_rule == "sarsa"
+        assert ODRLController(cfg).td_rule == "q"
         with pytest.raises(ValueError, match="td_rule"):
             ODRLController(cfg, td_rule="monte-carlo")
 
@@ -102,9 +102,9 @@ class TestDecide:
     def test_reset_clears_learning(self, cfg, wl):
         ctl = ODRLController(cfg, seed=2)
         run_controller(cfg, wl, ctl, n_epochs=100)
-        assert ctl.agents.step_count > 0
+        assert ctl.step_count > 0
         ctl.reset()
-        assert ctl.agents.step_count == 0
+        assert ctl.step_count == 0
         assert ctl.guard == 0.0
         assert np.allclose(ctl.allocation, ctl.allocation[0])
 
@@ -180,12 +180,12 @@ class TestDegradation:
         obs = chip.step(ctl.decide(None))
         ctl.decide(obs)  # primes prev state/action
         obs2 = chip.step(ctl._full(1))
-        steps_before = ctl.agents.step_count
-        visits_before = ctl.agents.visits.sum(axis=(1, 2)).copy()
+        steps_before = ctl.step_count
+        visits_before = ctl.visits.sum(axis=(1, 2)).copy()
         obs2.sensed_power[0] = 0.0  # failed transaction on core 0
         ctl.decide(obs2)
-        assert ctl.agents.step_count == steps_before + 1
-        visits_after = ctl.agents.visits.sum(axis=(1, 2))
+        assert ctl.step_count == steps_before + 1
+        visits_after = ctl.visits.sum(axis=(1, 2))
         assert visits_after[0] == visits_before[0]
         assert np.all(visits_after[1:] == visits_before[1:] + 1)
 
@@ -195,9 +195,9 @@ class TestDegradation:
         ctl = ODRLController(cfg, seed=4)
         chip = ManyCoreChip(cfg, wl)
         obs = chip.step(ctl.decide(None))
-        ctl.agents.q[2] = np.nan
+        ctl.q[2] = np.nan
         levels = ctl.decide(obs)
-        assert np.isfinite(ctl.agents.q).all()
+        assert np.isfinite(ctl.q).all()
         assert ctl.agents_repaired == 1
         assert levels[2] == 0
 
@@ -208,10 +208,10 @@ class TestDegradation:
         fresh = ODRLController(cfg, seed=99)
         fresh.reset()
         fresh.restore(snapshot)
-        assert np.array_equal(fresh.agents.q, ctl.agents.q)
+        assert np.array_equal(fresh.q, ctl.q)
         assert np.array_equal(fresh.allocation, ctl.allocation)
         assert fresh.guard == ctl.guard
-        assert fresh._epoch == ctl._epoch
+        assert fresh.checkpoint()["epoch"] == ctl.checkpoint()["epoch"]
 
     def test_checkpoint_is_a_copy(self, cfg, wl):
         """Mutating the controller after checkpoint() must not mutate the
@@ -220,10 +220,42 @@ class TestDegradation:
         run_controller(cfg, wl, ctl, n_epochs=30)
         snapshot = ctl.checkpoint()
         q_at_snapshot = snapshot["q"].copy()
-        ctl.agents.q += 1.0
+        ctl.q[...] += 1.0
         ctl.allocation += 0.5
         assert np.array_equal(snapshot["q"], q_at_snapshot)
         assert not np.array_equal(snapshot["allocation"], ctl.allocation)
+
+
+class TestOneRowView:
+    def test_state_lives_in_row_zero_of_the_stack(self, cfg, wl):
+        ctl = ODRLController(cfg, seed=5)
+        run_controller(cfg, wl, ctl, n_epochs=30)
+        assert ctl.stack.n_runs == 1
+        assert np.shares_memory(ctl.q, ctl.stack.q)
+        assert ctl.step_count == int(ctl.stack.step_counts[0])
+        assert ctl.checkpoint()["epoch"] == 29
+
+    def test_pickled_controller_decides_identically(self, cfg, wl):
+        import pickle
+
+        ctl = ODRLController(cfg, seed=5)
+        run_controller(cfg, wl, ctl, n_epochs=30)
+        twin = pickle.loads(pickle.dumps(ctl))
+        np.testing.assert_array_equal(twin.q, ctl.q)
+        chips = [ManyCoreChip(cfg, wl), ManyCoreChip(cfg, wl)]
+        obs = [chip.step(c.decide(None)) for chip, c in zip(chips, (ctl, twin))]
+        for _ in range(10):
+            levels = [c.decide(o) for c, o in zip((ctl, twin), obs)]
+            np.testing.assert_array_equal(levels[0], levels[1])
+            obs = [chip.step(lv) for chip, lv in zip(chips, levels)]
+
+    def test_mis_shaped_telemetry_is_refused(self, cfg, wl):
+        ctl = ODRLController(cfg, seed=5)
+        chip = ManyCoreChip(cfg, wl)
+        obs = chip.step(ctl.decide(None))
+        bad = type(obs)(**{**vars(obs), "sensed_power": obs.sensed_power[:-1]})
+        with pytest.raises(ValueError, match="sensed_power must have shape"):
+            ctl.decide(bad)
 
 
 class TestControlQuality:

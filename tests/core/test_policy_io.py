@@ -28,9 +28,9 @@ class TestRoundTrip:
         save_policy(trained, path)
         fresh = ODRLController(cfg, seed=99)
         load_policy(fresh, path)
-        assert np.array_equal(fresh.agents.q, trained.agents.q)
-        assert np.array_equal(fresh.agents.visits, trained.agents.visits)
-        assert fresh.agents.step_count == trained.agents.step_count
+        assert np.array_equal(fresh.q, trained.q)
+        assert np.array_equal(fresh.visits, trained.visits)
+        assert fresh.step_count == trained.step_count
         assert np.array_equal(fresh.allocation, trained.allocation)
         assert fresh.guard == trained.guard
 
@@ -83,10 +83,10 @@ class TestWindowState:
         fresh = ODRLController(cfg, seed=42)
         fresh.reset()
         load_policy(fresh, path)
-        assert fresh._epoch == trained_ctl._epoch
-        assert np.array_equal(fresh._window_ipc, trained_ctl._window_ipc)
-        assert fresh._window_epochs == trained_ctl._window_epochs
-        assert fresh._window_over_epochs == trained_ctl._window_over_epochs
+        assert fresh.checkpoint()["epoch"] == trained_ctl.checkpoint()["epoch"]
+        assert np.array_equal(fresh.checkpoint()["window_ipc"], trained_ctl.checkpoint()["window_ipc"])
+        assert fresh.checkpoint()["window_epochs"] == trained_ctl.checkpoint()["window_epochs"]
+        assert fresh.checkpoint()["window_over_epochs"] == trained_ctl.checkpoint()["window_over_epochs"]
 
     def test_snapshot_restore_roundtrip_in_memory(self, cfg, trained):
         from repro.core.policy_io import restore_snapshot, snapshot_policy
@@ -96,9 +96,9 @@ class TestWindowState:
         fresh = ODRLController(cfg, seed=42)
         fresh.reset()
         restore_snapshot(fresh, snapshot)
-        assert np.array_equal(fresh.agents.q, trained_ctl.agents.q)
+        assert np.array_equal(fresh.q, trained_ctl.q)
         assert fresh.guard == trained_ctl.guard
-        assert fresh._epoch == trained_ctl._epoch
+        assert fresh.checkpoint()["epoch"] == trained_ctl.checkpoint()["epoch"]
 
     def test_format_version_mismatch_rejected(self, cfg, trained):
         from repro.core.policy_io import restore_snapshot, snapshot_policy

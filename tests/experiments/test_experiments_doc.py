@@ -1,9 +1,11 @@
-"""EXPERIMENTS.md's E2 and E4 claims against their artifacts.
+"""EXPERIMENTS.md's E2, E4 and E5 claims against their artifacts.
 
 The E2 over-budget energy table and the C1 headline row are copied from
 ``benchmarks/results/E2.txt``; the E4 gain ranges, the C2b headline rows
 (EXPERIMENTS.md and README.md) and the C2b magnitude note from
-``benchmarks/results/E4.txt``.  These tests parse the documents and the
+``benchmarks/results/E4.txt``; the E5 latency table and the C3 headline
+rows (EXPERIMENTS.md and README.md), verdict included, from
+``benchmarks/results/E5.txt``.  These tests parse the documents and the
 artifacts and fail when they disagree at the printed precision, so the
 prose cannot drift from the artifacts again.
 """
@@ -21,6 +23,7 @@ DOC = ROOT / "EXPERIMENTS.md"
 README = ROOT / "README.md"
 ARTIFACT = ROOT / "benchmarks" / "results" / "E2.txt"
 E4_ARTIFACT = ROOT / "benchmarks" / "results" / "E4.txt"
+E5_ARTIFACT = ROOT / "benchmarks" / "results" / "E5.txt"
 
 #: doc wording of a baseline -> its row name in the artifacts
 C1_BASELINES = {
@@ -191,3 +194,68 @@ class TestE4Gains:
         (largest,) = re.findall(r"largest gain in E4 is ([\d.]+) %", note)
         assert float(largest) == _max_gain()[0]
         assert "~11" not in note
+
+
+def _e5_speedups() -> List[float]:
+    """OD-RL's speedup over MaxBIPS-DP per core count, as printed."""
+    _, rows = _parse_table(E5_ARTIFACT, "speedup over the centralized optimizer")
+    return [float(values[0]) for values in rows.values()]
+
+
+def _c3_verdict(speedups: List[float]) -> str:
+    """The C3 verdict rule: >= 100x at the largest core count reproduces
+    the claim; > 30x with monotone growth reproduces it partially."""
+    monotone = all(b > a for a, b in zip(speedups, speedups[1:]))
+    if speedups[-1] >= 100.0:
+        return "reproduced"
+    if speedups[-1] > 30.0 and monotone:
+        return "partially reproduced"
+    return "not reproduced"
+
+
+def _doc_number(cell: str) -> float:
+    return float(cell.replace(" ", "").rstrip("×"))
+
+
+class TestE5Table:
+    def test_doc_table_matches_artifact(self):
+        _, latency = _parse_table(E5_ARTIFACT, "mean decision latency")
+        _, speedup = _parse_table(E5_ARTIFACT, "speedup over the centralized optimizer")
+        text = DOC.read_text()
+        section = text[text.index("### E5") : text.index("#### E5 addendum")]
+        lines = [line for line in section.splitlines() if line.startswith("|")]
+        rows = {
+            cells[0]: cells[1:]
+            for cells in (
+                [c.strip() for c in line.strip("|").split("|")] for line in lines[2:]
+            )
+        }
+        assert set(rows) == set(latency)
+        for cores, cells in rows.items():
+            expected = [float(v) for v in latency[cores] + speedup[cores]]
+            assert [_doc_number(c) for c in cells] == expected, cores
+
+
+class TestC3Rows:
+    def _claim(self, row: str) -> float:
+        (top,) = re.findall(
+            r"([\d.]+)× (?:mean-decision-time advantage over|vs) MaxBIPS-DP "
+            r"at 256 cores",
+            row,
+        )
+        return float(top)
+
+    def test_experiments_row_matches_artifact(self):
+        row = _headline_row(DOC, "| C3")
+        speedups = _e5_speedups()
+        assert self._claim(row) == speedups[-1]
+        (low,) = re.findall(r"from ([\d.]+)× at 16 cores", row)
+        assert float(low) == speedups[0]
+        verdict = row.strip().strip("|").split("|")[-1].strip()
+        assert verdict == _c3_verdict(speedups)
+
+    def test_readme_row_matches_artifact(self):
+        row = _headline_row(README, "| C3")
+        speedups = _e5_speedups()
+        assert self._claim(row) == speedups[-1]
+        assert f"({_c3_verdict(speedups)})" in row

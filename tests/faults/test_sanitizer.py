@@ -171,7 +171,7 @@ class TestBlackoutScheduleTick:
         run_controller(cfg, workload, clean, n_epochs)
         # The first two decides cannot update (no previous state/action
         # pair yet), so a clean run ticks n_epochs - 2 times.
-        assert clean.agents.step_count == n_epochs - 2
+        assert clean.step_count == n_epochs - 2
 
         campaign = FaultCampaign(
             n_cores=n_cores,
@@ -181,4 +181,47 @@ class TestBlackoutScheduleTick:
         run_controller(cfg, workload, dark, n_epochs, faults=campaign)
         # Each blacked-out epoch skips its own update, and the first epoch
         # after the outage skips too (its previous sample was fabricated).
-        assert dark.agents.step_count == (n_epochs - 2) - (duration + 1)
+        assert dark.step_count == (n_epochs - 2) - (duration + 1)
+
+
+class TestRunAxis:
+    """A sanitizer built for ``(n_runs, n_cores)`` is that many independent
+    streams: each row is a one-stream sanitizer fed that row, and a
+    finished (inactive) row's counters freeze."""
+
+    def test_rows_match_independent_streams(self):
+        rng = np.random.default_rng(3)
+        stacked = TelemetrySanitizer((3, N))
+        singles = [TelemetrySanitizer(N) for _ in range(3)]
+        allocation = np.tile(ALLOCATION, (3, 1))
+        for _ in range(12):
+            power = np.where(rng.random((3, N)) < 0.3, 0.0, 2.0 + rng.random((3, N)))
+            instr = np.where(rng.random((3, N)) < 0.1, np.nan, 1e9 * rng.random((3, N)))
+            temp = np.full((3, N), 320.0)
+            out = stacked.sanitize(power, instr, temp, allocation)
+            for r, single in enumerate(singles):
+                row = single.sanitize(power[r], instr[r], temp[r], ALLOCATION)
+                for field in ("power", "instructions", "temperature", "trusted"):
+                    np.testing.assert_array_equal(getattr(out, field)[r], getattr(row, field))
+        assert stacked.rejected_samples.tolist() == [s.rejected_samples for s in singles]
+        assert stacked.fallback_samples.tolist() == [s.fallback_samples for s in singles]
+
+    def test_inactive_rows_freeze_their_counters(self):
+        stacked = TelemetrySanitizer((2, N))
+        dark = np.zeros((2, N))
+        for _ in range(8):
+            stacked.sanitize(
+                dark,
+                np.tile(GOOD_INSTR, (2, 1)),
+                np.tile(GOOD_TEMP, (2, 1)),
+                np.tile(ALLOCATION, (2, 1)),
+                active=np.array([True, False]),
+            )
+        assert stacked.rejected_samples.tolist() == [8 * N, 0]
+        assert stacked.fallback_samples.tolist() == [8 * N, 0]
+
+    def test_stacked_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"power must have shape \(2, 4\)"):
+            TelemetrySanitizer((2, N)).sanitize(
+                GOOD_POWER, GOOD_INSTR, GOOD_TEMP, ALLOCATION
+            )

@@ -46,7 +46,7 @@ class TestPolicyTimesThermal:
         save_policy(trained, path)
         fresh = ODRLController(cfg, thermal_limit=331.0, seed=9)
         load_policy(fresh, path)
-        assert np.array_equal(fresh.agents.q, trained.agents.q)
+        assert np.array_equal(fresh.q, trained.q)
 
 
 class TestCompiledTimesContention:

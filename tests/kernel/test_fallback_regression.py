@@ -7,7 +7,10 @@ serial fallbacks under every supported scenario, and the set of reasons
 that still legitimately force the serial path must not silently grow.
 It also pins the stack policy a pid group gets: the vectorized
 ``BatchPID`` for stock controllers in every plant scenario, the serial
-decide (``PerRunPolicy``) for watchdog-wrapped or mixed-gain groups.
+decide (``PerRunPolicy``) for watchdog-wrapped or mixed-gain groups; and
+the one an od-rl group gets: the stacked learner ``BatchODRL`` for stock,
+warm-started and same-``thermal_limit`` controllers, ``PerRunPolicy``
+for differing limits and watchdog-wrapped controllers.
 """
 
 from __future__ import annotations
@@ -19,14 +22,18 @@ import pytest
 
 from repro.baselines.pid import PIDCappingController
 from repro.batch import batch_unsupported_reason, plan_batches, simulate_batch
+from repro.core import ODRLController
 from repro.faults import FaultCampaign
-from repro.kernel.policies import BatchPID, PerRunPolicy
-from repro.manycore import default_system
+from repro.kernel import EpochKernel
+from repro.kernel.policies import BatchODRL, BatchPID, PerRunPolicy
+from repro.manycore import ManyCoreChip, default_system
 from repro.manycore.hetero import big_little_map
 from repro.manycore.variation import sample_variation
 from repro.obs import BufferRecorder
 from repro.parallel import CellTask, RunCell, assert_trace_equal, execute_cells
-from repro.sim import standard_controllers
+from repro.offline.warmstart import build_warm_controller
+from repro.sim import run_controller, standard_controllers
+from repro.sim.simulator import run_stack, simulate
 from repro.workloads import mixed_workload
 
 N_CORES = 4
@@ -158,13 +165,13 @@ class TestFallbackRegression:
             assert plan_batches(tasks, 8) == [[0, 1, 2]], scenario
 
 
-def _pid_tasks(sim_kwargs, factories):
-    """One pid cell per factory, at budgets spread around the default."""
+def _pid_tasks(sim_kwargs, factories, controller="pid"):
+    """One cell per factory, at budgets spread around the default."""
     tasks = []
     for k, factory in enumerate(factories):
         cfg = CFG.with_budget(CFG.power_budget * (0.8 + 0.2 * k))
         cell = RunCell(
-            controller="pid", workload=WORKLOAD.name, budget=cfg.power_budget,
+            controller=controller, workload=WORKLOAD.name, budget=cfg.power_budget,
             seed=0, n_epochs=N_EPOCHS - k,
         )
         tasks.append(CellTask(cell, cfg, WORKLOAD, factory, dict(sim_kwargs)))
@@ -212,3 +219,100 @@ class TestPIDRouting:
         ]
         tasks = _pid_tasks({}, factories)
         assert _stack_policy(monkeypatch, tasks) is PerRunPolicy
+
+
+#: a limit these short 4-core runs cross within a few epochs, so the DTM
+#: reflex fires
+THERMAL_LIMIT = CFG.technology.t_ambient + 0.3
+
+
+def _warm_snapshot(train_epochs, seed=7):
+    """A checkpoint of an od-rl learner trained for ``train_epochs``
+    epochs: ``train_epochs - 1`` decides with telemetry, so its
+    reallocation window holds ``(train_epochs - 1) % 10`` epochs."""
+    trainer = ODRLController(CFG, seed=seed)
+    run_controller(CFG, WORKLOAD, trainer, train_epochs)
+    return trainer.checkpoint()
+
+
+def _odrl_tasks(sim_kwargs, factories):
+    """One od-rl cell per factory, at budgets spread around the default."""
+    return _pid_tasks(sim_kwargs, factories, controller="od-rl")
+
+
+class TestODRLRouting:
+    """Every od-rl configuration the stacked learner models decides
+    through :class:`BatchODRL`; differing thermal limits and watchdog
+    supervision stay on :class:`PerRunPolicy`."""
+
+    @staticmethod
+    def _groups():
+        snapshot = _warm_snapshot(13)
+        return {
+            "stock": [standard_controllers(seed=0)["od-rl"]] * 3,
+            "warm": [
+                functools.partial(build_warm_controller, policy=snapshot, seed=s)
+                for s in range(3)
+            ],
+            "thermal": [
+                functools.partial(ODRLController, thermal_limit=THERMAL_LIMIT, seed=s)
+                for s in range(3)
+            ],
+        }
+
+    @pytest.mark.parametrize("group", ["stock", "warm", "thermal"])
+    @pytest.mark.parametrize("scenario", ["clean", "faults", "variation", "hetero"])
+    def test_odrl_groups_get_batch_odrl(self, monkeypatch, scenario, group):
+        tasks = _odrl_tasks(SCENARIO_KWARGS[scenario], self._groups()[group])
+        assert [batch_unsupported_reason(t) for t in tasks] == [None] * 3
+        assert _stack_policy(monkeypatch, tasks) is BatchODRL
+
+    def test_differing_thermal_limits_stay_per_run(self, monkeypatch):
+        factories = [
+            functools.partial(ODRLController, thermal_limit=THERMAL_LIMIT + d)
+            for d in (0.0, 5.0)
+        ]
+        tasks = _odrl_tasks({}, factories)
+        assert _stack_policy(monkeypatch, tasks) is PerRunPolicy
+
+    def test_watchdog_odrl_stays_per_run(self, monkeypatch):
+        odrl = standard_controllers(seed=0)["od-rl"]
+        tasks = _odrl_tasks(SCENARIO_KWARGS["watchdog"], [odrl] * 3)
+        assert _stack_policy(monkeypatch, tasks) is PerRunPolicy
+
+    def test_fallbacks_stay_pinned(self):
+        assert MAX_FALLBACKS == 0
+        for factories in self._groups().values():
+            tasks = _odrl_tasks({}, factories)
+            serial = execute_cells(tasks, jobs=1)
+            rec = BufferRecorder()
+            batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
+            for task, a, b in zip(tasks, serial, batched):
+                assert_trace_equal(a, b, context=task.cell.label())
+            fallbacks = [e for e in rec.events if e["type"] == "cell_fallback"]
+            assert len(fallbacks) <= MAX_FALLBACKS, fallbacks
+
+    @pytest.mark.parametrize("thermal_limit", [None, THERMAL_LIMIT])
+    def test_ragged_warm_rows_match_their_one_row_runs(self, thermal_limit):
+        """Warm-start rows restoring different reallocation windows stack
+        ragged, and each row is bit for bit its own one-row run: the stack
+        restores every row's snapshot (step count, guard, window) on reset
+        and reallocates each row on its own schedule."""
+        snapshots = [_warm_snapshot(n) for n in (13, 17, 21)]
+        windows = [int(s["window_epochs"]) for s in snapshots]
+        assert len(set(windows)) == 3 and max(windows) > 0
+        lengths = [12, 9, 7]
+        cfgs = [CFG.with_budget(CFG.power_budget * f) for f in (0.9, 1.0, 1.1)]
+
+        def controllers():
+            return [
+                ODRLController(cfg, pretrained=snap, thermal_limit=thermal_limit, seed=r)
+                for r, (cfg, snap) in enumerate(zip(cfgs, snapshots))
+            ]
+
+        kernel = EpochKernel(cfgs, [WORKLOAD] * 3, n_epochs=max(lengths))
+        results = run_stack(kernel, BatchODRL(controllers()), lengths, record_per_core=True)
+        for r, (ctrl, n) in enumerate(zip(controllers(), lengths)):
+            chip = ManyCoreChip(cfgs[r], WORKLOAD)
+            alone = simulate(chip, ctrl, n, record_per_core=True)
+            assert_trace_equal(results[r], alone, context=f"row {r}")

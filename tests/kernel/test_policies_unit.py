@@ -122,6 +122,29 @@ class TestODRLDegradation:
         assert levels[0, 1] == 0  # safe-state reflex parks the core
         assert np.isfinite(policy.q).all()  # table reinitialized
 
+    def test_all_finite_repair_is_a_no_op(self):
+        policy = BatchODRL([ODRLController(CFG, seed=s) for s in range(N_RUNS)])
+        _drive(policy, n_epochs=3)
+        q_before = policy.q.copy()
+        assert not policy._repair_nonfinite(None).any()
+        np.testing.assert_array_equal(policy.q, q_before)
+        assert policy.agents_repaired.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_bad_agent_reset_others_kept(self, bad):
+        policy = BatchODRL([ODRLController(CFG, seed=s) for s in range(N_RUNS)])
+        _drive(policy, n_epochs=4)
+        assert policy.visits[1, 2].sum() > 0
+        survivors = policy.q.copy(), policy.visits.copy()
+        policy.q[1, 2, 0, 1] = bad
+        repaired = policy._repair_nonfinite(None)
+        assert repaired.tolist() == [[False] * N_CORES, [False, False, True, False]]
+        assert np.all(policy.q[1, 2] == policy._q_init)
+        assert policy.visits[1, 2].sum() == 0
+        keep = ~repaired
+        np.testing.assert_array_equal(policy.q[keep], survivors[0][keep])
+        np.testing.assert_array_equal(policy.visits[keep], survivors[1][keep])
+
     def test_fully_masked_update_learns_nothing(self):
         policy = build_batch_policy(
             [ODRLController(CFG, seed=s) for s in range(N_RUNS)]
@@ -411,7 +434,7 @@ class TestCompatFallback:
                     CFG, thermal_limit=CFG.technology.t_ambient + 40.0
                 ),
                 ODRLController(
-                    CFG, thermal_limit=CFG.technology.t_ambient + 40.0
+                    CFG, thermal_limit=CFG.technology.t_ambient + 30.0
                 ),
             ],
             lambda: _odrl_pair(action_mode="absolute"),
@@ -463,8 +486,10 @@ class TestCompatFallback:
         policy = build_batch_policy(make_group())
         assert isinstance(policy, PerRunPolicy)
 
-    def test_profiled_controller_falls_back(self):
+    def test_profiled_controller_stacks(self):
+        """A profiler attached to a controller times its own one-row
+        stack; it is no reason to keep the group off the stacked learner."""
         first = ODRLController(CFG, seed=0)
         first.profiler = object()
         policy = build_batch_policy([first, ODRLController(CFG, seed=1)])
-        assert isinstance(policy, PerRunPolicy)
+        assert isinstance(policy, BatchODRL)

@@ -1,9 +1,8 @@
 """Offline controllers in the standard lineup and the batched harness.
 
-Warm-started controllers refuse to batch (``BatchODRL`` restacks cold
-learner state on reset, which would discard the restored snapshot), so
-the batch harness must route them through ``PerRunPolicy`` — and the
-batched grid must stay bit-identical to the serial loop.
+Warm-started controllers stack in ``BatchODRL``, which restores each
+row's snapshot on reset — and the batched grid must stay bit-identical
+to the serial loop.
 """
 
 from __future__ import annotations

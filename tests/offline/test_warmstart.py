@@ -90,8 +90,8 @@ class TestSaveLoadRoundTrip:
         snap = policy_from_training(linear_result, harvest_cfg)
         controller = ODRLController(harvest_cfg)
         restore_snapshot(controller, snap)
-        assert np.array_equal(controller.agents.q, snap["q"])
-        assert controller.agents.step_count == int(snap["step_count"])
+        assert np.array_equal(controller.q, snap["q"])
+        assert controller.step_count == int(snap["step_count"])
 
     def test_unsupported_version_rejected(
         self, fqi_result, harvest_cfg, tmp_path
@@ -137,15 +137,15 @@ class TestBackwardCompat:
         loaded = load_offline_policy(path)
         fresh = ODRLController(harvest_cfg)
         restore_snapshot(fresh, loaded)
-        assert np.array_equal(fresh.agents.q, trained_controller.agents.q)
+        assert np.array_equal(fresh.q, trained_controller.q)
         if version >= 2:
             assert np.array_equal(
-                fresh._window_ipc, trained_controller._window_ipc
+                fresh.checkpoint()["window_ipc"], trained_controller.checkpoint()["window_ipc"]
             )
         else:
             # v1 predates the window accumulators: fresh window.
-            assert np.all(fresh._window_ipc == 0.0)
-            assert fresh._window_epochs == 0
+            assert np.all(fresh.checkpoint()["window_ipc"] == 0.0)
+            assert fresh.checkpoint()["window_epochs"] == 0
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_old_fixture_boots_warm_controller(
@@ -155,7 +155,7 @@ class TestBackwardCompat:
         path = tmp_path / f"v{version}.npz"
         save_offline_policy(snap, path)
         warm = build_warm_controller(harvest_cfg, path)
-        assert np.array_equal(warm.agents.q, trained_controller.agents.q)
+        assert np.array_equal(warm.q, trained_controller.q)
 
 
 class TestWarmController:
@@ -163,15 +163,15 @@ class TestWarmController:
         snap = policy_from_training(fqi_result, harvest_cfg)
         warm = build_warm_controller(harvest_cfg, snap)
         assert warm.name == "od-rl-warm"
-        assert np.array_equal(warm.agents.q, snap["q"])
+        assert np.array_equal(warm.q, snap["q"])
 
     def test_reset_reapplies_policy(self, fqi_result, harvest_cfg):
         snap = policy_from_training(fqi_result, harvest_cfg)
         warm = build_warm_controller(harvest_cfg, snap)
         run_controller(harvest_cfg, mixed_workload(N_CORES, seed=6), warm, 10)
-        assert not np.array_equal(warm.agents.q, snap["q"])  # it learned
+        assert not np.array_equal(warm.q, snap["q"])  # it learned
         warm.reset()
-        assert np.array_equal(warm.agents.q, snap["q"])
+        assert np.array_equal(warm.q, snap["q"])
 
     def test_digest_verification(self, fqi_result, harvest_cfg, tmp_path):
         snap = policy_from_training(fqi_result, harvest_cfg)

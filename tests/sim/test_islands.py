@@ -101,6 +101,6 @@ class TestIslandedController:
     def test_reset_propagates(self, cfg):
         ctl = IslandedController(cfg, island_size=4)
         run_controller(cfg, mixed_workload(12, seed=1), ctl, 100)
-        assert ctl.inner.agents.step_count > 0
+        assert ctl.inner.step_count > 0
         ctl.reset()
-        assert ctl.inner.agents.step_count == 0
+        assert ctl.inner.step_count == 0

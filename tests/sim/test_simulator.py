@@ -255,5 +255,5 @@ class TestRunStack:
 
         ctl = ODRLController(cfg, seed=0)
         simulate(ManyCoreChip(cfg, wl), ctl, 20)
-        assert ctl.agents.visits.sum() > 0
+        assert ctl.visits.sum() > 0
         assert ctl.last_update is not None

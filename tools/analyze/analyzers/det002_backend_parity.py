@@ -2,18 +2,20 @@
 
 The plant's epoch step has a single implementation — the array-native
 :class:`repro.kernel.epoch.EpochKernel` — and the serial chip is a thin
-``n_runs=1`` view over it.  The batched *controller* stack, however,
-still re-implements the serial decide pipeline (Q-learning act/update,
-the full ODRL decide) as vectorized operations in
-:mod:`repro.kernel.policies`.  The bit-identity contract therefore has
-two structurally checkable halves:
+``n_runs=1`` view over it.  The OD-RL controller likewise has a single
+implementation — the stacked learner
+:class:`repro.kernel.policies.BatchODRL` — and the serial
+:class:`~repro.core.controller.ODRLController` is a one-row view over
+it.  What remains checkable structurally has two halves:
 
 * **view thinness** (:class:`ViewPair`) — a view method may mutate
-  nothing but its kernel handle and must not draw RNG: any epoch state
-  the view keeps of its own is state the batched backend cannot see;
-* **controller parity** (:class:`ParityPair`) — each serial/batched
-  method pair must touch the *same* state and draw from its RNG streams
-  the *same* number of times per epoch.
+  nothing but its backend handle and must not draw RNG: any epoch state
+  the view keeps of its own is state the stacked backend cannot see;
+* **learner parity** (:class:`ParityPair`) — the per-agent reference
+  learner :class:`repro.core.agent.QLearningPopulation` (centralized-rl
+  still runs it) and the stacked learner's act/update must touch the
+  *same* state and draw from their RNG streams the *same* number of
+  times per epoch.
 
 This analyzer diffs each configured pair structurally:
 
@@ -89,9 +91,9 @@ class ParityPair:
 
 @dataclass(frozen=True)
 class ViewPair:
-    """A thin view method and the kernel method it delegates to.
+    """A thin view method and the backend method it delegates to.
 
-    The view's whole job is forwarding to its kernel handle: the only
+    The view's whole job is forwarding to its backend handle: the only
     ``self`` attribute it may (appear to) mutate is the handle itself,
     and it must consume no RNG.  Checked only when both sides are
     present in the analyzed tree.
@@ -99,14 +101,15 @@ class ViewPair:
 
     view: str
     kernel: str
-    #: the single attribute holding the kernel (the one allowed mutation)
+    #: the single attribute holding the backend (the one allowed mutation)
     handle: str = "_kernel"
 
 
-#: Serial chip views over the epoch kernel.  The chip↔batch chip pair of
+#: Serial views over their stacked backends.  The chip↔batch chip pair of
 #: the pre-kernel era is gone: both backends now *are* the kernel, so the
 #: check is that the serial view stays thin, not that two plant
-#: implementations agree.
+#: implementations agree.  The same holds for the OD-RL controller, a
+#: one-row view of the stacked learner it keeps as ``stack``.
 VIEW_PAIRS: Tuple[ViewPair, ...] = (
     ViewPair(
         view="repro.manycore.chip.ManyCoreChip.step",
@@ -116,14 +119,21 @@ VIEW_PAIRS: Tuple[ViewPair, ...] = (
         view="repro.manycore.chip.ManyCoreChip.reset",
         kernel="repro.kernel.epoch.EpochKernel.reset",
     ),
+    ViewPair(
+        view="repro.core.controller.ODRLController.decide",
+        kernel="repro.kernel.policies.BatchODRL.step",
+        handle="stack",
+    ),
+    ViewPair(
+        view="repro.core.controller.ODRLController.reset",
+        kernel="repro.kernel.policies.BatchODRL.reset",
+        handle="stack",
+    ),
 )
 
-#: The shipped controller-parity contract.  Mappings/ignores document
-#: *why* the remaining asymmetries are intentional:
-#:  - serial decide delegates learner/sanitizer state to ``self.agents`` /
-#:    ``self.sanitizer``, batch inlines it as ``q``/``visits``/... arrays;
-#:  - ``_epoch`` is serial-side bookkeeping the batch loop keeps in the
-#:    simulator instead of the controller.
+#: The shipped learner-parity contract: the reference learner's act and
+#: update against the stacked learner's (the schedule clock is one count
+#: per run in the stack).
 PAIRS: Tuple[ParityPair, ...] = (
     ParityPair(
         serial="repro.core.agent.QLearningPopulation.act",
@@ -133,29 +143,6 @@ PAIRS: Tuple[ParityPair, ...] = (
         serial="repro.core.agent.QLearningPopulation.update",
         batch="repro.kernel.policies.BatchODRL._update",
         mapping={"step_count": "step_counts"},
-    ),
-    ParityPair(
-        serial="repro.core.controller.ODRLController.decide",
-        batch="repro.kernel.policies.BatchODRL.decide",
-        mapping={"_window_over_epochs": "_window_over"},
-        # ``last_update`` is serial-only harvest scratch (the transition
-        # the offline replay layer records); harvest and warm-start runs
-        # route through PerRunPolicy, so the batch decide never needs it.
-        ignore_serial=frozenset({"_epoch", "agents", "last_update"}),
-        ignore_batch=frozenset(
-            {
-                "q",
-                "visits",
-                "step_counts",
-                "rejected_samples",
-                "fallback_samples",
-                "_san_last_power",
-                "_san_last_instr",
-                "_san_last_temp",
-                "_san_have_good",
-                "_san_staleness",
-            }
-        ),
     ),
 )
 
@@ -333,9 +320,9 @@ def _fmt_counter(counter: Counter) -> str:
 class BackendParity(Analyzer):
     analyzer_id = "DET002"
     summary = (
-        "serial views must delegate all epoch state to the kernel, and "
-        "serial/batched controllers must mutate equivalent state and draw "
-        "from RNG streams identically per epoch step"
+        "serial views must delegate all epoch state to their stacked "
+        "backend, and the reference and stacked learners must mutate "
+        "equivalent state and draw from RNG streams identically per step"
     )
 
     pairs: Tuple[ParityPair, ...] = PAIRS
