@@ -11,6 +11,10 @@ Beside that grid, :data:`GOLDEN_VARIANTS` pins one od-rl run per learner
 branch the stock run does not take (TD rule, action mode, faults, thermal
 limit, big.LITTLE, warm start, watchdog crash), so a refactor of the
 learner is checked against frozen data rather than a second copy of it.
+:data:`GOLDEN_BASELINES` pins the model-based baselines the same way:
+each one stock, on a big.LITTLE map and under faulted telemetry, so the
+serial and the stacked decides of each are checked against one frozen
+trajectory.
 
 Regenerate (only after an *intentional* behaviour change, with the diff
 explained in the commit message)::
@@ -24,9 +28,10 @@ always rebuild exactly what this tool froze.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +41,9 @@ from repro.sim.results import SimulationResult
 from repro.sim.runner import run_suite, standard_controllers
 from repro.workloads.phases import Workload
 from repro.workloads.suite import mixed_workload
+
+if TYPE_CHECKING:
+    from repro.faults.campaign import FaultCampaign
 
 __all__ = [
     "GOLDEN_DIR",
@@ -53,6 +61,10 @@ __all__ = [
     "variant_path",
     "variant_warm_snapshot",
     "compute_variant_result",
+    "GOLDEN_BASELINES",
+    "GOLDEN_BASELINE_VARIANTS",
+    "baseline_path",
+    "compute_baseline_results",
     "main",
 ]
 
@@ -99,6 +111,13 @@ _CHECKPOINT_PERIOD = 10
 #: epochs the ``warm`` variant's snapshot was trained for: not a multiple
 #: of the reallocation period, so the snapshot restores a partial window
 _WARM_TRAIN_EPOCHS = 23
+
+#: Model-based baseline fixtures: each controller on the golden spec
+#: (``stock``), with per-core estimator tables from a big.LITTLE map
+#: (``hetero``), and under the ``faults`` variants' random campaign, whose
+#: blackouts feed the estimator zeroed telemetry (``faults``).
+GOLDEN_BASELINES = ("greedy-ascent", "steepest-drop", "maxbips")
+GOLDEN_BASELINE_VARIANTS = ("stock", "hetero", "faults")
 
 
 def golden_path(controller: str) -> Path:
@@ -198,6 +217,25 @@ def variant_warm_snapshot() -> Dict[str, np.ndarray]:
     return trainer.checkpoint()
 
 
+def _golden_campaign() -> FaultCampaign:
+    """The random fault campaign of the ``faults`` variants."""
+    from repro.faults.campaign import FaultCampaign
+
+    return FaultCampaign.random(
+        GOLDEN_N_CORES,
+        GOLDEN_N_EPOCHS,
+        rate=_FAULT_RATE,
+        seed=GOLDEN_SEED,
+        blackout_window=_BLACKOUT_WINDOW,
+    )
+
+
+def _zero_decision_time(result: SimulationResult) -> SimulationResult:
+    return dataclasses.replace(
+        result, decision_time=np.zeros_like(result.decision_time)
+    )
+
+
 def compute_variant_result(variant: str) -> SimulationResult:
     """Run one OD-RL variant of :data:`GOLDEN_VARIANTS` serially.
 
@@ -221,13 +259,7 @@ def compute_variant_result(variant: str) -> SimulationResult:
     elif variant == "no-realloc":
         controller_kwargs["realloc_period"] = 0
     elif variant in ("faults", "faults-raw"):
-        run_kwargs["faults"] = FaultCampaign.random(
-            n,
-            GOLDEN_N_EPOCHS,
-            rate=_FAULT_RATE,
-            seed=GOLDEN_SEED,
-            blackout_window=_BLACKOUT_WINDOW,
-        )
+        run_kwargs["faults"] = _golden_campaign()
         controller_kwargs["degradation"] = variant == "faults"
     elif variant == "thermal":
         controller_kwargs["thermal_limit"] = GOLDEN_THERMAL_LIMIT
@@ -255,9 +287,66 @@ def compute_variant_result(variant: str) -> SimulationResult:
         record_per_core=True,
         **run_kwargs,
     )
-    return dataclasses.replace(
-        result, decision_time=np.zeros_like(result.decision_time)
+    return _zero_decision_time(result)
+
+
+def baseline_path(controller: str, variant: str) -> Path:
+    """Fixture file for one model-based baseline's golden trace."""
+    return GOLDEN_DIR / f"{controller}-{variant}.npz"
+
+
+def compute_baseline_results(
+    batch: Union[bool, int] = False,
+) -> Dict[Tuple[str, str], SimulationResult]:
+    """Run every ``(controller, variant)`` baseline cell and return
+    ``{(controller, variant): result}``.
+
+    ``batch`` routes the cells through the batched backend: the ``stock``
+    and ``faults`` cells of a controller stack (campaigns may differ per
+    row), the ``hetero`` cell is a stack of its own.  Per-core series are
+    recorded and ``decision_time`` is zeroed, as in
+    :func:`compute_golden_results`.
+    """
+    from repro.baselines import (
+        GreedyAscentController,
+        MaxBIPSController,
+        SteepestDropController,
     )
+    from repro.manycore.hetero import big_little_map
+    from repro.parallel.cells import RunCell
+    from repro.parallel.engine import CellTask, execute_cells
+
+    cfg, workload = _golden_setup()
+    classes = {
+        "greedy-ascent": GreedyAscentController,
+        "steepest-drop": SteepestDropController,
+        "maxbips": MaxBIPSController,
+    }
+    hetero = big_little_map(GOLDEN_N_CORES)
+    variant_kwargs: Dict[str, Dict[str, Any]] = {
+        "stock": {},
+        "hetero": {"hetero": hetero},
+        "faults": {"faults": _golden_campaign()},
+    }
+    keys: List[Tuple[str, str]] = []
+    tasks: List[CellTask] = []
+    for controller in GOLDEN_BASELINES:
+        for variant in GOLDEN_BASELINE_VARIANTS:
+            factory = classes[controller]
+            if variant == "hetero":
+                factory = functools.partial(factory, hetero=hetero)
+            cell = RunCell(
+                controller=controller,
+                workload=workload.name,
+                budget=None,
+                seed=GOLDEN_SEED,
+                n_epochs=GOLDEN_N_EPOCHS,
+            )
+            sim_kwargs = dict(variant_kwargs[variant], record_per_core=True)
+            keys.append((controller, variant))
+            tasks.append(CellTask(cell, cfg, workload, factory, sim_kwargs))
+    results = execute_cells(tasks, jobs=1, batch=batch)
+    return {key: _zero_decision_time(r) for key, r in zip(keys, results)}
 
 
 def main() -> int:
@@ -269,6 +358,10 @@ def main() -> int:
     for variant in GOLDEN_VARIANTS:
         path = variant_path(variant)
         save_result(compute_variant_result(variant), path)
+        print(f"wrote {path} ({path.stat().st_size} bytes)")
+    for (controller, variant), result in compute_baseline_results().items():
+        path = baseline_path(controller, variant)
+        save_result(result, path)
         print(f"wrote {path} ({path.stat().st_size} bytes)")
     events = compute_golden_harvest_events()
     GOLDEN_HARVEST_PATH.write_text(
