@@ -1,6 +1,6 @@
 """Batched controller policies: N runs' controllers advanced in lockstep.
 
-Four shapes, selected by :func:`build_batch_policy`:
+Five shapes, selected by :func:`build_batch_policy`:
 
 * :class:`BatchODRL` — the OD-RL learner itself, the only OD-RL decide:
   Q/visit tables carry a leading run axis, and telemetry sanitization,
@@ -15,9 +15,15 @@ Four shapes, selected by :func:`build_batch_policy`:
 * :class:`BatchMaxBIPS` — all runs are DP-method
   :class:`MaxBIPSController` instances sharing estimator tables: one
   stacked telemetry inversion, and a knapsack DP that advances all runs
-  per core through sliding-window shifts and the serial strict-``>``
-  level sweep.  This is the batching that actually pays — MaxBIPS
-  spends ~90 % of its wall-clock inside ``solve_dp``.
+  per core (a sliding-window gather of the value rows and one ``max``
+  over levels) and backtracks all runs per core from the kept value
+  rows.
+* :class:`BatchGreedy` — all runs are stock
+  :class:`~repro.baselines.greedy.GreedyAscentController` instances, or
+  all are stock :class:`~repro.baselines.greedy.SteepestDropController`
+  instances, sharing estimator tables: one stacked telemetry inversion
+  and one stacked step-table computation, then each run's heap pass —
+  the serial controller's own pass.
 * :class:`BatchPID` — all runs are stock :class:`PIDCappingController`
   instances sharing gains and VF table: the PI loop is elementwise, so
   the row power sums, the velocity-form update, the clip and the
@@ -47,11 +53,17 @@ from __future__ import annotations
 import time
 import weakref
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.baselines.greedy import (
+    GreedyAscentController,
+    Heuristic,
+    SteepestDropController,
+    step_tables,
+)
 from repro.baselines.maxbips import MaxBIPSController
 from repro.baselines.pid import PIDCappingController
 from repro.contracts import check_q_table, validation_enabled
@@ -70,6 +82,7 @@ __all__ = [
     "PerRunPolicy",
     "BatchODRL",
     "BatchMaxBIPS",
+    "BatchGreedy",
     "BatchPID",
     "build_batch_policy",
 ]
@@ -603,15 +616,79 @@ class BatchODRL(BatchPolicy):
         return next_levels
 
 
-class BatchMaxBIPS(BatchPolicy):
+class _EstimatorPolicy(BatchPolicy):
+    """A stack of model-based controllers sharing estimator tables: one
+    stacked :meth:`~repro.baselines.estimator.PowerPerfEstimator.predict_tables`
+    per decide.  Budgets may differ per run."""
+
+    def __init__(self, controllers: Sequence[Controller]) -> None:
+        super().__init__(controllers)
+        self._estimator = controllers[0]._estimator  # type: ignore[attr-defined]
+        self._budgets = np.array([c.cfg.power_budget for c in controllers])
+
+    def _predict(self, bobs: Optional[KernelObservation]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(power, ips)`` tables of shape ``(n_runs, n_cores, n_levels)``."""
+        if bobs is None:
+            # Cold predictions are telemetry-free, hence run-independent:
+            # compute once and tile into copies (broadcast_to would give
+            # stride-0 rows whose reductions differ from serial).
+            pred = self._estimator.cold_predictions(self.n_cores)
+            return (
+                np.tile(pred.power, (self.n_runs, 1, 1)),
+                np.tile(pred.ips, (self.n_runs, 1, 1)),
+            )
+        return self._estimator.predict_tables(
+            bobs.levels, bobs.sensed_instructions, bobs.sensed_power
+        )
+
+
+class BatchGreedy(_EstimatorPolicy):
+    """All runs' greedy ascent, or all runs' steepest drop, in one decide.
+
+    The predictions and the step tables (:func:`repro.baselines.greedy.step_tables`)
+    are computed once for the whole stack; then each live run's heap pass
+    runs on its own rows of them.  The pass is the serial controller's
+    (:attr:`~repro.baselines.greedy.Heuristic.run`), so a stacked run and
+    that run alone execute the same code.  The passes are not vectorized:
+    greedy ascent skips upgrades that do not fit, so its result depends on
+    the pop order.  Finished runs are skipped.  ``kind`` is the
+    controllers' name.
+    """
+
+    def __init__(
+        self, controllers: Sequence[GreedyAscentController | SteepestDropController]
+    ) -> None:
+        super().__init__(controllers)
+        self.heuristic: Heuristic = controllers[0].heuristic
+        self.kind = controllers[0].name
+
+    def decide(
+        self,
+        bobs: Optional[KernelObservation],
+        active: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        heuristic = self.heuristic
+        power3, ips3 = self._predict(bobs)
+        d_power, keys = step_tables(power3, ips3, heuristic.negate)
+        d_power_rows, key_rows = d_power.tolist(), keys.tolist()
+        budgets = self._budgets.tolist()
+        out = np.zeros((self.n_runs, self.n_cores), dtype=int)
+        for r in range(self.n_runs):
+            if not _row_active(active, r):
+                continue
+            total = float(np.sum(power3[r, :, heuristic.start]))
+            out[r] = heuristic.run(d_power_rows[r], key_rows[r], total, budgets[r])
+        return out
+
+
+class BatchMaxBIPS(_EstimatorPolicy):
     """All runs' MaxBIPS (DP method) decided by one batched knapsack.
 
-    The telemetry-to-prediction inversion is the estimator's own stacked
+    The telemetry-to-prediction inversion is one stacked
     :meth:`~repro.baselines.estimator.PowerPerfEstimator.predict_tables`;
-    the DP sweeps all runs together per core through a sliding window over
-    each run's ``-inf``-padded value row, which evaluates exactly the
-    serial ``value[w - c] + gain`` additions.  Budgets may differ per run
-    (each run has its own value table and quantum).  The policy is
+    the knapsack DP (:func:`_dp_rows`) sweeps all runs together per core
+    and keeps value rows, from which it backtracks every run's levels.
+    Each run has its own value table and quantum.  The policy is
     epoch-stateless, so ragged masking needs no gating — inactive rows
     simply compute unused (but valid) levels.
     """
@@ -621,77 +698,94 @@ class BatchMaxBIPS(BatchPolicy):
     def __init__(self, controllers: Sequence[MaxBIPSController]) -> None:
         super().__init__(controllers)
         self.n_quanta = controllers[0].n_quanta
-        self._estimator = controllers[0]._estimator
-        self._budgets = np.array([c.cfg.power_budget for c in controllers])
 
     def decide(
         self,
         bobs: Optional[KernelObservation],
         active: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if bobs is None:
-            # Cold predictions are telemetry-free, hence run-independent:
-            # compute once and tile into copies (broadcast_to would give
-            # stride-0 rows whose reductions differ from serial).
-            pred = self._estimator.cold_predictions(self.n_cores)
-            power3 = np.tile(pred.power, (self.n_runs, 1, 1))
-            ips3 = np.tile(pred.ips, (self.n_runs, 1, 1))
-        else:
-            power3, ips3 = self._estimator.predict_tables(
-                bobs.levels, bobs.sensed_instructions, bobs.sensed_power
-            )
-        return self._solve_dp_batch(power3, ips3)
+        return self._solve_dp_batch(*self._predict(bobs))
 
     def _solve_dp_batch(self, power3: np.ndarray, ips3: np.ndarray) -> np.ndarray:
         """Batched :func:`repro.baselines.maxbips.solve_dp`.
 
-        Each run's value row sits behind ``n_quanta + 1`` cells of ``-inf``
-        padding, so shifting it by a level's cost ``c`` is the sliding
-        window at offset ``n_quanta + 1 - c`` (a capped, over-budget cost
-        reads only padding).  Levels are swept with the serial strict ``>``
-        from a ``-inf`` running best: ties keep the first level, padded
-        cells never win, and each value is the serial addition bit for
-        bit.  Infeasible runs return all-zeros, as the serial early return.
+        The rows run through :func:`_dp_rows` in chunks whose value-row
+        history fits :data:`_DP_HISTORY_BYTES`.  NaN gains never win the
+        serial strict-``>`` sweep; they are mapped to ``-inf``, which never
+        wins it either, but which (unlike NaN) never wins ``max``.
+        Infeasible runs return all-zeros, as the serial early return.
         """
-        n_runs, n_cores, n_levels = power3.shape
-        n_quanta = self.n_quanta
-        width = n_quanta + 1
-        quantum = self._budgets / n_quanta
+        n_runs, n_cores, _ = power3.shape
+        width = self.n_quanta + 1
+        quantum = self._budgets / self.n_quanta
         cost = np.minimum(
             np.ceil(power3 / quantum[:, None, None]).astype(int), width
         )
-        infeasible = [
-            float(np.sum(power3[r, :, 0])) > self._budgets[r] for r in range(n_runs)
-        ]
-
-        padded = np.full((n_runs, 2 * width), -np.inf)
-        value = padded[:, width:]
-        value[:, 0] = 0.0
-        windows = sliding_window_view(padded, width, axis=1)
-        offsets = width - cost
-        rows = np.arange(n_runs)[:, None]
-        choice = np.zeros((n_cores, n_runs, width), dtype=np.int8)
-        for i in range(n_cores):
-            shifted = windows[rows, offsets[:, i, :]]
-            shifted += ips3[:, i, :, None]
-            value.fill(-np.inf)
-            for lvl in range(n_levels):
-                better = shifted[:, lvl] > value
-                np.copyto(value, shifted[:, lvl], where=better)
-                choice[i][better] = lvl
-
-        w_best = np.argmax(value, axis=1).tolist()
-        finite = np.isfinite(value[rows[:, 0], w_best]).tolist()
+        gains = np.where(np.isnan(ips3), -np.inf, ips3)
+        infeasible = np.array(
+            [float(np.sum(power3[r, :, 0])) > self._budgets[r] for r in range(n_runs)]
+        )
+        chunk = max(1, _DP_HISTORY_BYTES // (n_cores * width * 8))
         out = np.zeros((n_runs, n_cores), dtype=int)
-        for r, w in enumerate(w_best):
-            if infeasible[r] or not finite[r]:
-                continue
-            costs = cost[r].tolist()
-            for i in range(n_cores - 1, -1, -1):
-                lvl = choice.item(i, r, w)
-                out[r, i] = lvl
-                w -= costs[i][lvl]
+        for start in range(0, n_runs, chunk):
+            rows = slice(start, start + chunk)
+            out[rows] = _dp_rows(cost[rows], gains[rows], infeasible[rows], width)
         return out
+
+
+#: Bytes of per-core value rows one :func:`_dp_rows` call may keep; a
+#: larger stack runs in chunks of rows (64 cores x 32 rows is 8.5 MB).
+_DP_HISTORY_BYTES = 32 * 2**20
+
+
+def _dp_rows(
+    cost: np.ndarray, gains: np.ndarray, skip: np.ndarray, width: int
+) -> np.ndarray:
+    """The knapsack DP of :func:`repro.baselines.maxbips.solve_dp` over a
+    stack of rows: ``cost`` and ``gains`` are ``(n_rows, n_cores,
+    n_levels)`` (costs capped at ``width``, gains finite or ``-inf``), and
+    rows with ``skip`` set, or with no finite value, return all-zeros.
+
+    Forward, per core: the value row sits behind ``width`` cells of
+    ``-inf`` padding, so shifting it by a level's cost ``c`` is the
+    sliding window at offset ``width - c`` (a capped cost reads only
+    padding).  One gather takes every level's shifted row, one ``+=``
+    adds the gains, and ``max`` over levels gives the next value row; the
+    maximum is exact, so each value is the serial sweep's float.  The
+    rows are kept unpadded.  Backtrack, per core over the live rows: the
+    candidates ``value[w - c] + gain`` are recomputed (the same IEEE
+    additions), and the level is the *first* whose candidate equals the
+    stored value, which is the serial sweep's first strict-``>`` winner.
+    """
+    n_rows, n_cores, _ = cost.shape
+    start = np.full((n_rows, width), -np.inf)
+    start[:, 0] = 0.0
+    history = np.empty((n_cores, n_rows, width))
+    padded = np.full((n_rows, 2 * width), -np.inf)
+    padded[:, width:] = start
+    windows = sliding_window_view(padded, width, axis=1)
+    offsets = width - cost
+    rows = np.arange(n_rows)[:, None]
+    for i in range(n_cores):
+        shifted = windows[rows, offsets[:, i, :]]
+        shifted += gains[:, i, :, None]
+        np.maximum.reduce(shifted, axis=1, out=history[i])
+        padded[:, width:] = history[i]
+
+    out = np.zeros((n_rows, n_cores), dtype=int)
+    w_best = np.argmax(history[-1], axis=1)
+    live = np.flatnonzero(np.isfinite(history[-1, rows[:, 0], w_best]) & ~skip)
+    w = w_best[live]
+    picks = np.arange(live.size)
+    for i in range(n_cores - 1, -1, -1):
+        source = w[:, None] - cost[live, i]
+        prev = history[i - 1] if i else start
+        candidates = prev[live[:, None], np.maximum(source, 0)] + gains[live, i]
+        candidates[source < 0] = -np.inf
+        lvl = np.argmax(candidates == history[i, live, w][:, None], axis=1)
+        out[live, i] = lvl
+        w = source[picks, lvl]
+    return out
 
 
 class BatchPID(BatchPolicy):
@@ -780,16 +874,14 @@ def _check_odrl_group(ctrls: List[ODRLController]) -> None:
             raise BatchCompatError("power floors/caps differ across runs")
 
 
-def _check_maxbips_group(ctrls: List[MaxBIPSController]) -> None:
-    c0 = ctrls[0]
+def _check_estimator_group(ctrls: Sequence[Controller], cls: Type[Controller]) -> None:
+    """Every controller is a stock ``cls`` whose estimator tables equal the
+    first one's (the stack predicts through that estimator)."""
+    e0 = ctrls[0]._estimator  # type: ignore[attr-defined]
     for c in ctrls:
-        if type(c) is not MaxBIPSController:
-            raise BatchCompatError(f"not a stock MaxBIPSController: {type(c).__name__}")
-        if c.method != "dp":
-            raise BatchCompatError("only the DP method batches")
-        if c.n_quanta != c0.n_quanta:
-            raise BatchCompatError("n_quanta differs across runs")
-        e, e0 = c._estimator, c0._estimator
+        if type(c) is not cls:
+            raise BatchCompatError(f"not a stock {cls.__name__}: {type(c).__name__}")
+        e = c._estimator  # type: ignore[attr-defined]
         if not (
             np.array_equal(e._freqs, e0._freqs)
             and np.array_equal(e._volts, e0._volts)
@@ -798,6 +890,15 @@ def _check_maxbips_group(ctrls: List[MaxBIPSController]) -> None:
             and np.array_equal(e._leak_per_level, e0._leak_per_level)
         ):
             raise BatchCompatError("estimator tables differ across runs")
+
+
+def _check_maxbips_group(ctrls: List[MaxBIPSController]) -> None:
+    _check_estimator_group(ctrls, MaxBIPSController)
+    for c in ctrls:
+        if c.method != "dp":
+            raise BatchCompatError("only the DP method batches")
+        if c.n_quanta != ctrls[0].n_quanta:
+            raise BatchCompatError("n_quanta differs across runs")
 
 
 def _check_pid_group(ctrls: List[PIDCappingController]) -> None:
@@ -832,6 +933,10 @@ def build_batch_policy(controllers: Sequence[Controller]) -> BatchPolicy:
             mb = [c for c in ctrls if isinstance(c, MaxBIPSController)]
             _check_maxbips_group(mb)
             return BatchMaxBIPS(mb)
+        for cls in (GreedyAscentController, SteepestDropController):
+            if all(isinstance(c, cls) for c in ctrls):
+                _check_estimator_group(ctrls, cls)
+                return BatchGreedy(ctrls)  # type: ignore[arg-type]
         if all(isinstance(c, PIDCappingController) for c in ctrls):
             pid = [c for c in ctrls if isinstance(c, PIDCappingController)]
             _check_pid_group(pid)

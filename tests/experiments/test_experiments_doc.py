@@ -1,7 +1,7 @@
 """EXPERIMENTS.md's E2, E4 and E5 claims against their artifacts.
 
-The E2 over-budget energy table and the C1 headline row are copied from
-``benchmarks/results/E2.txt``; the E4 gain ranges, the C2b headline rows
+The E2 over-budget energy table and the C1 headline rows (EXPERIMENTS.md
+and README.md) are copied from ``benchmarks/results/E2.txt``; the E4 gain ranges, the C2b headline rows
 (EXPERIMENTS.md and README.md) and the C2b magnitude note from
 ``benchmarks/results/E4.txt``; the E5 latency table and the C3 headline
 rows (EXPERIMENTS.md and README.md), verdict included, from
@@ -72,8 +72,8 @@ def _number(text: str) -> float:
     return float(text.replace("−", "-"))
 
 
-def _c1_ranges() -> Dict[str, Tuple[float, float]]:
-    row = next(line for line in DOC.read_text().splitlines() if line.startswith("| C1"))
+def _c1_ranges(path: Path = DOC) -> Dict[str, Tuple[float, float]]:
+    row = next(line for line in path.read_text().splitlines() if line.startswith("| C1"))
     number = r"([−-]?[\d.]+)"
     found = {
         name: (_number(lo), _number(hi))
@@ -96,24 +96,35 @@ class TestE2Table:
             ], controller
 
 
+def _c1_artifact_range(wording: str) -> Tuple[float, float]:
+    """The reduction range over the benchmarks where the baseline
+    overshoots at all (elsewhere both are zero and the ratio says
+    nothing)."""
+    _, energy, reduction = _artifact_tables()
+    baseline = C1_BASELINES[wording]
+    measured = [
+        float(pct)
+        for pct, joules in zip(reduction[baseline], energy[baseline])
+        if pct != "n/a" and float(joules) > 0
+    ]
+    assert len(measured) > 0
+    return min(measured), max(measured)
+
+
 class TestC1Row:
     def test_every_baseline_is_reported(self):
         assert set(_c1_ranges()) == set(C1_BASELINES)
 
+    def test_readme_reports_every_baseline(self):
+        assert set(_c1_ranges(README)) == set(C1_BASELINES)
+
     @pytest.mark.parametrize("wording", sorted(C1_BASELINES))
     def test_range_matches_artifact(self, wording):
-        """The reduction range over the benchmarks where the baseline
-        overshoots at all (elsewhere both are zero and the ratio says
-        nothing)."""
-        benchmarks, energy, reduction = _artifact_tables()
-        baseline = C1_BASELINES[wording]
-        measured = [
-            float(pct)
-            for pct, joules in zip(reduction[baseline], energy[baseline])
-            if pct != "n/a" and float(joules) > 0
-        ]
-        assert len(measured) > 0
-        assert _c1_ranges()[wording] == (min(measured), max(measured))
+        assert _c1_ranges()[wording] == _c1_artifact_range(wording)
+
+    @pytest.mark.parametrize("wording", sorted(C1_BASELINES))
+    def test_readme_range_matches_artifact(self, wording):
+        assert _c1_ranges(README)[wording] == _c1_artifact_range(wording)
 
 
 def _e4_gains() -> Dict[str, List[float]]:

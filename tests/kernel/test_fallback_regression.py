@@ -10,7 +10,10 @@ It also pins the stack policy a pid group gets: the vectorized
 decide (``PerRunPolicy``) for watchdog-wrapped or mixed-gain groups; and
 the one an od-rl group gets: the stacked learner ``BatchODRL`` for stock,
 warm-started and same-``thermal_limit`` controllers, ``PerRunPolicy``
-for differing limits and watchdog-wrapped controllers.
+for differing limits and watchdog-wrapped controllers; and the one a
+greedy-ascent or steepest-drop group gets: ``BatchGreedy`` for stock
+controllers sharing estimator tables, ``PerRunPolicy`` for subclasses,
+watchdog-wrapped drivers and differing tables.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ import functools
 import numpy as np
 import pytest
 
+from repro.baselines import GreedyAscentController, SteepestDropController
 from repro.baselines.pid import PIDCappingController
 from repro.batch import batch_unsupported_reason, plan_batches, simulate_batch
 from repro.core import ODRLController
 from repro.faults import FaultCampaign
 from repro.kernel import EpochKernel
-from repro.kernel.policies import BatchODRL, BatchPID, PerRunPolicy
+from repro.kernel.policies import BatchGreedy, BatchODRL, BatchPID, PerRunPolicy
 from repro.manycore import ManyCoreChip, default_system
 from repro.manycore.hetero import big_little_map
 from repro.manycore.variation import sample_variation
@@ -316,3 +320,83 @@ class TestODRLRouting:
             chip = ManyCoreChip(cfgs[r], WORKLOAD)
             alone = simulate(chip, ctrl, n, record_per_core=True)
             assert_trace_equal(results[r], alone, context=f"row {r}")
+
+
+class _TweakedGreedy(GreedyAscentController):
+    pass
+
+
+#: lineup name -> stock class of the two heap heuristics
+HEURISTICS = {
+    "greedy-ascent": GreedyAscentController,
+    "steepest-drop": SteepestDropController,
+}
+
+
+class TestHeuristicRouting:
+    """Stock greedy-ascent and steepest-drop stacks decide through
+    :class:`BatchGreedy`; subclasses, watchdog-wrapped drivers and groups
+    whose estimator tables differ stay on :class:`PerRunPolicy`."""
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    @pytest.mark.parametrize("scenario", ["clean", "faults", "variation", "hetero"])
+    def test_stock_groups_get_batch_greedy(self, monkeypatch, scenario, name):
+        factory = standard_controllers(seed=0)[name]
+        tasks = _pid_tasks(SCENARIO_KWARGS[scenario], [factory] * 3, controller=name)
+        assert plan_batches(tasks, 8) == [[0, 1, 2]]
+        assert _stack_policy(monkeypatch, tasks) is BatchGreedy
+
+    @pytest.mark.parametrize(
+        "factories",
+        [
+            [_TweakedGreedy] * 2,
+            [GreedyAscentController, _TweakedGreedy],
+            [
+                SteepestDropController,
+                functools.partial(SteepestDropController, hetero=big_little_map(N_CORES)),
+            ],
+            [GreedyAscentController, SteepestDropController],
+        ],
+        ids=["subclass", "mixed-subclass", "estimator-tables", "mixed-heuristics"],
+    )
+    def test_incompatible_groups_stay_per_run(self, monkeypatch, factories):
+        tasks = _pid_tasks({}, factories, controller="heuristic")
+        assert _stack_policy(monkeypatch, tasks) is PerRunPolicy
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    def test_watchdog_heuristics_stay_per_run(self, monkeypatch, name):
+        factory = standard_controllers(seed=0)[name]
+        tasks = _pid_tasks(SCENARIO_KWARGS["watchdog"], [factory] * 3, controller=name)
+        assert _stack_policy(monkeypatch, tasks) is PerRunPolicy
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    def test_fallbacks_stay_pinned(self, name):
+        assert MAX_FALLBACKS == 0
+        factory = standard_controllers(seed=0)[name]
+        for kwargs in SCENARIO_KWARGS.values():
+            tasks = _pid_tasks(kwargs, [factory] * 3, controller=name)
+            serial = execute_cells(tasks, jobs=1)
+            rec = BufferRecorder()
+            batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
+            for task, a, b in zip(tasks, serial, batched):
+                assert_trace_equal(a, b, context=task.cell.label())
+            fallbacks = [e for e in rec.events if e["type"] == "cell_fallback"]
+            assert len(fallbacks) <= MAX_FALLBACKS, fallbacks
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    def test_ragged_stack_matches_one_row_runs(self, name):
+        """Rows of different budgets and lengths stack ragged, and each row
+        is bit for bit its own one-row run: a finished row's heap pass is
+        skipped and its levels freeze."""
+        cls = HEURISTICS[name]
+        lengths = [12, 9, 7]
+        cfgs = [CFG.with_budget(CFG.power_budget * f) for f in (0.7, 1.0, 1.3)]
+        kernel = EpochKernel(cfgs, [WORKLOAD] * 3, n_epochs=max(lengths))
+        policy = BatchGreedy([cls(cfg) for cfg in cfgs])
+        results = run_stack(kernel, policy, lengths, record_per_core=True)
+        for r, (cfg, n) in enumerate(zip(cfgs, lengths)):
+            alone = simulate(ManyCoreChip(cfg, WORKLOAD), cls(cfg), n, record_per_core=True)
+            assert_trace_equal(results[r], alone, context=f"{name} row {r}")
+        # the budgets steer the rows apart within the shortest run
+        prefixes = {results[r].core_levels[: min(lengths)].tobytes() for r in range(3)}
+        assert len(prefixes) == 3

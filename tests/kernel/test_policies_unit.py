@@ -9,7 +9,8 @@ the MaxBIPS infeasible-budget early exit.  Every option branch that
 batches is also checked bit-for-bit against the serial controllers it
 replaces; the batched MaxBIPS DP and the stacked estimator inversion are
 property-tested against per-row serial ``solve_dp`` / ``predict``, and
-``decide_seconds`` against the stack's wall time.
+``decide_seconds`` of every vectorized policy against the stack's wall
+time.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import GreedyAscentController, SteepestDropController
 from repro.baselines.estimator import LevelPredictions, PowerPerfEstimator
 from repro.baselines.maxbips import MaxBIPSController, solve_dp
 from repro.core.controller import ODRLController
@@ -31,6 +33,7 @@ from repro.core.state import StateEncoder
 from repro.faults.sanitizer import SanitizerPolicy
 from repro.kernel.epoch import EpochKernel
 from repro.kernel.policies import (
+    BatchGreedy,
     BatchMaxBIPS,
     BatchODRL,
     PerRunPolicy,
@@ -338,15 +341,19 @@ class TestDecideSeconds:
         assert rows[1] == 0.0  # a finished run decided nothing
         assert np.sum(rows) <= stack_s
 
-    @pytest.mark.parametrize("kind", ["od-rl", "maxbips"])
-    def test_vectorized_rows_sum_to_stack_time(self, kind):
-        make = (
-            (lambda s: ODRLController(CFG, seed=s))
-            if kind == "od-rl"
-            else (lambda s: MaxBIPSController(CFG))
-        )
+    @pytest.mark.parametrize(
+        "make, policy_type",
+        [
+            (lambda s: ODRLController(CFG, seed=s), BatchODRL),
+            (lambda s: MaxBIPSController(CFG), BatchMaxBIPS),
+            (lambda s: GreedyAscentController(CFG), BatchGreedy),
+            (lambda s: SteepestDropController(CFG), BatchGreedy),
+        ],
+        ids=["od-rl", "maxbips", "greedy-ascent", "steepest-drop"],
+    )
+    def test_vectorized_rows_sum_to_stack_time(self, make, policy_type):
         policy = build_batch_policy([make(s) for s in range(4)])
-        assert isinstance(policy, (BatchODRL, BatchMaxBIPS))
+        assert type(policy) is policy_type
         kernel = EpochKernel([CFG] * 4, [WL] * 4, n_epochs=2)
         bobs = kernel.step(policy.decide(None))
         stack_s, rows = self._timed(policy, bobs)
