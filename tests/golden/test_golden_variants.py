@@ -4,7 +4,9 @@ The stock od-rl fixture never takes most of the learner's branches: the
 SARSA rule, absolute actions, a disabled coarse level, sanitized and raw
 telemetry under faults, the thermal penalty and DTM reflex, big.LITTLE
 power bounds, a warm start mid reallocation window, and a watchdog
-crash/restore.  Each variant here pins one of them against a fixture
+crash/restore.  Two more pin the live phase lookup: a contended memory
+system, which rescales the sampled rows in place, and a tiled workload
+whose short phase cycles wrap within the run.  Each variant here pins one of them against a fixture
 frozen by ``tools/regen_golden.py``, and checks that the branch it is
 named for actually fired in the frozen run.
 """
@@ -23,6 +25,7 @@ from tools.regen_golden import (
     GOLDEN_THERMAL_LIMIT,
     GOLDEN_VARIANTS,
     compute_variant_result,
+    tiled_workload,
     golden_path,
     variant_path,
     variant_warm_snapshot,
@@ -50,7 +53,8 @@ def test_variant_is_bit_identical_to_golden(variant):
 
 
 @pytest.mark.parametrize(
-    "variant", ["sarsa", "absolute", "no-realloc", "thermal", "hetero", "warm"]
+    "variant",
+    ["sarsa", "absolute", "no-realloc", "thermal", "hetero", "warm", "memory"],
 )
 def test_variant_leaves_the_stock_trajectory(stock, variant):
     golden = load_result(variant_path(variant))
@@ -89,3 +93,11 @@ def test_watchdog_variant_crashes_and_restores():
     assert stats["crashes"] == 1
     assert stats["checkpoints"] > 0
     assert stats["restores"] > 0
+
+
+def test_tiled_variant_wraps_its_phase_cycles():
+    workload = tiled_workload()
+    assert len(workload) < GOLDEN_N_CORES
+    horizon = load_result(variant_path("tiled")).duration
+    assert all(seq.total_duration < horizon for seq in workload.sequences)
+    assert min(len(seq) for seq in workload.sequences) == 1
