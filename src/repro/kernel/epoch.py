@@ -80,7 +80,7 @@ from repro.manycore.sensors import SensorSuite
 from repro.manycore.thermal import ThermalModel
 from repro.manycore.variation import CoreVariation
 from repro.manycore.vf import transition_penalty
-from repro.workloads.phases import CorePhaseSequence, Workload
+from repro.workloads.phases import Workload
 
 __all__ = ["EpochObservation", "KernelObservation", "EpochKernel"]
 
@@ -145,32 +145,6 @@ def _epoch_start_times(n_epochs: int, dt: float) -> np.ndarray:
     return times
 
 
-def _sequence_track(
-    seq: CorePhaseSequence, times: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(mem, comp)`` per epoch for one phase sequence.
-
-    Vectorizes ``CorePhaseSequence.phase_at``: the cumulative table is
-    rebuilt with the same left-to-right float accumulation, the cyclic
-    wrap uses the same ``%``, and ``np.searchsorted(side="right")`` is the
-    array form of ``bisect.bisect_right`` — index-identical, so the phase
-    constants picked are the very same floats the live sampler returns.
-    """
-    phases = seq.phases
-    cumulative: List[float] = []
-    total = 0.0
-    for p in phases:
-        total += p.duration
-        cumulative.append(total)
-    cum = np.asarray(cumulative)
-    wrapped = times % total
-    idx = np.searchsorted(cum, wrapped, side="right")
-    idx = np.minimum(idx, len(phases) - 1)
-    mem_vals = np.array([p.mem_intensity for p in phases])
-    comp_vals = np.array([p.compute_intensity for p in phases])
-    return mem_vals[idx], comp_vals[idx]
-
-
 def _stack_rows(values: Sequence[Any], n_runs: int, n_cores: int) -> np.ndarray:
     """Per-run scalars or ``(n_cores,)`` vectors stacked by assignment.
 
@@ -201,10 +175,12 @@ class EpochKernel:
         One workload per run.
     n_epochs:
         When given, phase streams are precomputed for ``n_epochs`` so the
-        epoch step is a table row lookup (the batched backend).  ``None``
-        samples each workload live per epoch (the serial view) — required
-        when a ``memory_systems`` entry is present, since contention
-        rescales the sampled intensities in place.
+        epoch step is a stream row lookup (the batched backend).  ``None``
+        calls each workload's :meth:`Workload.sample` every epoch (the
+        serial view) — required when a ``memory_systems`` entry is
+        present, since contention rescales the sampled intensities in
+        place.  Both read the workload's one phase table, so a stream row
+        equals the live sample at the same accumulated time bit for bit.
     faults:
         Optional per-run fault campaigns or pre-built injectors (``None``
         entries run fault-free).  The campaigns are applied as stacked
@@ -461,10 +437,12 @@ class EpochKernel:
     def _build_phase_streams(
         self, times: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(mem, comp)`` streams of shape ``(n_epochs, n_runs, n_cores)``:
+        each workload's rows are its live samples at ``times``, filled once
+        per distinct workload and copied to the runs that share it."""
         assert self.n_epochs is not None
         mem = np.empty((self.n_epochs, self.n_runs, self.n_cores))
         comp = np.empty((self.n_epochs, self.n_runs, self.n_cores))
-        tracks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         #: id(workload) -> the first row built from it
         built: Dict[int, int] = {}
         for r, workload in enumerate(self.workloads):
@@ -472,15 +450,8 @@ class EpochKernel:
             if first != r:
                 mem[:, r] = mem[:, first]
                 comp[:, r] = comp[:, first]
-                continue
-            for i in range(self.n_cores):
-                seq = workload.sequence_for_core(i)
-                track = tracks.get(id(seq))
-                if track is None:
-                    track = _sequence_track(seq, times)
-                    tracks[id(seq)] = track
-                mem[:, r, i] = track[0]
-                comp[:, r, i] = track[1]
+            else:
+                workload.sample_into(times, mem[:, r], comp[:, r])
         return mem, comp
 
     def _thermal_step(self, power: np.ndarray, dt: float) -> None:

@@ -56,12 +56,12 @@ def compute_fraction(
     """
     frequency = np.asarray(frequency, dtype=float)
     mem_intensity = np.asarray(mem_intensity, dtype=float)
-    if np.any(frequency <= 0):
+    if (frequency <= 0).any():
         raise ValueError("frequency must be positive")
-    if np.any(mem_intensity < 0):
+    if (mem_intensity < 0).any():
         raise ValueError("mem_intensity must be >= 0")
     cpi0 = cfg.base_cpi if base_cpi is None else np.asarray(base_cpi, dtype=float)
-    if np.any(np.asarray(cpi0) <= 0):
+    if (np.asarray(cpi0) <= 0).any():
         raise ValueError("base_cpi must be positive")
     stall_cpi = mem_intensity * cfg.mem_latency * frequency
     return cpi0 / (cpi0 + stall_cpi)
@@ -82,12 +82,12 @@ def instructions_per_second(
     """
     frequency = np.asarray(frequency, dtype=float)
     mem_intensity = np.asarray(mem_intensity, dtype=float)
-    if np.any(frequency <= 0):
+    if (frequency <= 0).any():
         raise ValueError("frequency must be positive")
-    if np.any(mem_intensity < 0):
+    if (mem_intensity < 0).any():
         raise ValueError("mem_intensity must be >= 0")
     cpi0 = cfg.base_cpi if base_cpi is None else np.asarray(base_cpi, dtype=float)
-    if np.any(np.asarray(cpi0) <= 0):
+    if (np.asarray(cpi0) <= 0).any():
         raise ValueError("base_cpi must be positive")
     cpi = cpi0 + mem_intensity * cfg.mem_latency * frequency
     return frequency / cpi
@@ -113,7 +113,7 @@ def activity_factor(
     fully stalled core draws its clock-tree/idle dynamic floor.
     """
     compute_intensity = np.asarray(compute_intensity, dtype=float)
-    if np.any(compute_intensity < 0) or np.any(compute_intensity > 1):
+    if (compute_intensity < 0).any() or (compute_intensity > 1).any():
         raise ValueError("compute_intensity must be within [0, 1]")
     act_lo, act_hi = cfg.activity_range
     busy = compute_fraction(cfg, frequency, mem_intensity, base_cpi=base_cpi)

@@ -48,7 +48,7 @@ def dynamic_power(
     voltage = np.asarray(voltage, dtype=float)
     frequency = np.asarray(frequency, dtype=float)
     activity = np.asarray(activity, dtype=float)
-    if np.any(voltage < 0) or np.any(frequency < 0) or np.any(activity < 0):
+    if (voltage < 0).any() or (frequency < 0).any() or (activity < 0).any():
         raise ValueError("voltage, frequency and activity must be non-negative")
     return activity * tech.ceff * voltage**2 * frequency
 
@@ -64,9 +64,9 @@ def leakage_power(
     """
     voltage = np.asarray(voltage, dtype=float)
     temperature = np.asarray(temperature, dtype=float)
-    if np.any(voltage < 0):
+    if (voltage < 0).any():
         raise ValueError("voltage must be non-negative")
-    if np.any(temperature <= 0):
+    if (temperature <= 0).any():
         raise ValueError("temperature is absolute (kelvin) and must be positive")
     return voltage * tech.leak_coeff * np.exp(
         tech.leak_temp_sens * (temperature - tech.t_ref)

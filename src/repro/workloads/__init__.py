@@ -1,6 +1,5 @@
 """Workload substrate: phase traces, synthetic generators, named suite."""
 
-from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.phases import CorePhaseSequence, Phase, Workload
 from repro.workloads.profile import (
     WorkloadProfile,
@@ -28,7 +27,6 @@ from repro.workloads.trace_io import (
 )
 
 __all__ = [
-    "CompiledWorkload",
     "CorePhaseSequence",
     "WorkloadProfile",
     "characterize",

@@ -9,13 +9,18 @@ learns to exploit.
 
 Phase sequences are cyclic: a simulation longer than the trace wraps around,
 the same convention trace-driven simulators use.
+
+:meth:`CorePhaseSequence.phase_at` is the per-core reference lookup.  A
+:class:`Workload` samples all its cores at once from one padded array
+table of its sequences, built on first use; the table picks the very
+phases ``phase_at`` picks, bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +99,54 @@ class CorePhaseSequence:
         return len(self._phases)
 
 
+#: Temporary bytes of one chunk of :meth:`Workload.sample_into`'s
+#: ``(epochs, phases, sequences)`` comparison block.
+_CHUNK_BYTES = 1 << 16
+
+
+class _PhaseTable(NamedTuple):
+    """Every sequence of a workload in one read-only padded table.
+
+    ``ends[j, s]`` is sequence ``s``'s ``j``-th cumulative phase end — the
+    very floats its :class:`CorePhaseSequence` accumulated — padded with
+    ``+inf``, and ``totals[s]`` its cycle total.  ``mem`` and ``comp`` are
+    the phase values flat, sequence ``s`` at ``s * width`` with ``width =
+    len(ends) + 1``, padded with the sequence's last phase.  For a wrapped
+    time ``w``, ``stops[s] - count(w < ends[:, s])`` is then the flat
+    index of ``bisect_right(cumulative, w)`` clamped to the last phase.
+    """
+
+    ends: np.ndarray
+    totals: np.ndarray
+    stops: np.ndarray
+    mem: np.ndarray
+    comp: np.ndarray
+    #: narrowest unsigned type holding a phase count, for the counting sum
+    count_dtype: np.dtype
+
+
+def _compile(sequences: Tuple[CorePhaseSequence, ...]) -> _PhaseTable:
+    n_seq = len(sequences)
+    n_ends = max(len(seq) for seq in sequences)
+    width = n_ends + 1
+    ends = np.full((n_ends, n_seq), np.inf)
+    mem = np.empty((n_seq, width))
+    comp = np.empty((n_seq, width))
+    for s, seq in enumerate(sequences):
+        k = len(seq)
+        ends[:k, s] = seq._cumulative
+        mem[s, :k] = [p.mem_intensity for p in seq.phases]
+        comp[s, :k] = [p.compute_intensity for p in seq.phases]
+        mem[s, k:] = mem[s, k - 1]
+        comp[s, k:] = comp[s, k - 1]
+    totals = np.array([seq.total_duration for seq in sequences])
+    stops = np.arange(n_seq) * width + n_ends
+    mem, comp = mem.ravel(), comp.ravel()
+    for array in (ends, totals, stops, mem, comp):
+        array.flags.writeable = False
+    return _PhaseTable(ends, totals, stops, mem, comp, np.min_scalar_type(n_ends))
+
+
 class Workload:
     """A set of per-core phase sequences for an N-core chip.
 
@@ -107,6 +160,7 @@ class Workload:
             raise ValueError("workload needs at least one core phase sequence")
         self._sequences: Tuple[CorePhaseSequence, ...] = tuple(sequences)
         self.name = name
+        self._table: Optional[_PhaseTable] = None
 
     @property
     def sequences(self) -> Tuple[CorePhaseSequence, ...]:
@@ -119,16 +173,59 @@ class Workload:
         return self._sequences[core % len(self._sequences)]
 
     def sample(self, t: float, n_cores: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-core ``(mem_intensity, compute_intensity)`` arrays at time ``t``."""
+        """Per-core ``(mem_intensity, compute_intensity)`` arrays at time ``t``.
+
+        Core ``i`` reads ``sequence_for_core(i).phase_at(t)``.  The arrays
+        are fresh and writable (memory systems rescale them in place).
+        """
         if n_cores <= 0:
             raise ValueError(f"n_cores must be positive, got {n_cores}")
-        mem = np.empty(n_cores)
-        comp = np.empty(n_cores)
-        for i in range(n_cores):
-            phase = self.sequence_for_core(i).phase_at(t)
-            mem[i] = phase.mem_intensity
-            comp[i] = phase.compute_intensity
-        return mem, comp
+        if t < 0:
+            raise ValueError(f"time must be >= 0, got {t}")
+        return self._lookup(t, n_cores)
+
+    def sample_into(
+        self, times: np.ndarray, mem: np.ndarray, comp: np.ndarray
+    ) -> None:
+        """Write ``sample(times[e], n_cores)`` into row ``e`` of ``mem`` and
+        ``comp``, both ``(len(times), n_cores)``, a chunk of epochs at a time
+        so the temporaries stay within a fixed byte budget."""
+        times = np.asarray(times, dtype=float)
+        if (times < 0).any():
+            raise ValueError("times must be >= 0")
+        table = self._phase_table()
+        chunk = max(1, _CHUNK_BYTES // table.ends.size)
+        for e0 in range(0, len(times), chunk):
+            e1 = e0 + chunk
+            mem[e0:e1], comp[e0:e1] = self._lookup(
+                times[e0:e1, None], mem.shape[1]
+            )
+
+    def _phase_table(self) -> _PhaseTable:
+        if self._table is None:
+            self._table = _compile(self._sequences)
+        return self._table
+
+    def _lookup(
+        self, t: Union[float, np.ndarray], n_cores: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Phase values at ``t`` (a scalar, or a ``(k, 1)`` column of times
+        for ``(k, n_cores)`` results) — ``phase_at`` for every core at once.
+
+        Python's float ``%`` and ``np.remainder`` agree bit for bit, and on
+        ascending ends the padded count minus the ends above the wrapped
+        time is ``bisect_right``'s index.
+        """
+        table = self._phase_table()
+        wrapped = t % table.totals
+        above = np.add.reduce(
+            wrapped[..., None, :] < table.ends, axis=-2, dtype=table.count_dtype
+        )
+        flat = table.stops - above
+        n_seq = len(self._sequences)
+        if n_cores != n_seq:
+            flat = flat[..., np.arange(n_cores) % n_seq]
+        return table.mem.take(flat), table.comp.take(flat)
 
     def __len__(self) -> int:
         return len(self._sequences)

@@ -51,21 +51,37 @@ class TestPolicyTimesThermal:
 
 class TestCompiledTimesContention:
     def test_compiled_workload_with_memory_system(self):
+        # Contention rescales the sampled rows in place every epoch: the
+        # table-sampled run and a per-core bisect run both reproduce the
+        # frozen memory-system golden.
         from repro.manycore import default_memory_system
-        from repro.workloads import CompiledWorkload
+        from repro.parallel import assert_trace_equal
+        from repro.sim.result_io import load_result
 
-        cfg = default_system(n_cores=8)
-        source = mixed_workload(8, seed=3)
-        compiled = CompiledWorkload(source, cfg.epoch_time, 300, 8)
-        a = run_controller(
-            cfg, source, ODRLController(cfg, seed=1), 300,
-            memory_system=default_memory_system(cfg),
+        from tests.workloads.helpers import ReferenceWorkload
+        from tools.regen_golden import (
+            GOLDEN_BUDGET_FRACTION,
+            GOLDEN_N_CORES,
+            GOLDEN_N_EPOCHS,
+            GOLDEN_SEED,
+            variant_path,
         )
-        b = run_controller(
-            cfg, compiled, ODRLController(cfg, seed=1), 300,
-            memory_system=default_memory_system(cfg),
+
+        cfg = default_system(
+            n_cores=GOLDEN_N_CORES, budget_fraction=GOLDEN_BUDGET_FRACTION
         )
-        assert np.array_equal(a.chip_power, b.chip_power)
+        source = mixed_workload(GOLDEN_N_CORES, seed=GOLDEN_SEED)
+        golden = load_result(variant_path("memory"))
+        for workload in (source, ReferenceWorkload(source)):
+            result = run_controller(
+                cfg,
+                workload,
+                ODRLController(cfg, seed=GOLDEN_SEED),
+                GOLDEN_N_EPOCHS,
+                memory_system=default_memory_system(cfg),
+                record_per_core=True,
+            )
+            assert_trace_equal(result, golden, context=type(workload).__name__)
 
 
 class TestStatsTimesVariation:

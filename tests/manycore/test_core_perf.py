@@ -103,3 +103,52 @@ class TestActivityFactor:
     def test_rejects_out_of_range_compute_intensity(self, cfg):
         with pytest.raises(ValueError, match="compute_intensity"):
             activity_factor(cfg, np.array(1e9), np.array(0.0), np.array(1.5))
+
+
+
+def _bad_at(value, bad, index=2, n=4):
+    """A per-core vector of ``value`` with one ``bad`` element."""
+    out = np.full(n, value, dtype=float)
+    out[index] = bad
+    return out
+
+
+def _call(func, cfg, frequency, mem_intensity, base_cpi=None):
+    if func is activity_factor:
+        return activity_factor(
+            cfg, frequency, mem_intensity, np.full(4, 0.5), base_cpi=base_cpi
+        )
+    return func(cfg, frequency, mem_intensity, base_cpi=base_cpi)
+
+
+GUARDED = [compute_fraction, instructions_per_second, activity_factor]
+
+
+@pytest.mark.parametrize("func", GUARDED)
+@pytest.mark.parametrize(
+    "frequency, mem_intensity, base_cpi, message",
+    [
+        (_bad_at(2e9, 0.0), np.full(4, 0.01), None, "frequency must be positive"),
+        (_bad_at(2e9, -1e9), np.full(4, 0.01), None, "frequency must be positive"),
+        (np.full(4, 2e9), _bad_at(0.01, -1e-4), None, "mem_intensity must be >= 0"),
+        (np.full(4, 2e9), np.full(4, 0.01), _bad_at(1.0, 0.0), "base_cpi must be positive"),
+        (np.full(4, 2e9), np.full(4, 0.01), -1.0, "base_cpi must be positive"),
+        # Several bad arguments: the guards run in order.
+        (_bad_at(2e9, 0.0), _bad_at(0.01, -1.0), -1.0, "frequency must be positive"),
+        (np.full(4, 2e9), _bad_at(0.01, -1.0), -1.0, "mem_intensity must be >= 0"),
+    ],
+)
+def test_every_guard_still_raises(cfg, func, frequency, mem_intensity, base_cpi, message):
+    """Each argument guard fires on a single bad core (or a bad scalar
+    ``base_cpi``) with its message; ``activity_factor`` reaches them
+    through ``compute_fraction``."""
+    with pytest.raises(ValueError, match=message):
+        _call(func, cfg, frequency, mem_intensity, base_cpi)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1])
+def test_compute_intensity_guards_still_raise_first(cfg, bad):
+    # The compute-intensity range check runs before compute_fraction's
+    # guards, so it wins even when the frequency is bad too.
+    with pytest.raises(ValueError, match=r"compute_intensity must be within \[0, 1\]"):
+        activity_factor(cfg, np.zeros(4), np.full(4, 0.01), _bad_at(0.5, bad))

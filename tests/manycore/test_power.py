@@ -103,3 +103,36 @@ class TestCorePower:
         assert powers == sorted(powers)
         # Top-to-bottom dynamic range must be meaningful for DVFS (>2x).
         assert powers[-1] / powers[0] > 2.0
+
+
+@pytest.mark.parametrize(
+    "arg, bad",
+    [("voltage", -0.1), ("frequency", -1.0), ("activity", -1e-3)],
+)
+def test_dynamic_power_guards_still_raise(tech, arg, bad):
+    kwargs = {"voltage": np.full(4, 1.0), "frequency": np.full(4, 2e9),
+              "activity": np.full(4, 0.5)}
+    kwargs[arg][1] = bad
+    with pytest.raises(
+        ValueError, match="voltage, frequency and activity must be non-negative"
+    ):
+        dynamic_power(tech, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "voltage, temperature, message",
+    [
+        (-0.1, 330.0, "voltage must be non-negative"),
+        (1.0, 0.0, "temperature is absolute"),
+        (1.0, -5.0, "temperature is absolute"),
+        # Both bad: the voltage guard runs first.
+        (-0.1, 0.0, "voltage must be non-negative"),
+    ],
+)
+def test_leakage_power_guards_still_raise_in_order(tech, voltage, temperature, message):
+    v = np.full(4, 1.0)
+    t = np.full(4, 330.0)
+    v[3] = voltage
+    t[3] = temperature
+    with pytest.raises(ValueError, match=message):
+        leakage_power(tech, v, t)

@@ -1,0 +1,30 @@
+"""The per-core phase lookup the vectorized ``Workload.sample`` must equal."""
+
+from typing import Tuple
+
+import numpy as np
+
+from repro.workloads import Workload
+
+
+def reference_sample(
+    workload: Workload, t: float, n_cores: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``sequence_for_core(i).phase_at(t)`` for every core, one bisect each."""
+    mem = np.empty(n_cores)
+    comp = np.empty(n_cores)
+    for i in range(n_cores):
+        phase = workload.sequence_for_core(i).phase_at(t)
+        mem[i] = phase.mem_intensity
+        comp[i] = phase.compute_intensity
+    return mem, comp
+
+
+class ReferenceWorkload(Workload):
+    """A workload sampled through :func:`reference_sample`."""
+
+    def __init__(self, workload: Workload) -> None:
+        super().__init__(workload.sequences, name=workload.name)
+
+    def sample(self, t: float, n_cores: int) -> Tuple[np.ndarray, np.ndarray]:
+        return reference_sample(self, t, n_cores)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.workloads import CorePhaseSequence, Phase, Workload
+from repro.workloads import CorePhaseSequence, Phase, Workload, mixed_workload
+
+from tests.workloads.helpers import reference_sample
 
 
 def seq(*durations):
@@ -109,3 +111,150 @@ class TestWorkload:
         w = Workload([seq(0.1), seq(0.2)], name="demo")
         assert len(w) == 2
         assert w.name == "demo"
+
+
+def values_seq(*durations):
+    """Like :func:`seq`, with distinct mem and compute values per phase."""
+    return CorePhaseSequence(
+        [
+            Phase(duration=d, mem_intensity=0.001 * (i + 1), compute_intensity=0.1 * (i + 1))
+            for i, d in enumerate(durations)
+        ]
+    )
+
+
+def edge_workload():
+    """Sequences of 1 to 4 phases, binary-exact and whole-millisecond."""
+    return Workload(
+        [
+            values_seq(0.25, 0.5),
+            values_seq(0.004, 0.003),
+            values_seq(0.5),
+            values_seq(0.001, 0.002, 0.004, 0.0015),
+        ]
+    )
+
+
+def assert_matches_reference(workload, t, n_cores):
+    mem, comp = workload.sample(t, n_cores)
+    ref_mem, ref_comp = reference_sample(workload, t, n_cores)
+    assert np.array_equal(mem, ref_mem), (t, n_cores)
+    assert np.array_equal(comp, ref_comp), (t, n_cores)
+
+
+class TestVectorizedSample:
+    """``Workload.sample`` against the per-core ``phase_at`` bisect."""
+
+    @pytest.mark.parametrize("n_cores", [1, 2, 4, 5, 11, 64])
+    def test_more_and_fewer_cores_than_sequences(self, n_cores):
+        w = edge_workload()
+        t = 0.0
+        for _ in range(300):
+            assert_matches_reference(w, t, n_cores)
+            t += 1e-3
+
+    def test_on_cumulative_ends(self):
+        w = edge_workload()
+        for s in w.sequences:
+            end = 0.0
+            for p in s.phases:
+                end += p.duration
+                assert_matches_reference(w, end, 4)
+                assert_matches_reference(w, np.nextafter(end, 0.0), 4)
+
+    def test_on_multiples_of_the_cycle_total(self):
+        # The exact wrap point that phase_at's ``idx >= len`` clamp guards.
+        w = edge_workload()
+        for s in w.sequences:
+            for k in (1, 2, 3, 1000):
+                assert_matches_reference(w, k * s.total_duration, 8)
+
+    def test_single_phase_sequences(self):
+        w = Workload([values_seq(0.5), values_seq(0.003)])
+        for t in (0.0, 0.003, 0.25, 0.5, 10.0, 1e6):
+            assert_matches_reference(w, t, 3)
+
+    def test_around_a_million_epochs(self):
+        for w in (edge_workload(), mixed_workload(16, seed=5)):
+            t = 1e3  # 10**6 epochs of 1 ms
+            for _ in range(50):
+                assert_matches_reference(w, t, 16)
+                t += 1e-3
+            for t in (1e6 * 1e-3 + 0.5, 999.999, 1000.0005):
+                assert_matches_reference(w, t, 16)
+
+    def test_rejects_negative_time_and_nonpositive_cores(self):
+        w = edge_workload()
+        with pytest.raises(ValueError, match="time"):
+            w.sample(-1e-9, 4)
+        with pytest.raises(ValueError, match="n_cores"):
+            w.sample(0.0, 0)
+        with pytest.raises(ValueError, match="n_cores"):
+            w.sample(0.0, -3)
+
+    def test_returned_arrays_are_fresh_and_writable(self):
+        w = edge_workload()
+        mem, comp = w.sample(0.1, 8)
+        ref_mem, ref_comp = reference_sample(w, 0.1, 8)
+        mem *= 2.0
+        comp[:] = -1.0
+        again_mem, again_comp = w.sample(0.1, 8)
+        assert np.array_equal(again_mem, ref_mem)
+        assert np.array_equal(again_comp, ref_comp)
+
+    def test_phase_table_is_read_only(self):
+        w = edge_workload()
+        w.sample(0.0, 4)
+        table = w._phase_table()
+        for array in (table.ends, table.totals, table.stops, table.mem, table.comp):
+            assert not array.flags.writeable
+
+
+def test_phase_streams_equal_live_samples(monkeypatch):
+    """The kernel's precomputed streams equal a per-epoch live sample at
+    the kernel's accumulated ``+= dt`` times, row by row — across chunk
+    edges, with a chunk budget of a few epochs."""
+    from repro.kernel.epoch import EpochKernel
+    from repro.manycore import default_system
+
+    monkeypatch.setattr("repro.workloads.phases._CHUNK_BYTES", 100)
+    cfg = default_system(n_cores=6)
+    tiled = edge_workload()
+    wide = mixed_workload(6, seed=2)
+    n_epochs = 1200
+    kernel = EpochKernel(
+        [cfg.with_budget(b) for b in (30.0, 40.0, 50.0)],
+        [tiled, wide, tiled],
+        n_epochs=n_epochs,
+    )
+    t = 0.0
+    for e in range(n_epochs):
+        for r, w in enumerate(kernel.workloads):
+            mem, comp = w.sample(t, 6)
+            assert np.array_equal(kernel._mem_stream[e, r], mem), (e, r)
+            assert np.array_equal(kernel._comp_stream[e, r], comp), (e, r)
+        t += cfg.epoch_time
+
+
+def test_phase_stream_build_temporaries_stay_below_per_sequence_tracks():
+    """Building one run's streams allocates, beyond the streams
+    themselves, less than one ``(mem, comp)`` track per sequence."""
+    import tracemalloc
+
+    from repro.kernel.epoch import EpochKernel, _epoch_start_times
+    from repro.manycore import default_system
+
+    n_cores, n_epochs = 64, 1000
+    cfg = default_system(n_cores=n_cores)
+    workload = mixed_workload(n_cores, seed=1)
+    kernel = EpochKernel([cfg], [workload], n_epochs=n_epochs)
+    times = _epoch_start_times(n_epochs, cfg.epoch_time)
+    tracemalloc.start()
+    try:
+        kernel._build_phase_streams(times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    streams = 2 * n_epochs * n_cores * 8
+    tracks = 2 * n_epochs * len(workload) * 8
+    assert peak - streams < tracks
