@@ -24,13 +24,14 @@ class GridOptions:
     Threaded from the CLI's ``--jobs`` / ``--cache`` / ``--trace`` /
     ``--profile`` flags into every experiment that sweeps a grid through
     :func:`repro.sim.runner.run_suite` / ``run_budget_sweep``.  The
-    default (``jobs=1``, no cache, no observability) reproduces the
-    historical serial behaviour byte-for-byte.
+    default (``jobs=1``, no cache, no observability) runs every cell in
+    the calling process, one at a time, and a failing cell re-raises its
+    original exception once the rest of the grid has run.
 
     Attributes
     ----------
     jobs:
-        Worker process count for grid cells (``1`` = in-process serial).
+        Worker process count for grid cells (``1`` = in-process).
     cache:
         Result-cache directory (or a
         :class:`repro.parallel.ResultCache`); ``None`` disables caching.
@@ -54,9 +55,10 @@ class GridOptions:
     timeout:
         Per-cell soft deadline in seconds (CLI ``--timeout``): a cell
         still running past it is cancelled, charged an attempt, and
-        retried within the attempt budget.  ``None`` disables the
-        watchdog.  The clock includes worker spawn/import time, so keep
-        it comfortably above pool spin-up (~seconds).
+        retried within the attempt budget.  Armed for ``jobs > 1`` only
+        (a cell running in-process cannot be preempted); ``None``
+        disables the watchdog.  The clock includes worker spawn/import
+        time, so keep it comfortably above pool spin-up (~seconds).
     """
 
     jobs: int = 1

@@ -349,6 +349,16 @@ class ResultCache:
         self.metrics.set_gauge("cache.put_errors", 0)
         self.metrics.set_gauge("cache.put_contended", 0)
 
+    @classmethod
+    def coerce(
+        cls, cache: "ResultCache | str | Path | None"
+    ) -> "Optional[ResultCache]":
+        """``cache`` as a store: an instance passes through, a directory
+        path opens one there, ``None`` stays ``None`` (caching off)."""
+        if cache is None or isinstance(cache, ResultCache):
+            return cache
+        return cls(cache)
+
     @property
     def hits(self) -> int:
         """Lookups served from disk (compatibility view over ``metrics``)."""

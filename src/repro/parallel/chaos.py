@@ -179,8 +179,9 @@ class ChaosPolicy:
     def at_cell_start(self, label: str, attempt: int) -> None:
         """Apply at most one worker-side fault before a cell simulates.
 
-        Called by the worker entry point (and the inline path) with the
-        cell's label and 1-based attempt number.  Beyond
+        Called by the worker entry point with the cell's label and
+        1-based attempt number (cells running in-process use
+        :meth:`inline_cell_start` instead).  Beyond
         :attr:`max_attempt` this is a no-op, so retries converge.
         """
         if attempt > self.max_attempt:

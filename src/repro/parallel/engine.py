@@ -45,37 +45,30 @@ cell recomputed.  With a :class:`~repro.parallel.journal.CampaignJournal`,
 every settlement is checkpointed so a killed campaign resumes completing
 only the missing cells, bit-identical to an uninterrupted run.
 
-``jobs=1`` without any resilience options executes inline — no pool, no
-pickling, exceptions propagate raw — which is what keeps the serial entry
-points byte-for-byte identical to their historical behaviour.  Passing
-``retry_policy``, ``chaos``, ``timeout`` or ``journal`` opts the inline
-path into the same classified-retry machinery as the pool path (worker
-crash and hang injection stay pool-only: the inline process cannot kill
-or preempt itself).
+**One settle loop.**  ``jobs=1`` swaps the process pool for an
+in-process executor that runs each cell where it is submitted and hands
+back an already-completed future, so both executors feed the same loop:
+classification, backoff, cache writes, journal records and task-ordered
+event emission live in one place.  A settled cell's events are emitted
+as soon as every earlier cell has settled, so a traced ``jobs=1`` grid
+holds only the running cell's buffer.  Two things stay pool-only: worker
+crash and hang injection (the calling process cannot kill or preempt
+itself) and the soft-deadline watchdog.  ``jobs=1`` without a resilience
+option keeps one more contract: :func:`execute_cells` re-raises the
+first failed cell's original exception, traceback included.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.manycore.config import SystemConfig
 from repro.obs import NULL_RECORDER, BufferRecorder, CounterRegistry, Recorder
@@ -146,11 +139,15 @@ class CellFailure:
     message:
         The exception message (or crash/timeout description).
     traceback_text:
-        Formatted worker-side traceback when one exists, else ``""``.
+        Formatted traceback of the latest failure when one exists, else
+        ``""``.
     classification:
         ``"transient"`` or ``"deterministic"`` per the run's
         :class:`~repro.parallel.retry.RetryPolicy` — deterministic
         failures fail fast without consuming the retry budget.
+    exception:
+        The latest failure's exception object, traceback attached, when
+        the attempt ran in-process (``jobs=1``); ``None`` for a worker.
     """
 
     cell: RunCell
@@ -159,6 +156,9 @@ class CellFailure:
     message: str
     traceback_text: str = ""
     classification: str = "deterministic"
+    exception: Optional[BaseException] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __str__(self) -> str:
         return (
@@ -180,7 +180,9 @@ class ExecutionReport:
     results:
         Per-task results in task order; ``None`` where the cell failed.
     failures:
-        Every :class:`CellFailure`, in task order.
+        Every :class:`CellFailure`, in task order: exactly one per
+        ``None`` result, so the ``k``-th failure belongs to the ``k``-th
+        hole (checked at construction).
     counters:
         The invocation's counter snapshot (what ``engine_summary`` emits).
     campaign:
@@ -194,6 +196,14 @@ class ExecutionReport:
     counters: Dict[str, Number]
     campaign: Optional[str] = None
     resumed: int = 0
+
+    def __post_init__(self) -> None:
+        holes = sum(1 for r in self.results if r is None)
+        if holes != len(self.failures):
+            raise ValueError(
+                f"engine invariant violated: {holes} cell(s) without a "
+                f"result but {len(self.failures)} failure(s) recorded"
+            )
 
     @property
     def ok(self) -> bool:
@@ -215,10 +225,19 @@ class ParallelExecutionError(RuntimeError):
         )
 
 
+
+
+#: ``execute_cells``' default: one extra attempt, no backoff.
+_DEFAULT_POLICY = RetryPolicy(retries=1, base_delay=0.0, max_delay=0.0, jitter=0.0)
+
+#: The cache counters whose per-invocation deltas the summary reports.
+_CACHE_COUNTERS = ("hits", "misses", "corrupt", "quarantined", "put_errors")
+
+
 def _run_cell(
     task: CellTask, recorder: Optional[Recorder] = None
 ) -> SimulationResult:
-    """Execute one cell (worker-side): build the controller, run the loop."""
+    """Execute one cell: build the controller, run the loop."""
     # Imported here, not at module level: the simulator pulls in the full
     # plant stack, and worker processes import this module on spawn.
     from repro.sim.simulator import run_controller
@@ -239,44 +258,67 @@ def _run_cell_guarded(
     task: CellTask,
     chaos: Optional[ChaosPolicy] = None,
     attempt: int = 1,
+    in_process: bool = False,
 ) -> Tuple[str, Any]:
-    """Worker entry: exceptions come back as values, never as raised errors.
+    """One attempt, for either executor: failures come back as values.
 
-    Returning ``("error", ...)`` instead of raising keeps ordinary cell
-    failures (bad config, contract violation) out of the pool's exception
-    machinery, so only hard process death ever breaks the pool.  The
-    ``"ok"`` payload is ``(result, events)`` — the run's buffered trace
-    events when ``task.trace`` is set, else ``None``.  The ``"error"``
-    payload carries the attempt's *partial* event buffer as its fourth
-    element, so a cell that fails permanently still leaves a trace
-    through its last completed epoch instead of losing the buffer with
-    the attempt.
+    In a worker, returning ``("error", ...)`` instead of raising keeps
+    ordinary cell failures (bad config, contract violation) out of the
+    pool's exception machinery, so only hard process death ever breaks
+    the pool.  The ``"ok"`` payload is ``(result, events)`` — the run's
+    buffered trace events when ``task.trace`` is set, else ``None``.  The
+    ``"error"`` payload is ``(error_type, message, traceback_text, events,
+    exception)``: the attempt's *partial* event buffer, so a cell that
+    fails permanently still leaves a trace through its last completed
+    epoch, and, in-process only, the exception object itself (a worker's
+    may not pickle).
 
-    ``chaos`` (when armed) injects its worker-side faults — crash, hang,
-    transient error — before the cell simulates, keyed deterministically
-    by the cell label and the 1-based ``attempt`` number the parent
-    passes, so injection decisions are identical across the spawn
-    boundary and across runs.
+    ``chaos`` (when armed) injects its faults before the cell simulates,
+    keyed deterministically by the cell label and the 1-based ``attempt``
+    number, so injection decisions are identical across the spawn
+    boundary and across runs.  In-process, only the faults that are safe
+    in the calling process fire
+    (:meth:`~repro.parallel.chaos.ChaosPolicy.inline_cell_start`), and
+    only ``Exception`` is caught: ``KeyboardInterrupt`` and ``SystemExit``
+    stop the calling process at once.
     """
     buffer = BufferRecorder() if task.trace else None
     try:
         if chaos is not None:
-            chaos.at_cell_start(task.cell.label(), attempt)
+            if in_process:
+                chaos.inline_cell_start(task.cell.label(), attempt)
+            else:
+                chaos.at_cell_start(task.cell.label(), attempt)
         result = _run_cell(task, recorder=buffer)
         return "ok", (result, buffer.events if buffer is not None else None)
-    except BaseException as exc:  # shipped to the parent as a structured value
+    except BaseException as exc:  # returned to the settle loop as a value
+        if in_process and not isinstance(exc, Exception):
+            raise
         return "error", (
             type(exc).__qualname__,
             str(exc),
             traceback.format_exc(),
             buffer.events if buffer is not None and buffer.events else None,
+            exc if in_process else None,
         )
 
 
-def _coerce_cache(cache: CacheLike) -> Optional[ResultCache]:
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
+class _InProcessExecutor:
+    """``jobs=1``'s executor: :meth:`submit` runs the call where it is
+    submitted and returns an already-completed future, so the settle loop
+    serves it exactly as it serves the process pool.  Nothing is pickled;
+    nothing runs concurrently."""
+
+    def submit(self, fn: Any, *args: Any) -> "Future[Any]":
+        future: "Future[Any]" = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def __enter__(self) -> "_InProcessExecutor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
 
 
 def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -301,50 +343,203 @@ def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
             continue
 
 
-def _drain_quarantine(
-    rec: Recorder,
-    metrics: CounterRegistry,
-    store: ResultCache,
-    cursor: int,
-) -> int:
-    """Emit ``cache_quarantine`` events for log entries past ``cursor``;
-    return the new cursor.  The engine owns event emission so the cache
-    stays recorder-free."""
-    while cursor < len(store.quarantine_log):
-        key, reason = store.quarantine_log[cursor]
-        cursor += 1
-        metrics.inc("engine.cache_quarantines")
-        if rec.enabled:
-            rec.emit("cache_quarantine", key=key, reason=reason)
-    return cursor
+class _Invocation:
+    """One engine invocation's state: results and cache keys, counters,
+    the settle loop's per-cell bookkeeping, and the task-ordered emission
+    of every settled cell's deferred events."""
+
+    def __init__(
+        self,
+        tasks: Sequence[CellTask],
+        store: Optional[ResultCache],
+        jour: Optional[CampaignJournal],
+        rec: Recorder,
+        policy: RetryPolicy,
+        jobs: int,
+    ) -> None:
+        self.tasks = tasks
+        self.store = store
+        self.jour = jour
+        self.rec = rec
+        self.policy = policy
+        self.metrics = CounterRegistry()
+        self.metrics.set_gauge("engine.jobs", jobs)
+        self.metrics.set_gauge("engine.cells_total", len(tasks))
+        self.results: List[Optional[SimulationResult]] = [None] * len(tasks)
+        self.keys: List[Optional[str]] = [
+            cell_key(t.cell, t.cfg, t.workload, t.factory, t.sim_kwargs)
+            if store is not None
+            else None
+            for t in tasks
+        ]
+        self.cache0: Dict[str, int] = {}
+        if store is not None:
+            self.cache0 = {name: getattr(store, name) for name in _CACHE_COUNTERS}
+        self.q_cursor = len(store.quarantine_log) if store is not None else 0
+        #: Settle-loop state per cell: attempts made, ``(error_type,
+        #: message)`` history, backoff deadline; ``waiting`` holds the
+        #: unsubmitted cells (ready or backing off) in task order.
+        self.attempts: Dict[int, int] = {}
+        self.history: Dict[int, List[Tuple[str, str]]] = {}
+        self.not_before: Dict[int, float] = {}
+        self.waiting: List[int] = []
+        self.failures: Dict[int, CellFailure] = {}
+        #: Deferred per-cell emission: retry-stack notes and run events,
+        #: emitted by :meth:`flush` in task order.
+        self.notes: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
+        self.events: Dict[int, Any] = {}
+        self.cursor = 0
+
+    def drain_quarantine(self) -> None:
+        """Emit ``cache_quarantine`` events for new quarantine-log entries
+        (the engine owns emission, so the cache stays recorder-free)."""
+        store = self.store
+        if store is None:
+            return
+        while self.q_cursor < len(store.quarantine_log):
+            key, reason = store.quarantine_log[self.q_cursor]
+            self.q_cursor += 1
+            self.metrics.inc("engine.cache_quarantines")
+            if self.rec.enabled:
+                self.rec.emit("cache_quarantine", key=key, reason=reason)
+
+    def complete(self, i: int, result: SimulationResult) -> None:
+        """Store a computed result: counter, best-effort cache write,
+        journal record."""
+        self.results[i] = result
+        self.metrics.inc("engine.cells_run")
+        key = self.keys[i]
+        if self.store is not None and key is not None:
+            self.store.put_safe(key, result)
+            if self.jour is not None:
+                self.jour.record_done(i, key)
+
+    def enqueue(self, i: int, delay: float = 0.0) -> None:
+        """Put cell ``i`` back among the waiting cells, ready after ``delay``."""
+        self.not_before[i] = time.monotonic() + delay if delay else 0.0
+        bisect.insort(self.waiting, i)
+
+    def note(self, i: int, kind: str, **payload: Any) -> None:
+        self.notes.setdefault(i, []).append((kind, payload))
+
+    def charge(
+        self,
+        i: int,
+        error: Tuple[str, str, str],
+        events: Any = None,
+        exception: Optional[BaseException] = None,
+    ) -> None:
+        """Book one unsuccessful attempt of cell ``i``: re-queue it behind
+        its backoff when the policy grants a retry, else settle it as a
+        :class:`CellFailure` (noting ``cell_abandoned`` when budget
+        remained unspent)."""
+        error_type, message, tb_text = error
+        self.attempts[i] += 1
+        attempt = self.attempts[i]
+        self.history[i].append((error_type, message))
+        classification = self.policy.classify(error_type, message)
+        if self.policy.should_retry(attempt, self.history[i]):
+            delay = self.policy.delay_before(attempt + 1, self.tasks[i].cell.label())
+            self.metrics.inc("engine.retries")
+            self.note(
+                i,
+                "cell_retry",
+                attempt=attempt,
+                error_type=error_type,
+                classification=classification,
+                delay=delay,
+            )
+            self.enqueue(i, delay)
+            return
+        if attempt <= self.policy.retries:
+            self.metrics.inc("engine.cells_abandoned")
+            self.note(
+                i,
+                "cell_abandoned",
+                attempts=attempt,
+                error_type=error_type,
+                classification=classification,
+            )
+        self.metrics.inc("engine.cells_failed")
+        self.failures[i] = CellFailure(
+            cell=self.tasks[i].cell,
+            attempts=attempt,
+            error_type=error_type,
+            message=message,
+            traceback_text=tb_text,
+            classification=classification,
+            exception=exception,
+        )
+        if events:
+            # Permanent failure: keep the last attempt's partial trace
+            # through its final completed epoch.
+            self.events[i] = events
+        key = self.keys[i]
+        if self.jour is not None and key is not None:
+            self.jour.record_failed(i, key, error_type, attempt)
+
+    def flush(self) -> None:
+        """Emit the deferred events of every settled cell not preceded by
+        an unsettled one — notes, run events, then ``cell_done`` or
+        ``cell_failed`` — so the trace's cell order is a function of the
+        task list alone.  Cached and batched cells emitted theirs earlier
+        and are skipped."""
+        rec = self.rec
+        while self.cursor < len(self.tasks):
+            i = self.cursor
+            failure = self.failures.get(i)
+            if failure is None and self.results[i] is None:
+                return
+            self.cursor += 1
+            notes = self.notes.pop(i, ())
+            events = self.events.pop(i, None)
+            if not rec.enabled or i not in self.attempts:
+                continue
+            label = self.tasks[i].cell.label()
+            for kind, payload in notes:
+                rec.emit(kind, cell=label, **payload)
+            if events:
+                _replay_events(rec, events)
+            if failure is None:
+                rec.emit("cell_done", cell=label, attempts=self.attempts[i])
+            else:
+                rec.emit(
+                    "cell_failed",
+                    cell=label,
+                    attempts=failure.attempts,
+                    error_type=failure.error_type,
+                )
+
+    def counters(self) -> Dict[str, Number]:
+        """The invocation's counter snapshot, with this invocation's cache
+        deltas folded in — what ``engine_summary`` emits and
+        :attr:`ExecutionReport.counters` carries."""
+        counters = self.metrics.snapshot()
+        for name, start in self.cache0.items():
+            counters[f"cache.{name}"] = getattr(self.store, name) - start
+        return counters
 
 
 def _run_batched(
-    tasks: Sequence[CellTask],
-    pending: List[int],
-    keys: List[Optional[str]],
-    results: List[Optional[SimulationResult]],
-    store: Optional[ResultCache],
-    rec: Recorder,
-    metrics: CounterRegistry,
-    batch: Union[bool, int],
+    run: _Invocation, pending: List[int], batch: Union[bool, int]
 ) -> List[int]:
     """Run the batch-compatible subset of ``pending`` through the stacked
     backend; return the still-unsettled indices (fallbacks, batch errors)
-    in task order for the serial/pool path.
+    in task order for the settle loop.
 
     A group that raises is not fatal: every member is re-queued with the
-    ``"batch-error"`` fallback reason and recomputed by the serial path,
+    ``"batch-error"`` fallback reason and recomputed by the settle loop,
     so a batching defect can cost time but never a result.  Traced
     members run with a :class:`~repro.obs.BufferRecorder` each, replayed
     between ``cell_batched`` and ``cell_done``; a group that raises drops
-    its partial buffers, so the serial re-run emits each event once.
+    its partial buffers, so the re-run emits each event once.
     """
     # Imported here, not at module level: repro.batch pulls in the full
     # plant + controller stack, which the engine otherwise avoids loading
     # (worker processes import this module on spawn).
     from repro.batch import batch_unsupported_reason, plan_batches, simulate_batch
 
+    tasks, rec, metrics = run.tasks, run.rec, run.metrics
     batchable: List[int] = []
     leftovers: List[int] = []
     for i in pending:
@@ -371,7 +566,7 @@ def _run_batched(
             group_results = simulate_batch([tasks[i] for i in members], buffers)
         except Exception:
             # Recorded and re-queued, never swallowed: every member is
-            # recomputed by the serial/pool path below.
+            # recomputed by the settle loop.
             metrics.inc("engine.batch_errors")
             for i in members:
                 metrics.inc("engine.fallback.batch-error")
@@ -385,11 +580,8 @@ def _run_batched(
             continue
         metrics.inc("engine.batch_groups")
         for i, result, buffer in zip(members, group_results, buffers):
-            results[i] = result
-            metrics.inc("engine.cells_run")
             metrics.inc("engine.cells_batched")
-            if store is not None and keys[i] is not None:
-                store.put_safe(keys[i], result)
+            run.complete(i, result)
             if rec.enabled:
                 rec.emit(
                     "cell_batched",
@@ -405,8 +597,8 @@ def _run_batched(
 
 
 def _replay_events(rec: Recorder, events: Sequence[Mapping[str, Any]]) -> None:
-    """Re-emit a worker's buffered events into the parent recorder
-    (sequence numbers are re-stamped by the parent's own counter)."""
+    """Re-emit buffered run events into the invocation's recorder
+    (sequence numbers are re-stamped by the recorder's own counter)."""
     for event in events:
         payload = {k: v for k, v in event.items() if k not in ("type", "seq")}
         rec.emit(event["type"], **payload)
@@ -416,7 +608,6 @@ def execute_cells(
     tasks: Sequence[CellTask],
     jobs: int = 1,
     cache: CacheLike = None,
-    retries: int = 1,
     recorder: Optional[Recorder] = None,
     batch: Union[bool, int] = False,
     retry_policy: Optional[RetryPolicy] = None,
@@ -424,16 +615,70 @@ def execute_cells(
     chaos: Optional[ChaosPolicy] = None,
     journal: JournalLike = None,
 ) -> List[SimulationResult]:
-    """Execute every task, in parallel when ``jobs > 1``, with caching.
+    """Execute every task and return the results in task order.
+
+    :func:`execute_cells_report` plus one raise: takes the same
+    parameters and raises when any cell failed.
+
+    Raises
+    ------
+    Exception
+        With ``jobs=1`` and no resilience option (``retry_policy``,
+        ``timeout``, ``chaos``, ``journal``): the first failed cell's
+        original exception object, traceback included.  Later cells
+        still ran, and their results are cached.
+    ParallelExecutionError
+        Otherwise, if any cell exhausted its attempts; carries the full
+        failure list.
+    """
+    report = execute_cells_report(
+        tasks,
+        jobs=jobs,
+        cache=cache,
+        recorder=recorder,
+        batch=batch,
+        retry_policy=retry_policy,
+        timeout=timeout,
+        chaos=chaos,
+        journal=journal,
+    )
+    if report.failures:
+        first = report.failures[0].exception
+        options = (retry_policy, timeout, chaos, journal)
+        if jobs == 1 and all(o is None for o in options) and first is not None:
+            raise first
+        raise ParallelExecutionError(report.failures)
+    return report.completed()
+
+
+def execute_cells_report(
+    tasks: Sequence[CellTask],
+    jobs: int = 1,
+    cache: CacheLike = None,
+    recorder: Optional[Recorder] = None,
+    batch: Union[bool, int] = False,
+    retry_policy: Optional[RetryPolicy] = None,
+    timeout: Optional[float] = None,
+    chaos: Optional[ChaosPolicy] = None,
+    journal: JournalLike = None,
+) -> ExecutionReport:
+    """Execute every task, in parallel when ``jobs > 1``, with caching;
+    never raise for a cell failure.
+
+    The returned :class:`ExecutionReport` carries every completed result
+    (in task order, ``None`` where a cell failed) alongside the
+    structured failure list, so a campaign with one poisoned cell still
+    delivers the other results — and, with a journal, the failed cells
+    stay pending for the next resume.
 
     Parameters
     ----------
     tasks:
         The cells to run; results come back in the same order.
     jobs:
-        Worker process count.  ``1`` executes inline in the calling
-        process (no pool; without resilience options, exceptions
-        propagate unchanged).
+        Worker process count.  ``1`` runs each cell in the calling
+        process (no pool, no pickling), one at a time, through the same
+        settle loop as the pool.
     cache:
         A :class:`ResultCache`, a directory path to open one at, or
         ``None`` to disable caching.  Hits skip execution entirely;
@@ -441,23 +686,20 @@ def execute_cells(
         integrity-verified: corrupt entries are quarantined (emitting
         ``cache_quarantine``) and recomputed; writes are best-effort, so
         a full disk costs a recompute later, never the run.
-    retries:
-        Extra attempts a cell is granted after an unsuccessful one.
-        Shorthand for ``retry_policy=RetryPolicy(retries=...)`` with zero
-        backoff; ignored when ``retry_policy`` is given.
     recorder:
         Optional event sink (see :mod:`repro.obs`).  The engine emits
         cell lifecycle events (``cell_start`` / ``cell_cached`` /
         ``cell_done`` / ``cell_failed``), retry-stack incidents
         (``cell_retry`` / ``cell_timeout`` / ``cell_abandoned``), cache
         integrity incidents (``cache_quarantine``), ``campaign_resume``
-        when a journal resumes, and a closing ``engine_summary``; per-run
-        events from workers (for tasks with ``trace=True``) are shipped
-        back in buffers and replayed in task order, so the trace is
-        deterministic regardless of worker scheduling.
+        when a journal resumes, and a closing ``engine_summary``.  Per-run
+        events (for tasks with ``trace=True``) are buffered per attempt
+        and emitted with the cell's settle event once every earlier cell
+        has settled, so the trace is a function of the task list alone,
+        whatever the worker scheduling.
     batch:
         Route cache-missed, batch-compatible cells through the stacked
-        tensor backend (:mod:`repro.batch`) before the serial/pool path.
+        tensor backend (:mod:`repro.batch`) before the settle loop.
         ``True`` stacks each compatible group whole; an integer caps the
         runs per stack.  Mixed budgets, seeds, epoch counts, fault
         campaigns, variation/hetero maps, and watchdog supervision all
@@ -465,18 +707,19 @@ def execute_cells(
         path does.  Cells the backend declines (profiling, non-default
         ``sensors``/``memory_system`` — see
         :func:`repro.batch.batch_unsupported_reason`) or that fail inside
-        a batch fall back to the serial/pool path with a recorded
+        a batch fall back to the settle loop with a recorded
         ``cell_fallback`` reason; results are bit-identical either way.
         Batch membership never enters :func:`~repro.parallel.cache.cell_key`.
     retry_policy:
-        Full control of retry behaviour: transient/deterministic error
-        classification, the identical-failure cutoff, and bounded
-        exponential backoff with seeded jitter (see
-        :class:`~repro.parallel.retry.RetryPolicy`).
+        Transient/deterministic error classification, the
+        identical-failure cutoff, and bounded exponential backoff with
+        seeded jitter (see :class:`~repro.parallel.retry.RetryPolicy`).
+        ``None`` grants one extra attempt with no backoff.
     timeout:
-        Per-cell soft deadline in seconds (``jobs > 1`` only).  A cell
-        still running past it is cancelled by the hung-worker watchdog —
-        its workers are terminated, the straggler is charged an attempt
+        Per-cell soft deadline in seconds, armed for the pool only (a
+        cell running in-process cannot be preempted).  A cell still
+        running past it is cancelled by the hung-worker watchdog — its
+        workers are terminated, the straggler is charged an attempt
         (error type ``CellTimeout``, transient), and innocent in-flight
         cells are re-queued *without* consuming their budgets.  The
         clock starts when the pool marks the cell running, which
@@ -485,9 +728,9 @@ def execute_cells(
     chaos:
         A :class:`~repro.parallel.chaos.ChaosPolicy` injecting seeded,
         deterministic infrastructure faults (worker crash/hang/transient
-        at cell start; cache corruption/truncation/disk-full around
-        writes).  Test and soak harness use only; ``None`` is exactly
-        today's behaviour.
+        at cell start — transient only in-process; cache
+        corruption/truncation/disk-full around writes).  Test and soak
+        harness use only; ``None`` injects nothing.
     journal:
         A :class:`~repro.parallel.journal.CampaignJournal` (or a path to
         create one at) checkpointing every cell settlement.  Requires
@@ -495,109 +738,14 @@ def execute_cells(
         directory is derived from the journal path.  Re-running with the
         same journal and cache completes only the missing cells and is
         bit-identical to an uninterrupted run.
-
-    Raises
-    ------
-    ParallelExecutionError
-        If any cell exhausted its attempts; carries the full failure
-        list.  Use :func:`execute_cells_report` to receive partial
-        results instead of an exception.
     """
-    resilient = (
-        retry_policy is not None
-        or timeout is not None
-        or chaos is not None
-        or journal is not None
-    )
-    report = _execute(
-        tasks,
-        jobs=jobs,
-        cache=cache,
-        retries=retries,
-        recorder=recorder,
-        batch=batch,
-        retry_policy=retry_policy,
-        timeout=timeout,
-        chaos=chaos,
-        journal=journal,
-        raw_inline=(jobs == 1 and not resilient),
-    )
-    if report.failures:
-        raise ParallelExecutionError(report.failures)
-    settled = report.completed()
-    if len(settled) != len(tasks):
-        raise RuntimeError(
-            f"engine invariant violated: {len(tasks) - len(settled)} cell(s) "
-            "neither produced a result nor recorded a failure"
-        )
-    return settled
-
-
-def execute_cells_report(
-    tasks: Sequence[CellTask],
-    jobs: int = 1,
-    cache: CacheLike = None,
-    retries: int = 1,
-    recorder: Optional[Recorder] = None,
-    batch: Union[bool, int] = False,
-    retry_policy: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-    chaos: Optional[ChaosPolicy] = None,
-    journal: JournalLike = None,
-) -> ExecutionReport:
-    """Partial-results variant of :func:`execute_cells`.
-
-    Never raises for cell failures: the returned
-    :class:`ExecutionReport` carries every completed result (in task
-    order, ``None`` where a cell failed) alongside the structured failure
-    list, so a campaign with one poisoned cell still delivers the other
-    results — and, with a journal, the failed cells stay pending for the
-    next resume.
-    """
-    return _execute(
-        tasks,
-        jobs=jobs,
-        cache=cache,
-        retries=retries,
-        recorder=recorder,
-        batch=batch,
-        retry_policy=retry_policy,
-        timeout=timeout,
-        chaos=chaos,
-        journal=journal,
-        raw_inline=False,
-    )
-
-
-def _execute(
-    tasks: Sequence[CellTask],
-    jobs: int,
-    cache: CacheLike,
-    retries: int,
-    recorder: Optional[Recorder],
-    batch: Union[bool, int],
-    retry_policy: Optional[RetryPolicy],
-    timeout: Optional[float],
-    chaos: Optional[ChaosPolicy],
-    journal: JournalLike,
-    raw_inline: bool,
-) -> ExecutionReport:
-    """Shared engine body behind :func:`execute_cells` /
-    :func:`execute_cells_report`."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     if batch is not True and batch is not False and int(batch) < 1:
         raise ValueError(f"batch must be a bool or a positive int, got {batch}")
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
-    policy = (
-        retry_policy
-        if retry_policy is not None
-        else RetryPolicy(retries=retries, base_delay=0.0, max_delay=0.0, jitter=0.0)
-    )
-    store = _coerce_cache(cache)
+    store = ResultCache.coerce(cache)
     jour: Optional[CampaignJournal] = None
     if journal is not None:
         jour = (
@@ -613,37 +761,17 @@ def _execute(
         store.chaos = chaos
 
     rec: Recorder = recorder if recorder is not None else NULL_RECORDER
-    metrics = CounterRegistry()
-    metrics.set_gauge("engine.jobs", jobs)
-    metrics.set_gauge("engine.cells_total", len(tasks))
-    cache0: Dict[str, int] = {}
-    if store is not None:
-        cache0 = {
-            "hits": store.hits,
-            "misses": store.misses,
-            "corrupt": store.corrupt,
-            "quarantined": store.quarantined,
-            "put_errors": store.put_errors,
-        }
-    q_cursor = len(store.quarantine_log) if store is not None else 0
-
-    results: List[Optional[SimulationResult]] = [None] * len(tasks)
-    keys: List[Optional[str]] = [None] * len(tasks)
-    if store is not None:
-        for i, task in enumerate(tasks):
-            keys[i] = cell_key(
-                task.cell, task.cfg, task.workload, task.factory, task.sim_kwargs
-            )
-
+    policy = retry_policy if retry_policy is not None else _DEFAULT_POLICY
+    run = _Invocation(tasks, store, jour, rec, policy, jobs)
     try:
         campaign: Optional[str] = None
         resumed = 0
         if jour is not None:
-            campaign = campaign_id([k for k in keys if k is not None])
+            campaign = campaign_id([k for k in run.keys if k is not None])
             journal_completed = jour.begin(campaign, len(tasks))
-            resumed = sum(1 for k in keys if k in journal_completed)
+            resumed = sum(1 for k in run.keys if k in journal_completed)
             if resumed:
-                metrics.set_gauge("engine.cells_resumed", resumed)
+                run.metrics.set_gauge("engine.cells_resumed", resumed)
                 if rec.enabled:
                     rec.emit(
                         "campaign_resume",
@@ -657,13 +785,13 @@ def _execute(
         for i, task in enumerate(tasks):
             if rec.enabled:
                 rec.emit("cell_start", cell=task.cell.label())
-            key = keys[i]
+            key = run.keys[i]
             if store is not None and key is not None:
                 hit = store.get(key)
-                q_cursor = _drain_quarantine(rec, metrics, store, q_cursor)
+                run.drain_quarantine()
                 if hit is not None:
-                    results[i] = hit
-                    metrics.inc("engine.cells_cached")
+                    run.results[i] = hit
+                    run.metrics.inc("engine.cells_cached")
                     if rec.enabled:
                         rec.emit("cell_cached", cell=task.cell.label())
                     if jour is not None:
@@ -672,117 +800,16 @@ def _execute(
             pending.append(i)
 
         if batch and pending:
-            before_batch = list(pending)
-            pending = _run_batched(
-                tasks, pending, keys, results, store, rec, metrics, batch
-            )
-            if jour is not None:
-                still = set(pending)
-                for i in before_batch:
-                    key = keys[i]
-                    if i not in still and key is not None and results[i] is not None:
-                        jour.record_done(i, key)
-
-        failures_of: Dict[int, CellFailure] = {}
-        success_attempts: Dict[int, int] = {}
-        event_buffers: Dict[int, Any] = {}
-        #: Deferred retry-stack events per cell, emitted at settle time in
-        #: task order so the trace stays deterministic when chaos is off.
-        notes: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
-
-        if jobs == 1:
-            if raw_inline:
-                # Historical serial path: stream traces straight into the
-                # recorder, propagate exceptions raw.
-                for i in pending:
-                    result = _run_cell(
-                        tasks[i], recorder=rec if tasks[i].trace else None
-                    )
-                    results[i] = result
-                    metrics.inc("engine.cells_run")
-                    key = keys[i]
-                    if store is not None and key is not None:
-                        store.put_safe(key, result)
-                    if rec.enabled:
-                        rec.emit(
-                            "cell_done", cell=tasks[i].cell.label(), attempts=1
-                        )
-                counters = _summary_counters(metrics, store, cache0)
-                if rec.enabled:
-                    rec.emit("engine_summary", counters=counters)
-                return ExecutionReport(
-                    results=tuple(results),
-                    failures=(),
-                    counters=counters,
-                )
-            _run_inline_resilient(
-                tasks,
-                pending,
-                keys,
-                results,
-                store,
-                jour,
-                rec,
-                metrics,
-                policy,
-                chaos,
-                failures_of,
-                success_attempts,
-                event_buffers,
-                notes,
-            )
-        else:
-            _run_pool(
-                tasks,
-                pending,
-                keys,
-                results,
-                store,
-                jour,
-                metrics,
-                policy,
-                timeout,
-                chaos,
-                jobs,
-                failures_of,
-                success_attempts,
-                event_buffers,
-                notes,
-            )
-        if store is not None:
-            q_cursor = _drain_quarantine(rec, metrics, store, q_cursor)
-
-        if rec.enabled:
-            # Replay deferred notes, worker event buffers and settle-state
-            # events in task order: the trace's cell sequence is then a
-            # deterministic function of the task list, not of worker
-            # scheduling.
-            for i, task in enumerate(tasks):
-                for note_type, payload in notes.get(i, []):
-                    rec.emit(note_type, cell=task.cell.label(), **payload)
-                events = event_buffers.get(i)
-                if events:
-                    _replay_events(rec, events)
-                if i in success_attempts:
-                    rec.emit(
-                        "cell_done",
-                        cell=task.cell.label(),
-                        attempts=success_attempts[i],
-                    )
-                elif i in failures_of:
-                    failure = failures_of[i]
-                    rec.emit(
-                        "cell_failed",
-                        cell=task.cell.label(),
-                        attempts=failure.attempts,
-                        error_type=failure.error_type,
-                    )
-        counters = _summary_counters(metrics, store, cache0)
+            pending = _run_batched(run, pending, batch)
+        if pending:
+            _run_pool(run, pending, jobs, timeout, chaos)
+        run.drain_quarantine()
+        counters = run.counters()
         if rec.enabled:
             rec.emit("engine_summary", counters=counters)
         return ExecutionReport(
-            results=tuple(results),
-            failures=tuple(failures_of[i] for i in sorted(failures_of)),
+            results=tuple(run.results),
+            failures=tuple(run.failures[i] for i in sorted(run.failures)),
             counters=counters,
             campaign=campaign,
             resumed=resumed,
@@ -791,417 +818,181 @@ def _execute(
         if jour is not None:
             jour.close()
         # Durability on the unhappy path: a run that raises mid-campaign
-        # must not lose the recorder's buffered tail (satellite of the
-        # torn-trace bug).  ``getattr`` keeps third-party recorders that
-        # predate ``flush`` working.
+        # must not lose the recorder's buffered tail.  ``getattr`` keeps
+        # third-party recorders that predate ``flush`` working.
         flush = getattr(rec, "flush", None)
         if callable(flush):
             flush()
 
 
-def _settle_failure(
-    task: CellTask,
-    attempts: int,
-    error: Tuple[str, str, str],
-    policy: RetryPolicy,
-    metrics: CounterRegistry,
-    notes: Dict[int, List[Tuple[str, Dict[str, Any]]]],
-    index: int,
-) -> CellFailure:
-    """Build the :class:`CellFailure` for a cell that gets no more attempts,
-    noting a ``cell_abandoned`` event when budget remained unspent."""
-    error_type, message, tb_text = error
-    classification = policy.classify(error_type, message)
-    if attempts <= policy.retries:
-        metrics.inc("engine.cells_abandoned")
-        notes.setdefault(index, []).append(
-            (
-                "cell_abandoned",
-                {
-                    "attempts": attempts,
-                    "error_type": error_type,
-                    "classification": classification,
-                },
-            )
-        )
-    metrics.inc("engine.cells_failed")
-    return CellFailure(
-        cell=task.cell,
-        attempts=attempts,
-        error_type=error_type,
-        message=message,
-        traceback_text=tb_text,
-        classification=classification,
-    )
-
-
-def _note_retry(
-    task: CellTask,
-    attempts: int,
-    error: Tuple[str, str, str],
-    policy: RetryPolicy,
-    metrics: CounterRegistry,
-    notes: Dict[int, List[Tuple[str, Dict[str, Any]]]],
-    index: int,
-) -> None:
-    """Record one granted retry (counter + deferred ``cell_retry`` event)."""
-    error_type, message, _ = error
-    metrics.inc("engine.retries")
-    notes.setdefault(index, []).append(
-        (
-            "cell_retry",
-            {
-                "attempt": attempts,
-                "error_type": error_type,
-                "classification": policy.classify(error_type, message),
-                "delay": policy.delay_before(attempts + 1, task.cell.label()),
-            },
-        )
-    )
-
-
-def _run_inline_resilient(
-    tasks: Sequence[CellTask],
-    pending: List[int],
-    keys: List[Optional[str]],
-    results: List[Optional[SimulationResult]],
-    store: Optional[ResultCache],
-    jour: Optional[CampaignJournal],
-    rec: Recorder,
-    metrics: CounterRegistry,
-    policy: RetryPolicy,
-    chaos: Optional[ChaosPolicy],
-    failures_of: Dict[int, CellFailure],
-    success_attempts: Dict[int, int],
-    event_buffers: Dict[int, Any],
-    notes: Dict[int, List[Tuple[str, Dict[str, Any]]]],
-) -> None:
-    """``jobs=1`` with the classified-retry machinery, scheduled by
-    deadline: cells run in task order, but a cell owing backoff is
-    *deferred* (per-cell ``not_before`` timestamp) while later ready
-    cells execute, so a flaky cell never stalls the rest of the grid —
-    the process only sleeps when every pending cell is backing off.
-
-    Traced runs buffer per attempt; a successful attempt replaces any
-    earlier partial buffer, so a retried cell never double-emits its
-    epochs, while a permanently failed cell keeps its last attempt's
-    partial trace through the final completed epoch."""
-    queue: Deque[int] = deque(pending)
-    not_before: Dict[int, float] = {i: 0.0 for i in pending}
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    history: Dict[int, List[Tuple[str, str]]] = {i: [] for i in pending}
-    while queue:
-        now = time.monotonic()
-        pos = next((p for p, j in enumerate(queue) if not_before[j] <= now), None)
-        if pos is None:
-            # Every pending cell is backing off; sleep to the nearest
-            # deadline instead of spinning.
-            time.sleep(max(0.0, min(not_before[j] for j in queue) - now))
-            continue
-        i = queue[pos]
-        del queue[pos]
-        task = tasks[i]
-        label = task.cell.label()
-        attempts[i] += 1
-        attempt = attempts[i]
-        buffer = BufferRecorder() if task.trace and rec.enabled else None
-        try:
-            if chaos is not None:
-                chaos.inline_cell_start(label, attempt)
-            result = _run_cell(task, recorder=buffer)
-        except Exception as exc:
-            error = (type(exc).__qualname__, str(exc), traceback.format_exc())
-            history[i].append((error[0], error[1]))
-            if buffer is not None and buffer.events:
-                # Partial trace of the failed attempt; a later successful
-                # attempt overwrites it below.
-                event_buffers[i] = buffer.events
-            if policy.should_retry(attempt, history[i]):
-                _note_retry(task, attempt, error, policy, metrics, notes, i)
-                not_before[i] = time.monotonic() + policy.delay_before(
-                    attempt + 1, label
-                )
-                queue.append(i)
-                continue
-            failures_of[i] = _settle_failure(
-                task, attempt, error, policy, metrics, notes, i
-            )
-            key = keys[i]
-            if jour is not None and key is not None:
-                jour.record_failed(i, key, error[0], attempt)
-            continue
-        results[i] = result
-        success_attempts[i] = attempt
-        metrics.inc("engine.cells_run")
-        if buffer is not None:
-            if buffer.events:
-                event_buffers[i] = buffer.events
-            else:
-                event_buffers.pop(i, None)
-        key = keys[i]
-        if store is not None and key is not None:
-            store.put_safe(key, result)
-        if jour is not None and key is not None:
-            jour.record_done(i, key)
-
-
 def _run_pool(
-    tasks: Sequence[CellTask],
+    run: _Invocation,
     pending: List[int],
-    keys: List[Optional[str]],
-    results: List[Optional[SimulationResult]],
-    store: Optional[ResultCache],
-    jour: Optional[CampaignJournal],
-    metrics: CounterRegistry,
-    policy: RetryPolicy,
+    jobs: int,
     timeout: Optional[float],
     chaos: Optional[ChaosPolicy],
-    jobs: int,
-    failures_of: Dict[int, CellFailure],
-    success_attempts: Dict[int, int],
-    event_buffers: Dict[int, Any],
-    notes: Dict[int, List[Tuple[str, Dict[str, Any]]]],
 ) -> None:
-    """The pool rounds loop: submit, watch, classify, retry or settle.
+    """The settle loop: submit, watch, classify, retry or settle.
 
-    Backoff never blocks dispatch: a retried cell carries a per-cell
-    ``not_before`` deadline and is *deferred* — ready cells are submitted
-    immediately, deferred cells are promoted into the live pool as their
-    deadlines pass, and the hung-worker watchdog keeps ticking
-    throughout.  A cell in backoff therefore never stalls unrelated work
-    (the backoff-stall bug: the old one-``time.sleep``-per-round design
-    held every ready cell and the watchdog hostage to the longest delay
-    owed by any retried member).
+    The only place a non-batched cell is attempted.  ``jobs=1`` runs on
+    an :class:`_InProcessExecutor`, one cell at a time, so every cell
+    settles — and its events are emitted — before the next one starts.
+    ``jobs > 1`` runs on a spawn-started process pool, rebuilt whenever a
+    worker death or the watchdog breaks it.
+
+    Backoff never blocks dispatch: a retried cell waits aside behind its
+    per-cell ``not_before`` deadline while ready cells are submitted and
+    the hung-worker watchdog keeps ticking; the loop sleeps only when
+    nothing is in flight and every waiting cell is backing off.
     """
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    history: Dict[int, List[Tuple[str, str]]] = {i: [] for i in pending}
-    last_error: Dict[int, Tuple[str, str, str]] = {}
-    #: Last failed attempt's partial event buffer per cell (pool workers
-    #: ship it with the error payload); replayed only on permanent failure.
-    error_events: Dict[int, Any] = {}
-    not_before: Dict[int, float] = {i: 0.0 for i in pending}
-    to_run = list(pending)
-    while to_run:
-        retry_round: List[int] = []
-        requeue_free: List[int] = []
-        deferred: List[int] = []
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(to_run)), mp_context=get_context("spawn")
-        ) as pool:
-            now = time.monotonic()
-            ready = [i for i in to_run if not_before[i] <= now]
-            deferred = [i for i in to_run if not_before[i] > now]
-            future_of = {
-                pool.submit(_run_cell_guarded, tasks[i], chaos, attempts[i] + 1): i
-                for i in ready
-            }
-            not_done = set(future_of)
+    in_process = jobs == 1
+    for i in pending:
+        run.attempts[i] = 0
+        run.history[i] = []
+        run.enqueue(i)
+    while run.waiting:
+        executor: Any = (
+            _InProcessExecutor()
+            if in_process
+            else ProcessPoolExecutor(
+                max_workers=min(jobs, len(run.waiting)),
+                mp_context=get_context("spawn"),
+            )
+        )
+        with executor as pool:
+            live: Dict[Any, int] = {}
             running_since: Dict[Any, float] = {}
             broken = False
             watchdog_broke = False
-            while (not_done or deferred) and not broken:
-                if not not_done:
-                    # Only deferred cells remain: sleep to the nearest
-                    # backoff deadline, then promote below.
-                    wake_in = (
-                        min(not_before[i] for i in deferred) - time.monotonic()
-                    )
-                    if wake_in > 0:
-                        time.sleep(wake_in)
-                    done: Set[Any] = set()
-                else:
-                    # Poll when a watchdog deadline or a deferral is
-                    # armed; a plain blocking wait otherwise, so neither
-                    # costs anything when unused.
-                    ticks: List[float] = []
-                    if timeout is not None:
-                        ticks.append(max(0.01, min(0.05, timeout / 5.0)))
-                    if deferred:
-                        wake_in = (
-                            min(not_before[i] for i in deferred)
-                            - time.monotonic()
+            while (live or run.waiting) and not broken:
+                now = time.monotonic()
+                ripe = [j for j in run.waiting if run.not_before[j] <= now]
+                for i in ripe[:1] if in_process else ripe:
+                    try:
+                        fut = pool.submit(
+                            _run_cell_guarded,
+                            run.tasks[i],
+                            chaos,
+                            run.attempts[i] + 1,
+                            in_process,
                         )
-                        ticks.append(max(0.01, wake_in))
-                    tick = min(ticks) if ticks else None
-                    done, not_done = wait(
-                        not_done, timeout=tick, return_when=FIRST_COMPLETED
-                    )
+                    except BrokenProcessPool:
+                        # The pool died under us: unsubmitted cells keep
+                        # their deadlines for the next pool.
+                        broken = True
+                        break
+                    run.waiting.remove(i)
+                    live[fut] = i
+                if broken:
+                    break
+                if not live:
+                    # Every waiting cell is backing off: sleep to the
+                    # nearest deadline.
+                    wake_at = min(run.not_before[j] for j in run.waiting)
+                    time.sleep(max(0.0, wake_at - time.monotonic()))
+                    continue
+                # Poll when a watchdog deadline or a backoff is armed; a
+                # plain blocking wait otherwise, so neither costs anything
+                # when unused.
+                ticks: List[float] = []
+                if timeout is not None:
+                    ticks.append(max(0.01, min(0.05, timeout / 5.0)))
+                if run.waiting:
+                    wake_at = min(run.not_before[j] for j in run.waiting)
+                    ticks.append(max(0.01, wake_at - time.monotonic()))
+                done, _ = wait(
+                    live,
+                    timeout=min(ticks) if ticks else None,
+                    return_when=FIRST_COMPLETED,
+                )
                 for fut in done:
-                    i = future_of[fut]
+                    i = live.pop(fut)
                     try:
                         status, payload = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        attempts[i] += 1
-                        last_error[i] = (
-                            "WorkerCrash",
-                            "worker process died before returning a result",
-                            "",
+                        run.charge(
+                            i,
+                            (
+                                "WorkerCrash",
+                                "worker process died before returning a result",
+                                "",
+                            ),
                         )
-                        history[i].append((last_error[i][0], last_error[i][1]))
-                        retry_round.append(i)
                         continue
                     except Exception as exc:
                         # Submission-side errors (e.g. an unpicklable lambda
                         # factory) surface here rather than in the worker;
                         # they consume an attempt like any other failure.
-                        attempts[i] += 1
-                        last_error[i] = (
-                            type(exc).__qualname__,
-                            str(exc),
-                            traceback.format_exc(),
+                        run.charge(
+                            i,
+                            (type(exc).__qualname__, str(exc), traceback.format_exc()),
                         )
-                        history[i].append((last_error[i][0], last_error[i][1]))
-                        retry_round.append(i)
                         continue
                     if status == "ok":
                         result, events = payload
-                        results[i] = result
-                        success_attempts[i] = attempts.pop(i, 0) + 1
+                        run.attempts[i] += 1
                         if events:
-                            event_buffers[i] = events
-                        error_events.pop(i, None)
-                        metrics.inc("engine.cells_run")
-                        key = keys[i]
-                        if store is not None and key is not None:
-                            store.put_safe(key, result)
-                        if jour is not None and key is not None:
-                            jour.record_done(i, key)
+                            run.events[i] = events
+                        run.complete(i, result)
                     else:
-                        attempts[i] += 1
-                        last_error[i] = (payload[0], payload[1], payload[2])
-                        if len(payload) > 3 and payload[3]:
-                            error_events[i] = payload[3]
-                        history[i].append((payload[0], payload[1]))
-                        retry_round.append(i)
-                # Promote deferred cells whose backoff deadlines passed
-                # into the live pool.
-                if deferred and not broken:
-                    now = time.monotonic()
-                    ripe = [i for i in deferred if not_before[i] <= now]
-                    if ripe:
-                        deferred = [i for i in deferred if not_before[i] > now]
-                        for pos, i in enumerate(ripe):
-                            try:
-                                fut = pool.submit(
-                                    _run_cell_guarded,
-                                    tasks[i],
-                                    chaos,
-                                    attempts[i] + 1,
-                                )
-                            except BrokenProcessPool:
-                                # The pool died under us: unpromoted cells
-                                # keep their deadlines for the next round.
-                                broken = True
-                                deferred.extend(ripe[pos:])
-                                break
-                            future_of[fut] = i
-                            not_done.add(fut)
-                if broken or timeout is None or not not_done:
+                        error_type, message, tb_text, events, exc = payload
+                        run.charge(i, (error_type, message, tb_text), events, exc)
+                run.flush()
+                if broken or timeout is None or not live:
                     continue
-                # Soft-deadline watchdog: charge stragglers, kill the pool,
-                # and let the broken-pool path re-queue the innocents for
-                # free (their budgets are untouched).
+                # Soft-deadline watchdog (pool only: an in-process future is
+                # complete when submitted, so ``live`` is empty here):
+                # charge stragglers, kill the pool, and let the broken-pool
+                # path re-queue the innocents for free (their budgets are
+                # untouched).
                 now = time.monotonic()
-                for fut in not_done:
+                for fut in live:
                     if fut.running() and fut not in running_since:
                         running_since[fut] = now
                 expired = [
                     fut
-                    for fut in not_done
-                    if fut in running_since
-                    and now - running_since[fut] >= timeout
+                    for fut in live
+                    if fut in running_since and now - running_since[fut] >= timeout
                 ]
                 if expired:
                     broken = True
                     watchdog_broke = True
                     for fut in expired:
-                        i = future_of[fut]
-                        attempts[i] += 1
-                        last_error[i] = (
-                            "CellTimeout",
-                            f"cell exceeded its soft deadline of {timeout}s",
-                            "",
+                        i = live.pop(fut)
+                        run.metrics.inc("engine.timeouts")
+                        run.note(
+                            i,
+                            "cell_timeout",
+                            attempt=run.attempts[i] + 1,
+                            deadline=timeout,
                         )
-                        history[i].append((last_error[i][0], last_error[i][1]))
-                        metrics.inc("engine.timeouts")
-                        notes.setdefault(i, []).append(
+                        run.charge(
+                            i,
                             (
-                                "cell_timeout",
-                                {"attempt": attempts[i], "deadline": timeout},
-                            )
+                                "CellTimeout",
+                                f"cell exceeded its soft deadline of {timeout}s",
+                                "",
+                            ),
                         )
-                        retry_round.append(i)
-                    not_done -= set(expired)
                     _terminate_pool_processes(pool)
             if broken:
-                for fut in not_done:
-                    i = future_of[fut]
+                for fut, i in live.items():
                     fut.cancel()
                     if watchdog_broke:
                         # Innocent bystanders of a watchdog kill: re-queued
-                        # with their attempt budgets untouched.
-                        metrics.inc("engine.requeued")
-                        requeue_free.append(i)
+                        # at once, their attempt budgets untouched.
+                        run.metrics.inc("engine.requeued")
+                        run.enqueue(i)
                     else:
                         # Casualties of a genuine crash: one attempt each,
-                        # then resubmit to a fresh pool.
-                        attempts[i] += 1
-                        last_error[i] = (
-                            "WorkerCrash",
-                            "worker pool broke while the cell was queued/in flight",
-                            "",
+                        # then resubmitted to a fresh pool.
+                        run.charge(
+                            i,
+                            (
+                                "WorkerCrash",
+                                "worker pool broke while the cell was queued/in flight",
+                                "",
+                            ),
                         )
-                        history[i].append((last_error[i][0], last_error[i][1]))
-                        retry_round.append(i)
-
-        to_run = []
-        for i in retry_round:
-            if policy.should_retry(attempts[i], history[i]):
-                to_run.append(i)
-                _note_retry(
-                    tasks[i], attempts[i], last_error[i], policy, metrics, notes, i
-                )
-                not_before[i] = time.monotonic() + policy.delay_before(
-                    attempts[i] + 1, tasks[i].cell.label()
-                )
-            else:
-                if error_events.get(i):
-                    # Permanent failure: replay the last attempt's partial
-                    # trace through its final completed epoch.
-                    event_buffers[i] = error_events[i]
-                failures_of[i] = _settle_failure(
-                    tasks[i], attempts[i], last_error[i], policy, metrics, notes, i
-                )
-                key = keys[i]
-                if jour is not None and key is not None:
-                    jour.record_failed(i, key, last_error[i][0], attempts[i])
-        for i in requeue_free:
-            # Watchdog innocents re-enter immediately: the requeue is not
-            # a retry and owes no backoff.
-            not_before[i] = 0.0
-        to_run.extend(requeue_free)
-        to_run.extend(deferred)
-        to_run.sort()
-
-
-def _summary_counters(
-    metrics: CounterRegistry,
-    store: Optional[ResultCache],
-    cache0: Dict[str, int],
-) -> Dict[str, Number]:
-    """The invocation's counter snapshot, with this invocation's cache
-    deltas folded in — what ``engine_summary`` emits and
-    :attr:`ExecutionReport.counters` carries."""
-    counters = metrics.snapshot()
-    if store is not None:
-        counters["cache.hits"] = store.hits - cache0.get("hits", 0)
-        counters["cache.misses"] = store.misses - cache0.get("misses", 0)
-        counters["cache.corrupt"] = store.corrupt - cache0.get("corrupt", 0)
-        counters["cache.quarantined"] = store.quarantined - cache0.get(
-            "quarantined", 0
-        )
-        counters["cache.put_errors"] = store.put_errors - cache0.get(
-            "put_errors", 0
-        )
-    return counters
+                run.flush()

@@ -52,13 +52,8 @@ class ExperimentService:
         timeout: Optional[float] = None,
         memo_limit: int = 4096,
     ) -> None:
-        store: Optional[ResultCache]
-        if cache is None or isinstance(cache, ResultCache):
-            store = cache
-        else:
-            store = ResultCache(cache)
         self._scheduler = ContinuousScheduler(
-            cache=store,
+            cache=ResultCache.coerce(cache),
             engine_jobs=engine_jobs,
             batch=batch,
             round_size=round_size,

@@ -3,10 +3,11 @@
 The evaluation compares the same controller set across many workloads,
 budgets, and core counts.  This module centralizes the controller lineup
 (so every experiment uses identical configurations) and the grid
-bookkeeping.  Grids run serially by default; ``jobs=N`` shards the grid
-across worker processes and ``cache=`` adds content-addressed result
-caching — both via :mod:`repro.parallel`, and both bit-identical to the
-serial loop on every deterministic output (see ``docs/parallel.md``).
+bookkeeping.  Every grid runs through the :mod:`repro.parallel` engine:
+in-process one cell at a time by default, sharded across worker
+processes with ``jobs=N``, with content-addressed result caching under
+``cache=`` — bit-identical on every deterministic output whatever the
+options (see ``docs/parallel.md``).
 
 Controller factories are ``functools.partial`` objects over module-level
 builders rather than lambdas: partials pickle into spawned workers and
@@ -38,7 +39,6 @@ from repro.manycore.config import SystemConfig
 from repro.obs import Recorder
 from repro.sim.interface import Controller
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import run_controller
 from repro.workloads.phases import Workload
 
 if TYPE_CHECKING:
@@ -285,15 +285,6 @@ def build_sweep_tasks(
     return cells, tasks
 
 
-def _flush_recorder(recorder: Optional[Recorder]) -> None:
-    """Best-effort flush so a grid that raises mid-run cannot tear off
-    the recorder's buffered tail (``getattr`` tolerates legacy recorders
-    that predate ``flush``)."""
-    flush = getattr(recorder, "flush", None)
-    if callable(flush):
-        flush()
-
-
 def run_suite(
     cfg: SystemConfig,
     workloads: Mapping[str, Workload],
@@ -305,20 +296,23 @@ def run_suite(
     recorder: Optional[Recorder] = None,
     profile: bool = False,
     batch: Union[bool, int] = False,
-    retry_policy: Optional[Any] = None,
     timeout: Optional[float] = None,
-    chaos: Optional[Any] = None,
     journal: Union[str, Path, Any, None] = None,
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Run every controller on every workload.
 
+    The grid goes through :func:`~repro.parallel.engine.execute_cells`
+    whatever the options; the defaults run it in-process, one cell at a
+    time, and re-raise a failing cell's original exception once the
+    other cells have run.
+
     Parameters
     ----------
     jobs:
-        Worker process count.  The default ``1`` runs the historical
-        serial loop in-process; ``jobs > 1`` shards the controller ×
-        workload grid across spawned workers (factories must then be
-        picklable — the standard lineup is).
+        Worker process count.  The default ``1`` runs every cell in the
+        calling process; ``jobs > 1`` shards the controller × workload
+        grid across spawned workers (factories must then be picklable —
+        the standard lineup is).
     cache:
         Optional result cache: a directory path or a
         :class:`repro.parallel.ResultCache`.  Cells whose content-addressed
@@ -333,31 +327,30 @@ def run_suite(
     recorder, profile:
         Observability switches (see :mod:`repro.obs`), threaded as
         explicit parameters — never through ``sim_kwargs`` — so they stay
-        out of cache keys and worker pickles.  With ``jobs > 1`` the
-        recorder stays in the parent; workers buffer their events and the
-        engine replays them in task order.
+        out of cache keys and worker pickles.  Each cell's events are
+        buffered and emitted in task order as cells settle; the engine
+        flushes the recorder on the way out, also when a cell raises.
     batch:
         Stack compatible cells into tensor batches (:mod:`repro.batch`)
         and advance each stack with one NumPy epoch step — the third
-        backend beside the serial loop and ``jobs=``.  ``True`` batches
-        each compatible group whole; an integer caps the stack size.
-        Results are bit-identical to the serial loop; mixed budgets,
-        seeds, epoch counts, fault campaigns, variation/hetero maps, and
-        watchdog supervision all stack.  Incompatible cells (tracing or
-        profiling enabled, non-default ``sensors``/``memory_system``)
-        fall back per cell with a recorded reason.  Composes with ``cache=``
-        (batching never changes a cell's cache key) and with ``jobs=``
-        for the fallback cells.
-    retry_policy, timeout, chaos, journal:
-        Resilience switches, forwarded verbatim to
-        :func:`~repro.parallel.engine.execute_cells` — a
-        :class:`~repro.parallel.RetryPolicy`, a per-cell soft deadline in
-        seconds, a :class:`~repro.parallel.ChaosPolicy` for fault-drill
-        runs, and a campaign journal path (or
+        backend beside the in-process loop and ``jobs=``.  ``True``
+        batches each compatible group whole; an integer caps the stack
+        size.  Results are bit-identical to the unbatched run; mixed
+        budgets, seeds, epoch counts, fault campaigns, variation/hetero
+        maps, watchdog supervision and traced cells all stack.
+        Incompatible cells (profiling enabled, non-default
+        ``sensors``/``memory_system``) fall back per cell with a recorded
+        reason.  Composes with ``cache=`` (batching never changes a
+        cell's cache key) and with ``jobs=`` for the fallback cells.
+    timeout, journal:
+        A per-cell soft deadline in seconds (armed for ``jobs > 1``
+        only) and a campaign journal path (or
         :class:`~repro.parallel.CampaignJournal`) enabling
-        checkpoint/resume.  Any of them being set routes even ``jobs=1``
-        grids through the resilient engine (results stay bit-identical;
-        see ``docs/parallel.md``).
+        checkpoint/resume, forwarded to
+        :func:`~repro.parallel.engine.execute_cells`.  With either set,
+        or with ``jobs > 1``, a failing cell raises
+        :class:`~repro.parallel.ParallelExecutionError` instead of its
+        original exception (see ``docs/parallel.md``).
 
     Returns
     -------
@@ -366,40 +359,18 @@ def run_suite(
     """
     if n_epochs <= 0:
         raise ValueError(f"n_epochs must be positive, got {n_epochs}")
-    extra = dict(sim_kwargs or {})
-    resilient = (
-        retry_policy is not None or timeout is not None
-        or chaos is not None or journal is not None
-    )
-    if (jobs == 1 and cache is None and recorder is None and not profile
-            and not batch and not resilient):
-        results: Dict[str, Dict[str, SimulationResult]] = {}
-        for ctrl_name, factory in controllers.items():
-            results[ctrl_name] = {}
-            for wl_name, workload in workloads.items():
-                controller = factory(cfg)
-                results[ctrl_name][wl_name] = run_controller(
-                    cfg, workload, controller, n_epochs, **extra
-                )
-        return results
-
     from repro.parallel.cells import merge_suite
     from repro.parallel.engine import execute_cells
 
-    trace = recorder is not None and recorder.enabled
     cells, tasks = build_suite_tasks(
-        cfg, workloads, controllers, n_epochs,
-        sim_kwargs=extra, trace=trace, profile=profile,
+        cfg, workloads, controllers, n_epochs, sim_kwargs=sim_kwargs,
+        trace=recorder is not None and recorder.enabled, profile=profile,
     )
-    try:
-        flat = execute_cells(
-            tasks, jobs=jobs, cache=cache, recorder=recorder, batch=batch,
-            retry_policy=retry_policy, timeout=timeout, chaos=chaos,
-            journal=journal,
-        )
-        return merge_suite(cells, flat)
-    finally:
-        _flush_recorder(recorder)
+    flat = execute_cells(
+        tasks, jobs=jobs, cache=cache, recorder=recorder, batch=batch,
+        timeout=timeout, journal=journal,
+    )
+    return merge_suite(cells, flat)
 
 
 def run_budget_sweep(
@@ -414,18 +385,16 @@ def run_budget_sweep(
     recorder: Optional[Recorder] = None,
     profile: bool = False,
     batch: Union[bool, int] = False,
-    retry_policy: Optional[Any] = None,
     timeout: Optional[float] = None,
-    chaos: Optional[Any] = None,
     journal: Union[str, Path, Any, None] = None,
 ) -> Dict[str, Dict[float, SimulationResult]]:
     """Run every controller at each absolute budget (watts) on one workload.
 
     ``jobs``, ``cache``, ``sim_kwargs``, ``recorder``, ``profile``,
-    ``batch`` and the resilience switches (``retry_policy``, ``timeout``,
-    ``chaos``, ``journal``) behave as in :func:`run_suite` — a budget
-    sweep is the batched backend's best case, since one controller's
-    cells at different budgets stack into a single tensor simulation.
+    ``batch``, ``timeout`` and ``journal`` behave as in
+    :func:`run_suite` — a budget sweep is the batched backend's best
+    case, since one controller's cells at different budgets stack into a
+    single tensor simulation.
 
     Returns
     -------
@@ -436,41 +405,19 @@ def run_budget_sweep(
         raise ValueError("budgets must be non-empty")
     if n_epochs <= 0:
         raise ValueError(f"n_epochs must be positive, got {n_epochs}")
-    extra = dict(sim_kwargs or {})
-    resilient = (
-        retry_policy is not None or timeout is not None
-        or chaos is not None or journal is not None
-    )
-    if (jobs == 1 and cache is None and recorder is None and not profile
-            and not batch and not resilient):
-        results: Dict[str, Dict[float, SimulationResult]] = {}
-        for ctrl_name, factory in controllers.items():
-            results[ctrl_name] = {}
-            for budget in budgets:
-                cfg = base_cfg.with_budget(budget)
-                controller = factory(cfg)
-                results[ctrl_name][budget] = run_controller(
-                    cfg, workload, controller, n_epochs, **extra
-                )
-        return results
-
     from repro.parallel.cells import merge_sweep
     from repro.parallel.engine import execute_cells
 
-    trace = recorder is not None and recorder.enabled
     cells, tasks = build_sweep_tasks(
         base_cfg, budgets, workload, controllers, n_epochs,
-        sim_kwargs=extra, trace=trace, profile=profile,
+        sim_kwargs=sim_kwargs,
+        trace=recorder is not None and recorder.enabled, profile=profile,
     )
-    try:
-        flat = execute_cells(
-            tasks, jobs=jobs, cache=cache, recorder=recorder, batch=batch,
-            retry_policy=retry_policy, timeout=timeout, chaos=chaos,
-            journal=journal,
-        )
-        merged = merge_sweep(cells, flat)
-    finally:
-        _flush_recorder(recorder)
+    flat = execute_cells(
+        tasks, jobs=jobs, cache=cache, recorder=recorder, batch=batch,
+        timeout=timeout, journal=journal,
+    )
+    merged = merge_sweep(cells, flat)
     # Budget keys must be the caller's original float objects/ordering.
     return {
         ctrl: {b: merged[ctrl][float(b)] for b in budgets} for ctrl in controllers

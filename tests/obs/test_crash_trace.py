@@ -3,7 +3,7 @@
 ``JsonlRecorder`` buffers writes; a controller raising mid-run used to
 abandon the buffered tail (and, on the worker path, the failed cell's
 partial events), leaving a trace that lied about how far the run got.
-The runner now flushes the recorder in a ``finally`` and workers ship
+The engine now flushes the recorder in a ``finally`` and workers ship
 partial event buffers home with the failure, so a post-mortem reads the
 truth: every event through the last completed epoch, no torn tail.
 """
@@ -16,8 +16,8 @@ import pytest
 
 from repro.manycore import default_system
 from repro.obs import JsonlRecorder
-from repro.parallel import ParallelExecutionError, RetryPolicy
-from repro.sim.runner import run_suite
+from repro.parallel import ParallelExecutionError, RetryPolicy, execute_cells
+from repro.sim.runner import build_suite_tasks, run_suite
 from repro.workloads import mixed_workload
 
 from tests.parallel import helpers
@@ -96,10 +96,12 @@ class TestCrashLeavesValidTrace:
         path = tmp_path / "trace.jsonl"
         recorder = JsonlRecorder(str(path))
         try:
+            _, tasks = build_suite_tasks(
+                cfg, workloads, controllers(), N_EPOCHS, trace=True,
+            )
             with pytest.raises(ParallelExecutionError):
-                run_suite(
-                    cfg, workloads, controllers(), N_EPOCHS,
-                    jobs=1, recorder=recorder,
+                execute_cells(
+                    tasks, jobs=1, recorder=recorder,
                     retry_policy=RetryPolicy(retries=1, base_delay=0.0),
                 )
         finally:

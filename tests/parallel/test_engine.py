@@ -7,19 +7,29 @@ in-cell exceptions deterministically.
 
 from __future__ import annotations
 
+import dataclasses
+import time
+import traceback
 from functools import partial
 
 import pytest
 
+from repro.baselines import StaticUniformController
 from repro.manycore import default_system
+from repro.obs import BufferRecorder
 from repro.parallel import (
+    CellFailure,
     CellTask,
+    ChaosPolicy,
+    ExecutionReport,
     ParallelExecutionError,
+    ResultCache,
     RetryPolicy,
     RunCell,
     execute_cells,
     execute_cells_report,
 )
+from repro.parallel import chaos as chaos_module
 from repro.workloads import mixed_workload
 
 from tests.parallel import helpers
@@ -36,6 +46,11 @@ def cfg():
 @pytest.fixture(scope="module")
 def workload():
     return mixed_workload(N_CORES, seed=0)
+
+
+def no_backoff(retries):
+    """The engine's default policy shape with a chosen retry budget."""
+    return RetryPolicy(retries=retries, base_delay=0.0, max_delay=0.0, jitter=0.0)
 
 
 def make_task(cfg, workload, factory, name="cell"):
@@ -65,7 +80,7 @@ class TestInlineExecution:
     def test_rejects_negative_retries(self, cfg, workload):
         task = make_task(cfg, workload, helpers.build_static)
         with pytest.raises(ValueError, match="retries"):
-            execute_cells([task], retries=-1)
+            execute_cells([task], retry_policy=no_backoff(-1))
 
 
 class TestCrashRecovery:
@@ -81,7 +96,7 @@ class TestCrashRecovery:
     def test_persistent_crash_becomes_structured_failure(self, cfg, workload):
         task = make_task(cfg, workload, helpers.always_crash, name="crasher")
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells([task], jobs=2, retries=1)
+            execute_cells([task], jobs=2, retry_policy=no_backoff(1))
         (failure,) = excinfo.value.failures
         assert failure.cell.controller == "crasher"
         assert failure.error_type == "WorkerCrash"
@@ -107,7 +122,7 @@ class TestStructuredFailures:
     def test_worker_exception_ships_back_as_values(self, cfg, workload):
         task = make_task(cfg, workload, helpers.always_raise, name="raiser")
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells([task], jobs=2, retries=0)
+            execute_cells([task], jobs=2, retry_policy=no_backoff(0))
         (failure,) = excinfo.value.failures
         assert failure.error_type == "ValueError"
         assert "deliberate factory failure" in failure.message
@@ -119,7 +134,7 @@ class TestStructuredFailures:
         # it the retry budget only wastes attempts.  One attempt, classified.
         task = make_task(cfg, workload, helpers.always_raise)
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells([task], jobs=2, retries=2)
+            execute_cells([task], jobs=2, retry_policy=no_backoff(2))
         (failure,) = excinfo.value.failures
         assert failure.attempts == 1
         assert failure.classification == "deterministic"
@@ -130,13 +145,13 @@ class TestStructuredFailures:
             make_task(cfg, workload, helpers.always_raise, name="bad"),
         ]
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells(tasks, jobs=2, retries=0)
+            execute_cells(tasks, jobs=2, retry_policy=no_backoff(0))
         assert [f.cell.controller for f in excinfo.value.failures] == ["bad"]
 
     def test_unpicklable_factory_fails_structurally(self, cfg, workload):
         task = make_task(cfg, workload, lambda c: None, name="lambda")
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells([task], jobs=2, retries=0)
+            execute_cells([task], jobs=2, retry_policy=no_backoff(0))
         (failure,) = excinfo.value.failures
         assert failure.cell.controller == "lambda"
 
@@ -146,7 +161,7 @@ class TestStructuredFailures:
             for i in range(2)
         ]
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells(tasks, jobs=2, retries=0)
+            execute_cells(tasks, jobs=2, retry_policy=no_backoff(0))
         message = str(excinfo.value)
         assert "bad-0" in message and "bad-1" in message
 
@@ -159,7 +174,7 @@ class TestClassifiedRetry:
             helpers.crash_n_times, sentinel_dir=str(tmp_path / "marks"), n=2
         )
         task = make_task(cfg, workload, factory)
-        (result,) = execute_cells([task], jobs=2, retries=2)
+        (result,) = execute_cells([task], jobs=2, retry_policy=no_backoff(2))
         assert result.n_epochs == N_EPOCHS
         assert len(list((tmp_path / "marks").glob("crash-*"))) == 2
 
@@ -169,7 +184,7 @@ class TestClassifiedRetry:
             sentinel_path=str(tmp_path / "tries"),
         )
         task = make_task(cfg, workload, factory)
-        (result,) = execute_cells([task], jobs=2, retries=2)
+        (result,) = execute_cells([task], jobs=2, retry_policy=no_backoff(2))
         assert result.n_epochs == N_EPOCHS
         assert (tmp_path / "tries").read_text() == "2"
 
@@ -184,16 +199,16 @@ class TestClassifiedRetry:
         )
         task = make_task(cfg, workload, factory)
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells([task], jobs=2, retries=5)
+            execute_cells([task], jobs=2, retry_policy=no_backoff(5))
         (failure,) = excinfo.value.failures
         assert failure.attempts == 2
         assert (tmp_path / "tries").read_text() == "2"
 
     def test_custom_policy_overrides_retries_argument(self, cfg, workload):
         task = make_task(cfg, workload, helpers.always_crash)
-        policy = RetryPolicy(retries=0, base_delay=0.0, max_delay=0.0, jitter=0.0)
+        policy = no_backoff(0)
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells([task], jobs=2, retries=5, retry_policy=policy)
+            execute_cells([task], jobs=2, retry_policy=policy)
         assert excinfo.value.failures[0].attempts == 1
 
     def test_inline_retry_with_policy(self, cfg, workload, tmp_path):
@@ -204,7 +219,7 @@ class TestClassifiedRetry:
             sentinel_path=str(tmp_path / "tries"),
         )
         task = make_task(cfg, workload, factory)
-        policy = RetryPolicy(retries=2, base_delay=0.0, max_delay=0.0, jitter=0.0)
+        policy = no_backoff(2)
         (result,) = execute_cells([task], jobs=1, retry_policy=policy)
         assert result.n_epochs == N_EPOCHS
         assert (tmp_path / "tries").read_text() == "2"
@@ -220,7 +235,9 @@ class TestWatchdog:
         task = make_task(cfg, workload, factory)
         # The deadline clock includes worker spawn/import time (~1-2s in
         # CI), so the soft deadline must sit comfortably above it.
-        (result,) = execute_cells([task], jobs=2, retries=1, timeout=5.0)
+        (result,) = execute_cells(
+            [task], jobs=2, retry_policy=no_backoff(1), timeout=5.0
+        )
         assert result.n_epochs == N_EPOCHS
         assert (tmp_path / "sentinel").exists()
 
@@ -234,7 +251,7 @@ class TestWatchdog:
         )
         task = make_task(cfg, workload, factory, name="straggler")
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_cells([task], jobs=2, retries=0, timeout=3.0)
+            execute_cells([task], jobs=2, retry_policy=no_backoff(0), timeout=3.0)
         (failure,) = excinfo.value.failures
         assert failure.error_type == "CellTimeout"
         assert failure.classification == "transient"
@@ -254,7 +271,9 @@ class TestWatchdog:
             make_task(cfg, workload, helpers.build_static, name="healthy-0"),
             make_task(cfg, workload, helpers.build_static, name="healthy-1"),
         ]
-        results = execute_cells(tasks, jobs=2, retries=1, timeout=5.0)
+        results = execute_cells(
+            tasks, jobs=2, retry_policy=no_backoff(1), timeout=5.0
+        )
         assert len(results) == 3
         assert all(r.n_epochs == N_EPOCHS for r in results)
 
@@ -270,7 +289,7 @@ class TestPartialResults:
             make_task(cfg, workload, helpers.build_static, name="good"),
             make_task(cfg, workload, helpers.always_raise, name="bad"),
         ]
-        report = execute_cells_report(tasks, jobs=2, retries=0)
+        report = execute_cells_report(tasks, jobs=2, retry_policy=no_backoff(0))
         assert not report.ok
         assert report.results[0] is not None
         assert report.results[1] is None
@@ -298,3 +317,171 @@ class TestPartialResults:
         report = execute_cells_report(tasks, jobs=1)
         assert [f.cell.controller for f in report.failures] == ["bad"]
         assert len(report.completed()) == 1
+
+
+def traced(task):
+    return dataclasses.replace(task, trace=True)
+
+
+def cell_sequence(events):
+    """``(type, cell)`` per event: the trace's shape without its payloads
+    (and so without any wall-clock field)."""
+    return [(e["type"], e.get("cell")) for e in events]
+
+
+class FlushCountingRecorder(BufferRecorder):
+    def __init__(self):
+        super().__init__()
+        self.flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+
+
+class TestOneSettleLoop:
+    """``jobs=1`` and ``jobs=2`` share one settle loop; these pin the
+    contracts the in-process executor keeps on it."""
+
+    def test_trace_cell_order_matches_across_executors(
+        self, cfg, workload, tmp_path
+    ):
+        def grid(tag):
+            flaky = partial(
+                helpers.flaky_midrun, sentinel_path=str(tmp_path / f"{tag}-tries")
+            )
+            return [
+                traced(make_task(cfg, workload, flaky, name="flaky")),
+                traced(make_task(cfg, workload, helpers.crash_midrun, name="bad")),
+                traced(make_task(cfg, workload, helpers.build_static, name="good")),
+            ]
+
+        traces = {}
+        for jobs in (1, 2):
+            rec = BufferRecorder()
+            report = execute_cells_report(
+                grid(f"jobs{jobs}"), jobs=jobs, recorder=rec,
+                retry_policy=no_backoff(1),
+            )
+            assert [f.cell.controller for f in report.failures] == ["bad"]
+            assert report.counters["engine.retries"] == 1
+            traces[jobs] = cell_sequence(rec.events)
+        assert traces[1] == traces[2]
+        types = [t for t, _ in traces[1]]
+        assert types.count("cell_retry") == 1
+        assert types.count("cell_failed") == 1
+        assert types.count("cell_done") == 2
+
+    def test_keyboard_interrupt_propagates_at_once(self, cfg, workload):
+        later_calls = []
+
+        def interrupt(c):
+            raise KeyboardInterrupt
+
+        def later(c):
+            later_calls.append(c)
+            return StaticUniformController(c)
+
+        tasks = [
+            make_task(cfg, workload, helpers.build_static, name="first"),
+            make_task(cfg, workload, interrupt, name="interrupted"),
+            make_task(cfg, workload, later, name="later"),
+        ]
+        rec = FlushCountingRecorder()
+        with pytest.raises(KeyboardInterrupt):
+            execute_cells_report(tasks, jobs=1, recorder=rec)
+        assert later_calls == []
+        assert rec.flushes >= 1
+        types = [e["type"] for e in rec.events]
+        assert "cell_failed" not in types
+        assert ("cell_done", tasks[0].cell.label()) in cell_sequence(rec.events)
+
+    def test_settled_cells_flush_before_the_next_cell_runs(self, cfg, workload):
+        rec = BufferRecorder()
+        seen = []
+
+        def spy(c):
+            seen.extend(cell_sequence(rec.events))
+            return StaticUniformController(c)
+
+        tasks = [
+            traced(make_task(cfg, workload, helpers.build_static, name="first")),
+            traced(make_task(cfg, workload, spy, name="second")),
+        ]
+        execute_cells(tasks, jobs=1, recorder=rec)
+        assert ("cell_done", tasks[0].cell.label()) in seen
+        assert ("run_end", None) in seen
+
+    def test_jobs_one_reraises_the_original_exception(
+        self, cfg, workload, tmp_path
+    ):
+        tasks = [
+            make_task(cfg, workload, helpers.always_raise, name="bad"),
+            make_task(cfg, workload, helpers.build_static, name="good"),
+        ]
+        with pytest.raises(ValueError, match="deliberate factory failure") as excinfo:
+            execute_cells(tasks, jobs=1, cache=tmp_path)
+        frames = [f.name for f in traceback.extract_tb(excinfo.value.__traceback__)]
+        assert "always_raise" in frames
+        report = execute_cells_report(tasks, jobs=1, cache=ResultCache(tmp_path))
+        assert report.counters["engine.cells_cached"] == 1
+        assert report.results[1] is not None
+
+    @pytest.mark.parametrize("option", ["retry_policy", "timeout", "chaos", "journal"])
+    def test_any_resilience_option_raises_structured(
+        self, cfg, workload, tmp_path, option
+    ):
+        value = {
+            "retry_policy": no_backoff(1),
+            "timeout": 30.0,
+            "chaos": ChaosPolicy(seed=0),
+            "journal": tmp_path / "journal.jsonl",
+        }[option]
+        task = make_task(cfg, workload, helpers.always_raise, name="bad")
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            execute_cells([task], jobs=1, **{option: value})
+        assert excinfo.value.failures[0].error_type == "ValueError"
+
+    def test_chaos_crash_and_hang_never_fire_in_process(
+        self, cfg, workload, monkeypatch
+    ):
+        exits = []
+        monkeypatch.setattr(chaos_module.os, "_exit", exits.append)
+        chaos = ChaosPolicy(seed=0, crash_rate=1.0, hang_rate=1.0, hang_seconds=30.0)
+        task = make_task(cfg, workload, helpers.build_static)
+        t0 = time.perf_counter()
+        (result,) = execute_cells([task], jobs=1, chaos=chaos)
+        assert result.n_epochs == N_EPOCHS
+        assert exits == []
+        assert "hang" not in chaos.counts
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_timeout_arms_only_for_the_pool(self, cfg, workload, tmp_path):
+        slow = partial(
+            helpers.hang_once, sentinel_path=str(tmp_path / "sentinel"),
+            seconds=0.5,
+        )
+        rec = BufferRecorder()
+        report = execute_cells_report(
+            [make_task(cfg, workload, slow)], jobs=1, timeout=0.05, recorder=rec
+        )
+        assert report.ok
+        assert "engine.timeouts" not in report.counters
+        types = [e["type"] for e in rec.events]
+        assert "cell_timeout" not in types
+        (done,) = [e for e in rec.events if e["type"] == "cell_done"]
+        assert done["attempts"] == 1
+
+
+class TestReportInvariant:
+    def test_hole_without_failure_is_rejected(self):
+        with pytest.raises(ValueError, match="engine invariant"):
+            ExecutionReport(results=(None,), failures=(), counters={})
+
+    def test_failure_without_hole_is_rejected(self, cfg, workload):
+        (result,) = execute_cells([make_task(cfg, workload, helpers.build_static)])
+        failure = CellFailure(
+            cell=make_task(cfg, workload, helpers.build_static).cell,
+            attempts=1, error_type="ValueError", message="x",
+        )
+        with pytest.raises(ValueError, match="engine invariant"):
+            ExecutionReport(results=(result,), failures=(failure,), counters={})
