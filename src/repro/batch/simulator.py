@@ -17,14 +17,13 @@ shorter batch.  Watchdog-supervised cells batch too — each run gets its
 own :class:`~repro.faults.watchdog.WatchdogController` wrapper, driven
 per run by :class:`~repro.kernel.policies.PerRunPolicy`.
 
-:func:`batch_unsupported_reason` is the compatibility gate: tasks that
-profile, or carry plant options the stacked kernel does not model, fall
-back to the serial/pool path, with the reason recorded by the engine.
-:func:`plan_batches` groups the remaining tasks by everything that must
-be uniform inside one stack (controller recipe modulo seed, config
-modulo budget, simulation options modulo fault campaign) — budgets,
-seeds, workloads, campaigns and epoch counts may differ between the runs
-of one batch.
+:func:`plan_batches` groups tasks by everything that must be uniform
+inside one stack (controller recipe modulo seed, config modulo budget,
+simulation options modulo fault campaign, profiling) — budgets, seeds,
+workloads, campaigns and epoch counts may differ between the runs of
+one batch.  Every cell stacks; a task carrying an option the stack does
+not model makes :func:`simulate_batch` raise, and the engine re-runs
+that group's cells on the serial path.
 """
 
 from __future__ import annotations
@@ -32,21 +31,20 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.campaign import FaultCampaign
 from repro.kernel.epoch import EpochKernel
 from repro.kernel.policies import build_batch_policy
-from repro.obs import Recorder
+from repro.obs import PhaseProfiler, Recorder
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import run_stack, supervise
+from repro.sim.simulator import own_options, run_stack, supervise
 
 if TYPE_CHECKING:
     from repro.parallel.engine import CellTask
 
-__all__ = ["batch_unsupported_reason", "plan_batches", "simulate_batch"]
+__all__ = ["plan_batches", "simulate_batch"]
 
 #: ``run_controller`` keyword arguments the batched path understands.
-#: Anything else is a new simulator feature the batch backend has not been
-#: taught about — fall back rather than silently ignore it.
+#: Anything else is a simulator feature the stack has not been taught
+#: about: :func:`simulate_batch` raises rather than silently ignore it.
 _KNOWN_KEYS = frozenset(
     {
         "sensors",
@@ -61,41 +59,6 @@ _KNOWN_KEYS = frozenset(
         "max_strikes",
     }
 )
-
-#: Plant options the batched chip pins to their defaults (exact sensors,
-#: no memory contention).  A task that overrides either needs the serial
-#: plant: noisy sensor suites are stateful per-run RNG consumers the
-#: vectorized sensor path does not model, and memory contention needs the
-#: live phase path.  Variation and hetero maps batch fine — the kernel
-#: stacks their multipliers per run.
-_DEFAULT_ONLY_KEYS = ("sensors", "memory_system")
-
-
-def batch_unsupported_reason(task: "CellTask") -> Optional[str]:
-    """Why ``task`` cannot join a batch, or ``None`` if it can.
-
-    The reasons are stable strings (``"profile"``, ``"faults-instance"``,
-    ``"sim_kwargs:<key>"``) recorded in ``cell_fallback`` events and
-    engine counters.  Traced tasks batch: the control loop emits each
-    row's events into its own recorder.  Profiled tasks do not: the
-    plant and sensor phases are one run's wall time, which a stack
-    shares between its rows.
-    """
-    if task.profile:
-        return "profile"
-    kwargs = dict(task.sim_kwargs)
-    for key in kwargs:
-        if key not in _KNOWN_KEYS:
-            return f"sim_kwargs:{key}"
-    faults = kwargs.get("faults")
-    if faults is not None and not isinstance(faults, FaultCampaign):
-        # A pre-built (possibly stateful, possibly shared) injector
-        # instance cannot be safely re-seated on the batched chip.
-        return "faults-instance"
-    for key in _DEFAULT_ONLY_KEYS:
-        if kwargs.get(key) is not None:
-            return f"sim_kwargs:{key}"
-    return None
 
 
 def _seedless(factory: Any) -> Any:
@@ -136,10 +99,11 @@ def _group_signature(task: "CellTask") -> Optional[str]:
 
     Budgets are stripped from the config and ``faults`` from the options:
     those may vary per run inside a stack, as may seeds, workloads, and
-    — since the kernel masks finished rows — epoch counts.  ``None`` for
-    factories that cannot be fingerprinted (lambdas, closures): the
-    planner gives those a per-task signature, i.e. a singleton group —
-    still batched, just alone.
+    — since the kernel masks finished rows — epoch counts.  Profiling is
+    part of the signature: one profiler times a whole stack.  ``None``
+    for tasks that cannot be fingerprinted (lambda or closure factories,
+    sensor suites, memory systems): the planner gives those a per-task
+    signature, i.e. a singleton group — still batched, just alone.
     """
     from repro.parallel.cache import (
         CacheKeyError,
@@ -157,13 +121,14 @@ def _group_signature(task: "CellTask") -> Optional[str]:
     }
     try:
         token = controller_fingerprint(_seedless(task.factory))
-        return stable_hash((token, task.cfg.with_budget(1.0), options))
+        return stable_hash((token, task.cfg.with_budget(1.0), options, task.profile))
     except CacheKeyError:
         return None
 
 
-def _signature_inputs(task: "CellTask") -> Tuple[int, ...]:
-    """Identity of every input of :func:`_group_signature`, budget aside.
+def _signature_inputs(task: "CellTask") -> Tuple[Any, ...]:
+    """Identity of every input of :func:`_group_signature`, budget aside
+    (the profiling flag by value).
 
     Tasks of one grid share their factory and options objects, and their
     configs are ``with_budget`` copies of one base that share every other
@@ -173,6 +138,7 @@ def _signature_inputs(task: "CellTask") -> Tuple[int, ...]:
     """
     cfg = task.cfg
     return (
+        task.profile,
         id(task.factory),
         id(task.sim_kwargs),
         id(type(cfg)),
@@ -190,7 +156,7 @@ def plan_batches(tasks: Sequence["CellTask"], max_batch: int) -> List[List[int]]
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
     # Keyed by object identities, valid while ``tasks`` holds the objects.
-    signatures: Dict[Tuple[int, ...], Optional[str]] = {}
+    signatures: Dict[Tuple[Any, ...], Optional[str]] = {}
     groups: Dict[str, List[int]] = {}
     for i, task in enumerate(tasks):
         key = _signature_inputs(task)
@@ -209,28 +175,33 @@ def simulate_batch(
     tasks: Sequence["CellTask"],
     recorders: Optional[Sequence[Optional[Recorder]]] = None,
 ) -> List[SimulationResult]:
-    """Run a batch-compatible task group in one stacked simulation.
+    """Run a task group in one stacked simulation.
 
-    Every task must have passed :func:`batch_unsupported_reason` and the
-    group must satisfy the uniformity of :func:`_group_signature` (the
-    kernel re-checks config compatibility).  Epoch counts may differ: the
-    stack is padded to the longest run and finished rows are masked via
-    the kernel's ``active`` mask, with each result sliced back to its own
-    length.  ``recorders`` holds one optional event sink per task, which
-    receives that run's trace exactly as the serial run would emit it.
-    Results come back in task order, each indistinguishable from the
-    serial run of the same cell (``assert_trace_equal`` holds bit for
-    bit).
+    The group must satisfy the uniformity of :func:`_group_signature`
+    (the kernel re-checks config compatibility).  Epoch counts may
+    differ: the stack is padded to the longest run and finished rows are
+    masked via the kernel's ``active`` mask, with each result sliced back
+    to its own length.  Each row owns copies of its stateful options
+    (:func:`~repro.sim.simulator.own_options`), as a serial cell does.
+    ``recorders`` holds one optional event sink per task, which receives
+    that run's trace exactly as the serial run would emit it.  Results
+    come back in task order, each indistinguishable from the serial run
+    of the same cell (``assert_trace_equal`` holds bit for bit).
+
+    Raises
+    ------
+    ValueError
+        When a task carries a ``sim_kwargs`` key the stack does not model.
     """
     if not tasks:
         return []
     for task in tasks:
-        reason = batch_unsupported_reason(task)
-        if reason is not None:
+        unknown = sorted(set(task.sim_kwargs) - _KNOWN_KEYS)
+        if unknown:
             raise ValueError(
-                f"task {task.cell.label()} is not batch-compatible: {reason}"
+                f"task {task.cell.label()}: the stack does not model {unknown}"
             )
-    options: List[Dict[str, Any]] = [dict(task.sim_kwargs) for task in tasks]
+    options: List[Dict[str, Any]] = [own_options(task.sim_kwargs) for task in tasks]
     kwargs0 = options[0]
     validate = kwargs0.get("validate", None)
     n_epochs = [task.cell.n_epochs for task in tasks]
@@ -242,7 +213,9 @@ def simulate_batch(
         n_epochs=max(n_epochs),
         faults=[o.get("faults") for o in options],
         validate=validate,
+        sensors=[o.get("sensors") for o in options],
         variations=[o.get("variation") for o in options],
+        memory_systems=[o.get("memory_system") for o in options],
         heteros=[o.get("hetero") for o in options],
     )
     if kwargs0.get("watchdog", False):
@@ -266,4 +239,5 @@ def simulate_batch(
         record_per_core=bool(kwargs0.get("record_per_core", False)),
         validate=validate,
         recorders=recorders,
+        profiler=PhaseProfiler() if tasks[0].profile else None,
     )

@@ -43,11 +43,10 @@ class GridOptions:
         ``result.extras["timing"]`` (wall clock only; never affects the
         simulated trajectories).
     batch:
-        Stack compatible grid cells into tensor batches (the
+        Stack the grid's cells into tensor batches (the
         :mod:`repro.batch` backend, CLI ``--batch``): ``False`` disables,
         ``True`` batches each compatible group whole, an integer caps the
-        stack size.  Bit-identical to the serial loop; incompatible cells
-        fall back per cell with a recorded reason.
+        stack size.  Bit-identical to the serial loop.
     journal:
         Campaign journal path (CLI ``--journal``): checkpoints every
         completed grid cell so a killed campaign resumes where it left

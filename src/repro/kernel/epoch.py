@@ -177,10 +177,9 @@ class EpochKernel:
         When given, phase streams are precomputed for ``n_epochs`` so the
         epoch step is a stream row lookup (the batched backend).  ``None``
         calls each workload's :meth:`Workload.sample` every epoch (the
-        serial view) — required when a ``memory_systems`` entry is
-        present, since contention rescales the sampled intensities in
-        place.  Both read the workload's one phase table, so a stream row
-        equals the live sample at the same accumulated time bit for bit.
+        serial view).  Both read the workload's one phase table, so a
+        stream row equals the live sample at the same accumulated time bit
+        for bit.
     faults:
         Optional per-run fault campaigns or pre-built injectors (``None``
         entries run fault-free).  The campaigns are applied as stacked
@@ -192,10 +191,10 @@ class EpochKernel:
         ``validate`` attribute.
     sensors:
         Optional per-run :class:`SensorSuite` instances.  ``None`` (the
-        whole argument) uses the vectorized exact-sensor path — identical
-        readings to :meth:`SensorSuite.exact`, without per-run calls.
-        Passing suites routes each run's reads through its own (possibly
-        noisy, stateful) suite, timed into the ``sensor`` profiler phase.
+        whole argument, or a run's entry) reads exactly — identical
+        readings to :meth:`SensorSuite.exact`, vectorized over the stack.
+        A suite routes its run's reads through that (possibly noisy,
+        stateful) suite, timed into the ``sensor`` profiler phase.
     initial_levels:
         Per-run starting VF level; ``None`` starts every run at the top
         level (:meth:`reset` always returns to the top level, matching
@@ -205,7 +204,9 @@ class EpochKernel:
         mean the nominal die).
     memory_systems:
         Optional per-run shared-memory contention models (``None``
-        entries keep the uncontended constant-latency model).
+        entries keep the uncontended constant-latency model).  Each
+        epoch a run's model rescales its row of the sampled memory
+        intensities (in the precomputed stream, when there is one).
     heteros:
         Optional per-run core-type maps (``None`` entries mean all cores
         are the nominal type).
@@ -257,6 +258,7 @@ class EpochKernel:
         self.validate = validation_enabled(validate)
 
         self.sensors = self._per_run(sensors, "sensors")
+        self._has_suites = any(suite is not None for suite in self.sensors)
         variation_list = self._per_run(variations, "variations")
         self.variations: List[CoreVariation] = [
             v if v is not None else CoreVariation.nominal(n_cores)
@@ -281,11 +283,6 @@ class EpochKernel:
                 )
         self.memory_systems = self._per_run(memory_systems, "memory_systems")
         self._has_memory = any(ms is not None for ms in self.memory_systems)
-        if self._has_memory and n_epochs is not None:
-            raise ValueError(
-                "memory systems need the live phase path (n_epochs=None): "
-                "contention rescales the sampled intensities per epoch"
-            )
 
         # Per-run multipliers stacked into (n_runs, n_cores) rows.  Every
         # use is elementwise, so a stacked row multiplies bit-identically
@@ -638,35 +635,33 @@ class EpochKernel:
             self.total_energy[active] += chip_power[active] * dt
             self.total_instructions[active] += chip_instructions[active]
 
-        if self.sensors is None or all(s is None for s in self.sensors):
-            # Vectorized exact-sensor path: identical readings to
-            # SensorSuite.exact() without per-run read calls.
-            sensed_power = np.maximum(power, 0.0)
-            sensed_instructions = np.maximum(instructions, 0.0)
-            sensed_temperature = np.maximum(self._temps, 0.0)
-            if blackout is not None:
-                sensed_power[blackout[:, 0]] = 0.0
-                sensed_instructions[blackout[:, 1]] = 0.0
-                sensed_temperature[blackout[:, 2]] = 0.0
-        else:
+        # Exact readings for every run (identical to SensorSuite.exact()
+        # without per-run read calls); runs with a suite overwrite theirs.
+        sensed_power = np.maximum(power, 0.0)
+        sensed_instructions = np.maximum(instructions, 0.0)
+        sensed_temperature = np.maximum(self._temps, 0.0)
+        if blackout is not None:
+            sensed_power[blackout[:, 0]] = 0.0
+            sensed_instructions[blackout[:, 1]] = 0.0
+            sensed_temperature[blackout[:, 2]] = 0.0
+        if self._has_suites:
             profiler = self.profiler
             t_sense = time.perf_counter() if profiler is not None else 0.0
-            sensed_power = np.empty_like(power)
-            sensed_instructions = np.empty_like(instructions)
-            sensed_temperature = np.empty_like(self._temps)
             blind = (
                 blackout.tolist()
                 if blackout is not None
                 else [[False, False, False]] * self.n_runs
             )
             for r, suite in enumerate(self.sensors):
-                if suite is None or not _row_active(active, r):
+                if not _row_active(active, r):
                     # Finished runs read nothing: stateful (noisy) suites
                     # must not advance their RNG streams.
                     sensed_power[r] = 0.0
                     sensed_instructions[r] = 0.0
                     sensed_temperature[r] = 0.0
                     continue
+                if suite is None:
+                    continue  # reads exactly, as set above
                 sensed_power[r] = suite.power.read(power[r], blackout=blind[r][0])
                 sensed_instructions[r] = suite.perf.read(
                     instructions[r], blackout=blind[r][1]

@@ -59,10 +59,10 @@ Event types
 ``cell_batched`` / ``cell_fallback``
     Batched-backend routing: a cell executed inside a batch group (with
     the group's index and size; a traced cell's run events follow it), or
-    a cell the batch backend declined — ``reason`` is a stable string
-    such as ``"profile"``, ``"faults-instance"``, ``"sim_kwargs:<key>"``
-    or ``"batch-error"`` (see
-    :func:`repro.batch.batch_unsupported_reason`).
+    a cell of a group that raised, re-queued for the serial path —
+    ``reason`` is ``"batch-error"``.  Traces written before every cell
+    batched also carry older reasons (``"profile"``,
+    ``"sim_kwargs:<key>"``, …); they validate and summarize unchanged.
 ``engine_summary``
     One per :func:`repro.parallel.engine.execute_cells` call: counter
     snapshot (cells run / cached / retried / failed, cache hits/misses).

@@ -128,6 +128,21 @@ class PhaseProfiler:
         self._n_epochs += 1
         return row
 
+    def end_share(
+        self, stack_row: Mapping[str, float], decide: float, n_rows: int
+    ) -> Dict[str, float]:
+        """Close an epoch holding one row's share of a stack's epoch.
+
+        ``stack_row`` is the epoch of a whole stack of ``n_rows`` live
+        runs.  The row keeps its own ``decide`` seconds (its
+        ``decision_time``) and an equal share of every other phase, so
+        the rows of an epoch sum to the stack's epoch and a one-row stack
+        keeps its row unchanged.
+        """
+        for phase, seconds in stack_row.items():
+            self.add(phase, decide if phase == "decide" else seconds / n_rows)
+        return self.end_epoch()
+
     @property
     def n_epochs(self) -> int:
         return self._n_epochs

@@ -237,10 +237,11 @@ _CACHE_COUNTERS = ("hits", "misses", "corrupt", "quarantined", "put_errors")
 def _run_cell(
     task: CellTask, recorder: Optional[Recorder] = None
 ) -> SimulationResult:
-    """Execute one cell: build the controller, run the loop."""
+    """Execute one cell: build the controller, run the loop on copies of
+    the cell's stateful options (see :func:`~repro.sim.simulator.own_options`)."""
     # Imported here, not at module level: the simulator pulls in the full
     # plant stack, and worker processes import this module on spawn.
-    from repro.sim.simulator import run_controller
+    from repro.sim.simulator import own_options, run_controller
 
     controller = task.factory(task.cfg)
     return run_controller(
@@ -250,7 +251,7 @@ def _run_cell(
         task.cell.n_epochs,
         recorder=recorder,
         profile=task.profile,
-        **dict(task.sim_kwargs),
+        **own_options(task.sim_kwargs),
     )
 
 
@@ -523,13 +524,13 @@ class _Invocation:
 def _run_batched(
     run: _Invocation, pending: List[int], batch: Union[bool, int]
 ) -> List[int]:
-    """Run the batch-compatible subset of ``pending`` through the stacked
-    backend; return the still-unsettled indices (fallbacks, batch errors)
-    in task order for the settle loop.
+    """Run ``pending`` through the stacked backend; return the cells of
+    groups that raised, in task order, for the settle loop.
 
-    A group that raises is not fatal: every member is re-queued with the
-    ``"batch-error"`` fallback reason and recomputed by the settle loop,
-    so a batching defect can cost time but never a result.  Traced
+    A group that raises is not fatal: every member emits a
+    ``cell_fallback`` event with the ``"batch-error"`` reason and is
+    recomputed by the settle loop, so a batching defect — or an option
+    the stack does not model — can cost time but never a result.  Traced
     members run with a :class:`~repro.obs.BufferRecorder` each, replayed
     between ``cell_batched`` and ``cell_done``; a group that raises drops
     its partial buffers, so the re-run emits each event once.
@@ -537,27 +538,14 @@ def _run_batched(
     # Imported here, not at module level: repro.batch pulls in the full
     # plant + controller stack, which the engine otherwise avoids loading
     # (worker processes import this module on spawn).
-    from repro.batch import batch_unsupported_reason, plan_batches, simulate_batch
+    from repro.batch import plan_batches, simulate_batch
 
     tasks, rec, metrics = run.tasks, run.rec, run.metrics
-    batchable: List[int] = []
     leftovers: List[int] = []
-    for i in pending:
-        reason = batch_unsupported_reason(tasks[i])
-        if reason is None:
-            batchable.append(i)
-        else:
-            leftovers.append(i)
-            metrics.inc(f"engine.fallback.{reason}")
-            if rec.enabled:
-                rec.emit("cell_fallback", cell=tasks[i].cell.label(), reason=reason)
-    if not batchable:
-        return leftovers
-
-    max_batch = len(batchable) if batch is True else int(batch)
-    plan = plan_batches([tasks[i] for i in batchable], max_batch)
+    max_batch = len(pending) if batch is True else int(batch)
+    plan = plan_batches([tasks[i] for i in pending], max_batch)
     for group_index, group in enumerate(plan):
-        members = [batchable[j] for j in group]
+        members = [pending[j] for j in group]
         buffers = [
             BufferRecorder() if tasks[i].trace and rec.enabled else None
             for i in members
@@ -569,7 +557,6 @@ def _run_batched(
             # recomputed by the settle loop.
             metrics.inc("engine.batch_errors")
             for i in members:
-                metrics.inc("engine.fallback.batch-error")
                 if rec.enabled:
                     rec.emit(
                         "cell_fallback",
@@ -698,17 +685,17 @@ def execute_cells_report(
         has settled, so the trace is a function of the task list alone,
         whatever the worker scheduling.
     batch:
-        Route cache-missed, batch-compatible cells through the stacked
-        tensor backend (:mod:`repro.batch`) before the settle loop.
-        ``True`` stacks each compatible group whole; an integer caps the
-        runs per stack.  Mixed budgets, seeds, epoch counts, fault
-        campaigns, variation/hetero maps, and watchdog supervision all
-        stack, and traced cells stream each run's events as the serial
-        path does.  Cells the backend declines (profiling, non-default
-        ``sensors``/``memory_system`` — see
-        :func:`repro.batch.batch_unsupported_reason`) or that fail inside
-        a batch fall back to the settle loop with a recorded
-        ``cell_fallback`` reason; results are bit-identical either way.
+        Route every cache-missed cell through the stacked tensor backend
+        (:mod:`repro.batch`) before the settle loop.  ``True`` stacks each
+        compatible group whole; an integer caps the runs per stack.  Mixed
+        budgets, seeds, epoch counts, fault campaigns, variation/hetero
+        maps, watchdog supervision, sensor suites and memory systems all
+        stack; traced cells stream each run's events as the serial path
+        does, and profiled cells (stacked only with each other) get their
+        row's share of the stack's timing.  The cells of a group that
+        raises — a batching defect, or an option the stack does not model
+        — re-run in the settle loop after a ``cell_fallback`` event with
+        reason ``batch-error``; results are bit-identical either way.
         Batch membership never enters :func:`~repro.parallel.cache.cell_key`.
     retry_policy:
         Transient/deterministic error classification, the

@@ -154,8 +154,8 @@ class ContinuousScheduler:
         the worker thread — no process pool, which is the fast path when
         ``batch`` carries the round).
     batch:
-        Forwarded to the engine: stack compatible cells of a round into
-        kernel batches.  ``True`` (default) is what makes cross-client
+        Forwarded to the engine: stack the cells of a round into kernel
+        batches.  ``True`` (default) is what makes cross-client
         continuous batching real.
     round_size:
         Cell budget per round.  Larger rounds batch better; smaller

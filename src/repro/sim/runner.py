@@ -318,12 +318,13 @@ def run_suite(
         :class:`repro.parallel.ResultCache`.  Cells whose content-addressed
         key is already cached are loaded instead of re-simulated.
     sim_kwargs:
-        Extra keyword arguments forwarded verbatim to
+        Extra keyword arguments forwarded to
         :func:`~repro.sim.simulator.run_controller` for every cell
-        (``record_per_core``, ``faults``, ``watchdog`` …).  Values must be
-        picklable and stateless for ``jobs > 1`` (pass a
-        :class:`~repro.faults.campaign.FaultCampaign`, not a live
-        injector).
+        (``record_per_core``, ``faults``, ``watchdog`` …), picklable for
+        ``jobs > 1``.  Every cell runs on its own copies of stateful
+        values (sensor suites, memory systems, pre-built fault
+        injectors), so sharing one between cells gives the same results
+        at every ``jobs`` and ``batch`` value and never advances it.
     recorder, profile:
         Observability switches (see :mod:`repro.obs`), threaded as
         explicit parameters — never through ``sim_kwargs`` — so they stay
@@ -331,17 +332,14 @@ def run_suite(
         buffered and emitted in task order as cells settle; the engine
         flushes the recorder on the way out, also when a cell raises.
     batch:
-        Stack compatible cells into tensor batches (:mod:`repro.batch`)
-        and advance each stack with one NumPy epoch step — the third
-        backend beside the in-process loop and ``jobs=``.  ``True``
-        batches each compatible group whole; an integer caps the stack
-        size.  Results are bit-identical to the unbatched run; mixed
-        budgets, seeds, epoch counts, fault campaigns, variation/hetero
-        maps, watchdog supervision and traced cells all stack.
-        Incompatible cells (profiling enabled, non-default
-        ``sensors``/``memory_system``) fall back per cell with a recorded
-        reason.  Composes with ``cache=`` (batching never changes a
-        cell's cache key) and with ``jobs=`` for the fallback cells.
+        Stack the cells into tensor batches (:mod:`repro.batch`) and
+        advance each stack with one NumPy epoch step — the third backend
+        beside the in-process loop and ``jobs=``.  ``True`` batches each
+        compatible group whole; an integer caps the stack size.  Results
+        are bit-identical to the unbatched run; every cell stacks, and a
+        profiled cell's timing is its row's share of its stack's.
+        Composes with ``cache=`` (batching never changes a cell's cache
+        key) and with ``jobs=`` for the cells of a stack that raised.
     timeout, journal:
         A per-cell soft deadline in seconds (armed for ``jobs > 1``
         only) and a campaign journal path (or

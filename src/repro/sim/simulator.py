@@ -22,8 +22,9 @@ and watchdog never learn that a recorder exists.
 
 from __future__ import annotations
 
+import copy
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     from repro.faults.campaign import FaultCampaign
@@ -50,7 +51,12 @@ from repro.sim.interface import Controller
 from repro.sim.results import SimulationResult
 from repro.workloads.phases import Workload
 
-__all__ = ["simulate", "run_controller", "run_stack"]
+__all__ = ["simulate", "run_controller", "run_stack", "own_options"]
+
+#: ``run_controller`` options whose values carry per-run state: a sensor
+#: suite's RNG streams and held registers, a memory system's last solve,
+#: a pre-built fault injector's stuck levels and counters
+_STATEFUL_OPTIONS = ("sensors", "memory_system", "faults")
 
 #: watchdog counter attribute -> emitted incident, polled between epochs
 _WATCHDOG_INCIDENTS = (
@@ -220,11 +226,15 @@ def run_stack(
     ``recorders`` holds one optional event sink per row; ``profiler``
     times the decide / plant / contracts phases of the whole stack (and,
     attached to the kernel and the drivers, their sensor, sanitizer and
-    watchdog phases).  ``harvest`` emits ``transition`` events from each
-    traced row's controller's ``last_update``, so it needs the serial
-    controllers of a :class:`~repro.kernel.policies.PerRunPolicy`: a
-    vectorized policy decides without them, and is a ``ValueError``
-    rather than an empty dataset.
+    watchdog phases).  Each row's ``extras["timing"]`` and epoch
+    ``phases`` hold its share: its own ``decision_time`` as ``decide``,
+    every other phase divided by the epoch's live rows, so a phase summed
+    over the rows gives the stack's time.  ``harvest`` emits
+    ``transition`` events from each traced row's controller's
+    ``last_update``, so it needs the serial controllers of a
+    :class:`~repro.kernel.policies.PerRunPolicy`: a vectorized policy
+    decides without them, and is a ``ValueError`` rather than an empty
+    dataset.
     """
     from repro.kernel.policies import PerRunPolicy
 
@@ -281,7 +291,10 @@ def run_stack(
     # sanitizer pass, the watchdog its wrapper overhead — each only if it
     # carries a ``profiler`` attribute.
     profiled: List[Any] = []
+    #: each row's share of the stack's phases (see PhaseProfiler.end_share)
+    row_profilers: List[PhaseProfiler] = []
     if profiler is not None:
+        row_profilers = [PhaseProfiler() for _ in range(n_runs)]
         profiled = [kernel, *drivers, *(i for i, d in zip(inners, drivers) if i is not d)]
         if hasattr(policy, "profiler"):
             profiled.append(policy)
@@ -328,18 +341,22 @@ def run_stack(
             for name, series in per_core.items():
                 series[e] = getattr(obs, name)
 
-            phases: Optional[Dict[str, float]] = None
+            phases: Dict[int, Dict[str, float]] = {}
             if profiler is not None:
                 t3 = time.perf_counter()
+                live = list(range(n_runs)) if active is None else np.flatnonzero(active).tolist()
+                row_s = decision_time[e].tolist()
                 # The decide phase IS the decision_time measurement (C3).
-                profiler.add("decide", sum(decision_time[e].tolist()))
+                profiler.add("decide", sum(row_s[r] for r in live))
                 profiler.add("plant", t2 - t1)
                 profiler.add("contracts", t3 - t2)
-                phases = profiler.end_epoch()
+                stack_phases = profiler.end_epoch()
+                for r in live:
+                    phases[r] = row_profilers[r].end_share(stack_phases, row_s[r], len(live))
             for r, trace in traces.items():
                 if active is None or active[r]:
                     trace.epoch(
-                        phases,
+                        phases.get(r),
                         epoch=e,
                         chip_power=float(chip_power[e, r]),
                         chip_instructions=float(chip_instructions[e, r]),
@@ -350,11 +367,11 @@ def run_stack(
         for target in profiled:
             target.profiler = None
 
-    timing = profiler.breakdown().as_dict() if profiler is not None else None
     results: List[SimulationResult] = []
     for r in range(n_runs):
         n_e = int(lengths[r])
         extras = _result_extras(kernel, policy, r)
+        timing = row_profilers[r].breakdown().as_dict() if row_profilers else None
         if timing is not None:
             extras["timing"] = timing
         if r in traces:
@@ -608,3 +625,26 @@ def run_controller(
         profile=profile,
         harvest=harvest,
     )
+
+
+def own_options(sim_kwargs: Mapping[str, Any]) -> Dict[str, Any]:
+    """``sim_kwargs`` with each stateful value deep-copied for one cell.
+
+    The engine's serial path and the batched stack both build a cell's
+    plant from this copy, so the caller's sensor suite, memory system or
+    fault injector is never mutated, and a cell's result depends only on
+    its own inputs, whatever ``jobs`` and ``batch`` are: cells sharing a
+    noisy suite each start from its RNG state, as every pool worker
+    always did from its pickled copy.  A frozen
+    :class:`~repro.faults.campaign.FaultCampaign` is shared as is.
+    """
+    # Imported here: repro.faults imports this package's Controller
+    # interface, so a module-level import would cycle.
+    from repro.faults.campaign import FaultCampaign
+
+    options = dict(sim_kwargs)
+    for key in _STATEFUL_OPTIONS:
+        value = options.get(key)
+        if value is not None and not isinstance(value, FaultCampaign):
+            options[key] = copy.deepcopy(value)
+    return options

@@ -1,10 +1,10 @@
-"""Engine behaviour of the ``batch=`` backend: grouping, fallback, events.
+"""Engine behaviour of the ``batch=`` backend: grouping, errors, events.
 
-Covers the compatibility gate (every stable fallback reason), the batch
-planner's grouping/chunking rules, the engine's event stream and counter
-snapshot, the batch-error re-queue (a failing stack must degrade to the
-serial path, never lose cells), and composition with the result cache
-(batch membership stays out of ``cell_key``).
+Covers the cells every former fallback reason named (each now stacks),
+the batch planner's grouping/chunking rules, the engine's event stream
+and counter snapshot, the batch-error re-queue (a failing stack must
+degrade to the serial path, never lose cells), and composition with the
+result cache (batch membership stays out of ``cell_key``).
 """
 
 from __future__ import annotations
@@ -13,13 +13,17 @@ import copy
 import dataclasses
 import functools
 
+import numpy as np
 import pytest
 
 from repro.baselines import StaticUniformController
-from repro.batch import batch_unsupported_reason, plan_batches
+from repro.batch import plan_batches
 from repro.faults import FaultCampaign
 from repro.faults.injector import FaultInjector
-from repro.manycore import default_system
+from repro.manycore import SensorSuite, default_system
+from repro.manycore.hetero import big_little_map
+from repro.manycore.memory import default_memory_system
+from repro.manycore.variation import sample_variation
 from repro.obs import BufferRecorder
 from repro.parallel import (
     CellTask,
@@ -73,73 +77,108 @@ def summary_counters(rec):
     return summary["counters"]
 
 
+def assert_batches(tasks):
+    """Every task stacks (no ``cell_fallback``) and matches its serial run."""
+    serial = execute_cells(tasks, jobs=1)
+    rec = BufferRecorder()
+    batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
+    for task, a, b in zip(tasks, serial, batched):
+        assert_trace_equal(a, b, context=task.cell.label())
+    assert events_of(rec, "cell_fallback") == []
+    assert len(events_of(rec, "cell_batched")) == len(tasks)
+
+
+def plant_option(cfg, key):
+    """A real, non-default value of the ``run_controller`` option ``key``."""
+    return {
+        "sensors": lambda: SensorSuite(np.random.default_rng(5)),
+        "memory_system": lambda: default_memory_system(cfg),
+        "variation": lambda: sample_variation(cfg, rng=np.random.default_rng(4)),
+        "hetero": lambda: big_little_map(N_CORES),
+    }[key]()
+
+
 class TestUnsupportedReasons:
-    """Every stable fallback-reason string, at the gate function."""
+    """The cells behind every reason the retired compatibility gate gave
+    (``profile``, ``faults-instance``, ``sim_kwargs:<key>``) and the ones it
+    accepted: all now stack.  An option the stack does not model makes the
+    stack raise, and the batch-error re-queue gives the serial outcome."""
 
     def test_batchable_task_has_no_reason(self, cfg, workload, lineup):
-        task = make_task(cfg, workload, lineup["od-rl"])
-        assert batch_unsupported_reason(task) is None
+        assert_batches([make_task(cfg, workload, lineup["od-rl"])])
 
     def test_trace(self, cfg, workload, lineup):
         # Traced cells batch: the control loop emits each row's events
         # into that cell's own recorder.
-        task = make_task(cfg, workload, lineup["od-rl"], trace=True)
-        assert batch_unsupported_reason(task) is None
+        assert_batches([make_task(cfg, workload, lineup["od-rl"], trace=True)])
 
     def test_profile(self, cfg, workload, lineup):
-        task = make_task(cfg, workload, lineup["od-rl"], profile=True)
-        assert batch_unsupported_reason(task) == "profile"
+        assert_batches([make_task(cfg, workload, lineup["od-rl"], profile=True)])
 
     def test_watchdog_is_batchable(self, cfg, workload, lineup):
         # Watchdog-supervised cells batch via PerRunPolicy: each run gets
         # its own serial WatchdogController wrapper on row views.
-        task = make_task(
-            cfg, workload, lineup["od-rl"], sim_kwargs={"watchdog": True}
+        assert_batches(
+            [make_task(cfg, workload, lineup["od-rl"], sim_kwargs={"watchdog": True})]
         )
-        assert batch_unsupported_reason(task) is None
 
     def test_watchdog_false_is_batchable(self, cfg, workload, lineup):
-        task = make_task(
-            cfg, workload, lineup["od-rl"], sim_kwargs={"watchdog": False}
+        assert_batches(
+            [make_task(cfg, workload, lineup["od-rl"], sim_kwargs={"watchdog": False})]
         )
-        assert batch_unsupported_reason(task) is None
 
     def test_fault_campaign_is_batchable(self, cfg, workload, lineup):
         campaign = FaultCampaign.random(N_CORES, N_EPOCHS, rate=0.2, seed=1)
-        task = make_task(
-            cfg, workload, lineup["od-rl"], sim_kwargs={"faults": campaign}
+        assert_batches(
+            [make_task(cfg, workload, lineup["od-rl"], sim_kwargs={"faults": campaign})]
         )
-        assert batch_unsupported_reason(task) is None
 
-    def test_live_injector_instance_falls_back(self, cfg, workload, lineup):
+    def test_live_injector_instance_batches(self, cfg, workload, lineup):
+        # Each cell runs on its own copy of the injector, so two cells
+        # sharing one stack exactly as their serial runs do.
         campaign = FaultCampaign.random(N_CORES, N_EPOCHS, rate=0.2, seed=1)
-        task = make_task(
-            cfg, workload, lineup["od-rl"],
-            sim_kwargs={"faults": FaultInjector(campaign)},
+        options = {"faults": FaultInjector(campaign)}
+        assert_batches(
+            [make_task(cfg, workload, lineup["od-rl"], sim_kwargs=options)] * 2
         )
-        assert batch_unsupported_reason(task) == "faults-instance"
 
     def test_unknown_sim_kwarg(self, cfg, workload, lineup):
-        task = make_task(
-            cfg, workload, lineup["od-rl"], sim_kwargs={"bogus": 1}
-        )
-        assert batch_unsupported_reason(task) == "sim_kwargs:bogus"
+        # The stack refuses an option it does not model; the re-queued
+        # cell then fails exactly as its serial run does.
+        task = make_task(cfg, workload, lineup["od-rl"], sim_kwargs={"bogus": 1})
+        with pytest.raises(TypeError, match="bogus"):
+            execute_cells([task], jobs=1)
+        rec = BufferRecorder()
+        with pytest.raises(TypeError, match="bogus"):
+            execute_cells([task], jobs=1, batch=True, recorder=rec)
+        (fallback,) = events_of(rec, "cell_fallback")
+        assert fallback["reason"] == "batch-error"
+
+    def test_unmodelled_option_gets_the_serial_outcome(self, cfg, workload, lineup):
+        # ``harvest`` is a real run_controller option the stack does not
+        # model: the group raises, and the serial re-run succeeds.
+        task = make_task(cfg, workload, lineup["od-rl"], sim_kwargs={"harvest": True})
+        rec = BufferRecorder()
+        (batched,) = execute_cells([task], jobs=1, batch=True, recorder=rec)
+        (serial,) = execute_cells([task], jobs=1)
+        assert_trace_equal(batched, serial)
+        assert [e["reason"] for e in events_of(rec, "cell_fallback")] == ["batch-error"]
 
     @pytest.mark.parametrize("key", ["sensors", "memory_system"])
     def test_non_default_plant_option(self, cfg, workload, lineup, key):
-        task = make_task(
-            cfg, workload, lineup["od-rl"], sim_kwargs={key: object()}
+        options = {key: plant_option(cfg, key)}
+        assert_batches(
+            [make_task(cfg, workload, lineup[name], sim_kwargs=options)
+             for name in ("od-rl", "pid", "maxbips")]
         )
-        assert batch_unsupported_reason(task) == f"sim_kwargs:{key}"
 
     @pytest.mark.parametrize("key", ["variation", "hetero"])
     def test_stackable_plant_option_is_batchable(self, cfg, workload, lineup, key):
-        # Variation and hetero multipliers stack per run in the kernel;
-        # they no longer force the serial plant.
-        task = make_task(
-            cfg, workload, lineup["od-rl"], sim_kwargs={key: object()}
-        )
-        assert batch_unsupported_reason(task) is None
+        # Variation and hetero multipliers stack per run in the kernel.
+        options = {key: plant_option(cfg, key)}
+        tasks = [make_task(cfg, workload, lineup["od-rl"], sim_kwargs=options)] * 2
+        assert plan_batches(tasks, 8) == [[0, 1]]
+        assert_batches(tasks)
 
     @pytest.mark.parametrize(
         "key", ["sensors", "variation", "memory_system", "hetero"]
@@ -147,10 +186,9 @@ class TestUnsupportedReasons:
     def test_explicit_none_plant_option_is_batchable(
         self, cfg, workload, lineup, key
     ):
-        task = make_task(
-            cfg, workload, lineup["od-rl"], sim_kwargs={key: None}
+        assert_batches(
+            [make_task(cfg, workload, lineup["od-rl"], sim_kwargs={key: None})]
         )
-        assert batch_unsupported_reason(task) is None
 
 
 class TestPlanBatches:
@@ -256,29 +294,27 @@ class TestEngineBatchPath:
         with pytest.raises(ValueError, match="batch"):
             execute_cells([task], batch=-1)
 
-    def test_fallback_cells_run_and_match_serial(self, cfg, workload, lineup):
+    def test_profiled_cells_batch_and_match_serial(self, cfg, workload, lineup):
         tasks = [
-            make_task(cfg, workload, lineup["pid"], name="batched"),
+            make_task(cfg, workload, lineup["pid"], name="plain"),
             make_task(
-                cfg, workload, lineup["static-uniform"], name="profiled",
-                profile=True,
+                cfg, workload, lineup["pid"], name="profiled", profile=True,
             ),
         ]
         serial = execute_cells(tasks, jobs=1)
         rec = BufferRecorder()
         batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
         for a, b in zip(serial, batched):
-            assert_trace_equal(a, b, context="fallback mix")
-        (fallback,) = events_of(rec, "cell_fallback")
-        assert fallback["reason"] == "profile"
-        assert fallback["cell"] == tasks[1].cell.label()
-        (batched_event,) = events_of(rec, "cell_batched")
-        assert batched_event["cell"] == tasks[0].cell.label()
+            assert_trace_equal(a, b, context="profiled mix")
+        assert events_of(rec, "cell_fallback") == []
+        # Profiled cells stack only with profiled cells.
+        assert [e["size"] for e in events_of(rec, "cell_batched")] == [1, 1]
+        assert "timing" in batched[1].extras and "timing" not in batched[0].extras
         counters = summary_counters(rec)
-        assert counters["engine.cells_batched"] == 1
-        assert counters["engine.batch_groups"] == 1
-        assert counters["engine.fallback.profile"] == 1
+        assert counters["engine.cells_batched"] == 2
+        assert counters["engine.batch_groups"] == 2
         assert counters["engine.cells_run"] == 2
+        assert not [k for k in counters if k.startswith("engine.fallback")]
 
     def test_watchdog_cells_batch_and_match_serial(self, cfg, workload, lineup):
         campaign = FaultCampaign.random(
@@ -350,7 +386,7 @@ class TestEngineBatchPath:
         assert reasons == ["batch-error", "batch-error"]
         counters = summary_counters(rec)
         assert counters["engine.batch_errors"] == 1
-        assert counters["engine.fallback.batch-error"] == 2
+        assert not [k for k in counters if k.startswith("engine.fallback")]
         assert counters["engine.cells_run"] == 2
         assert "engine.cells_batched" not in counters
 

@@ -1,7 +1,9 @@
-"""EXPERIMENTS.md's E2, E4 and E5 claims against their artifacts.
+"""EXPERIMENTS.md's E2, E3, E4 and E5 claims against their artifacts.
 
 The E2 over-budget energy table and the C1 headline rows (EXPERIMENTS.md
-and README.md) are copied from ``benchmarks/results/E2.txt``; the E4 gain ranges, the C2b headline rows
+and README.md) are copied from ``benchmarks/results/E2.txt``; the E3
+advantage figures, the C2a headline rows and their verdict from
+``benchmarks/results/E3.txt``; the E4 gain ranges, the C2b headline rows
 (EXPERIMENTS.md and README.md) and the C2b magnitude note from
 ``benchmarks/results/E4.txt``; the E5 latency table and the C3 headline
 rows (EXPERIMENTS.md and README.md), verdict included, from
@@ -22,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[2]
 DOC = ROOT / "EXPERIMENTS.md"
 README = ROOT / "README.md"
 ARTIFACT = ROOT / "benchmarks" / "results" / "E2.txt"
+E3_ARTIFACT = ROOT / "benchmarks" / "results" / "E3.txt"
 E4_ARTIFACT = ROOT / "benchmarks" / "results" / "E4.txt"
 E5_ARTIFACT = ROOT / "benchmarks" / "results" / "E5.txt"
 
@@ -125,6 +128,102 @@ class TestC1Row:
     @pytest.mark.parametrize("wording", sorted(C1_BASELINES))
     def test_readme_range_matches_artifact(self, wording):
         assert _c1_ranges(README)[wording] == _c1_artifact_range(wording)
+
+
+def _e3_advantages() -> Tuple[List[str], Dict[str, List[float]]]:
+    """(benchmarks, OD-RL's advantage per baseline) as E3.txt prints them."""
+    benchmarks, rows = _parse_table(E3_ARTIFACT, "OD-RL advantage (x)")
+    return benchmarks, {name: [float(v) for v in values] for name, values in rows.items()}
+
+
+def _overshoots(controller: str) -> List[bool]:
+    """Per benchmark: does ``controller`` overshoot at all (E2, as printed)?"""
+    _, energy, _ = _artifact_tables()
+    return [float(joules) > 0 for joules in energy[controller]]
+
+
+def _c2a_artifact_range(wording: str) -> Tuple[float, float]:
+    """E2's benchmark set: the advantage range over the benchmarks where
+    the baseline overshoots at all."""
+    baseline = C1_BASELINES[wording]
+    _, advantages = _e3_advantages()
+    measured = [a for a, hot in zip(advantages[baseline], _overshoots(baseline)) if hot]
+    assert measured
+    return min(measured), max(measured)
+
+
+#: the C2a verdict the documents state, and what it says per baseline
+C2A_VERDICT = "reproduced vs PID; mixed vs the heuristics and MaxBIPS"
+C2A_VERDICT_MEANS = {
+    "PID": "reproduced",
+    "greedy ascent": "mixed",
+    "steepest drop": "mixed",
+    "MaxBIPS": "mixed",
+}
+
+
+def _c2a_verdicts() -> Dict[str, str]:
+    """E2's verdict rule per baseline, over the benchmarks where it
+    overshoots at all: reproduced when OD-RL's ratio exceeds 1 on every
+    one, mixed when on some, not reproduced when on none."""
+    verdicts = {}
+    for wording in C1_BASELINES:
+        lo, hi = _c2a_artifact_range(wording)
+        verdicts[wording] = (
+            "reproduced" if lo > 1.0 else "mixed" if hi > 1.0 else "not reproduced"
+        )
+    return verdicts
+
+
+def _c2a_ranges(row: str) -> Dict[str, Tuple[float, float]]:
+    return {
+        name: (float(lo), float(hi))
+        for name, lo, hi in re.findall(r"vs ([A-Za-z ]+?): ([\d.]+) to ([\d.]+)×", row)
+    }
+
+
+def _odrl_hot_max() -> Tuple[float, str]:
+    """(largest advantage vs PID, its benchmark) over the benchmarks where
+    OD-RL itself overshoots at all."""
+    benchmarks, advantages = _e3_advantages()
+    return max(
+        (a, b)
+        for a, b, hot in zip(advantages["pid"], benchmarks, _overshoots("od-rl"))
+        if hot
+    )
+
+
+class TestC2aRows:
+    @pytest.mark.parametrize("path", [DOC, README], ids=["experiments", "readme"])
+    def test_ranges_and_verdict_match_artifact(self, path):
+        row = _headline_row(path, "| C2a")
+        ranges = _c2a_ranges(row)
+        assert set(ranges) == set(C1_BASELINES)
+        for wording, claimed in ranges.items():
+            assert claimed == _c2a_artifact_range(wording), wording
+        top, benchmark = _odrl_hot_max()
+        assert f"up to {top:.2f}× vs PID ({benchmark})" in row
+        assert _c2a_verdicts() == C2A_VERDICT_MEANS
+        assert C2A_VERDICT in row
+
+    def test_e3_section_matches_artifact(self):
+        text = DOC.read_text()
+        prose = " ".join(text[text.index("### E3") : text.index("### E4")].split())
+        benchmarks, advantages = _e3_advantages()
+        hot = [b for b, over in zip(benchmarks, _overshoots("od-rl")) if over]
+        assert hot == ["barnes", "fft", "blackscholes"]
+        pid = ", ".join(
+            f"{advantages['pid'][benchmarks.index(b)]:.2f}× ({b})" for b in hot
+        )
+        assert f"vs PID {pid};" in prose
+        for wording in ("greedy ascent", "steepest drop", "MaxBIPS"):
+            row = advantages[C1_BASELINES[wording]]
+            listed = ", ".join(f"{row[benchmarks.index(b)]:.2f}×" for b in hot)
+            assert f"vs {wording} {listed}" in prose, wording
+        fluid = advantages["pid"][benchmarks.index("fluidanimate")]
+        assert f"finite {fluid:.2f}× vs PID" in prose
+        assert "exactly zero" not in prose
+        assert C2A_VERDICT.replace("; ", " and ") in prose
 
 
 def _e4_gains() -> Dict[str, List[float]]:

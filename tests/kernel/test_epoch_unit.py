@@ -87,10 +87,6 @@ class TestConstructorValidation:
         assert kernel.faults[0] is not None
         assert kernel.faults[1] is None
 
-    def test_rejects_memory_system_with_pregenerated_phases(self):
-        with pytest.raises(ValueError, match="live phase path"):
-            _kernel(memory_systems=[default_memory_system(CFG), None])
-
     def test_rejects_wrong_length_initial_levels(self):
         with pytest.raises(ValueError, match="configs but 1 initial levels"):
             _kernel(initial_levels=[0])
@@ -176,6 +172,30 @@ class TestStepPaths:
         assert (obs.sensed_temperature[1] == 0.0).all()
         assert (obs.sensed_power[0] > 0.0).all()
 
+    def test_none_suite_reads_exactly(self):
+        # A None entry beside a suite reads like SensorSuite.exact(),
+        # blackouts included, as the all-None vectorized path does.
+        campaign = FaultCampaign(
+            n_cores=N_CORES,
+            blackouts=(TelemetryBlackout(start_epoch=1, duration=1),),
+        )
+        kernel = EpochKernel(
+            [CFG] * 2, [WL] * 2, n_epochs=5, sensors=[SensorSuite.exact(), None],
+            faults=[campaign, campaign],
+        )
+        levels = np.ones((2, N_CORES), dtype=int)
+        obs = kernel.step(levels)
+        assert (obs.sensed_power[1] > 0.0).all()
+        for name in ("sensed_power", "sensed_instructions", "sensed_temperature"):
+            np.testing.assert_array_equal(getattr(obs, name)[1], getattr(obs, name)[0])
+        np.testing.assert_array_equal(obs.sensed_power[1], obs.power[1])
+        blind = kernel.step(levels)
+        assert (blind.sensed_power == 0.0).all()
+        assert (blind.power[1] > 0.0).all()
+        finished = kernel.step(levels, active=np.array([True, False]))
+        assert (finished.sensed_power[1] == 0.0).all()
+        assert (finished.sensed_power[0] > 0.0).all()
+
     def test_profiler_times_suite_sensor_reads(self):
         kernel = _kernel(n_runs=2, sensors=[SensorSuite.exact(), SensorSuite.exact()])
         profiler = PhaseProfiler()
@@ -200,3 +220,20 @@ class TestStepPaths:
         kernel.reset()
         replay = kernel.step(levels)
         np.testing.assert_array_equal(replay.instructions, first.instructions)
+
+    def test_memory_systems_rescale_the_phase_stream(self):
+        # Contention rescales a run's row of the precomputed stream, which
+        # steps bit for bit as the live phase path does.
+        def kernel(n_epochs):
+            systems = [default_memory_system(CFG), None]
+            return EpochKernel(
+                [CFG] * 2, [WL] * 2, n_epochs=n_epochs, memory_systems=systems
+            )
+
+        streamed, live = kernel(6), kernel(None)
+        for e in range(6):
+            levels = np.full((2, N_CORES), e % CFG.n_levels)
+            a, b = streamed.step(levels), live.step(levels)
+            for name in ("mem_intensity", "instructions", "power", "sensed_power"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert not np.array_equal(a.instructions[0], a.instructions[1])

@@ -1,10 +1,11 @@
-"""Regression pin on the batch-compatibility gate.
+"""Regression pin on batch coverage.
 
-The kernel refactor made watchdog supervision, process variation,
-heterogeneous core maps, and ragged epoch counts batchable.  This module
-pins that won: the standard-controller suite must produce **zero**
-serial fallbacks under every supported scenario, and the set of reasons
-that still legitimately force the serial path must not silently grow.
+Every cell batches: watchdog supervision, process variation,
+heterogeneous core maps, ragged epoch counts, noisy sensor suites,
+memory systems, pre-built fault injectors and profiling all stack.  This
+module pins that won: the standard-controller suite must produce
+**zero** serial fallbacks under every scenario, each alone and mixed in
+one grid, bit-identical at ``jobs=1``, ``jobs=2`` and ``batch=True``.
 It also pins the stack policy a pid group gets: the vectorized
 ``BatchPID`` for stock controllers in every plant scenario, the serial
 decide (``PerRunPolicy``) for watchdog-wrapped or mixed-gain groups; and
@@ -25,13 +26,21 @@ import pytest
 
 from repro.baselines import GreedyAscentController, SteepestDropController
 from repro.baselines.pid import PIDCappingController
-from repro.batch import batch_unsupported_reason, plan_batches, simulate_batch
+from repro.batch import plan_batches, simulate_batch
 from repro.core import ODRLController
 from repro.faults import FaultCampaign
+from repro.faults.injector import FaultInjector
 from repro.kernel import EpochKernel
-from repro.kernel.policies import BatchGreedy, BatchODRL, BatchPID, PerRunPolicy
-from repro.manycore import ManyCoreChip, default_system
+from repro.kernel.policies import (
+    BatchGreedy,
+    BatchODRL,
+    BatchPID,
+    PerRunPolicy,
+    build_batch_policy,
+)
+from repro.manycore import ManyCoreChip, SensorSuite, default_system
 from repro.manycore.hetero import big_little_map
+from repro.manycore.memory import default_memory_system
 from repro.manycore.variation import sample_variation
 from repro.obs import BufferRecorder
 from repro.parallel import CellTask, RunCell, assert_trace_equal, execute_cells
@@ -43,21 +52,9 @@ from repro.workloads import mixed_workload
 N_CORES = 4
 N_EPOCHS = 8
 
-#: The only remaining reasons a cell may fall back to the serial path.
-#: Growing this set is an intentional API decision, not a side effect.
-ALLOWED_FALLBACK_REASONS = frozenset(
-    {
-        "profile",
-        "faults-instance",
-        "sim_kwargs:sensors",
-        "sim_kwargs:memory_system",
-        "batch-error",
-    }
-)
-
 #: Upper bound on serial fallbacks for the standard-controller suite
-#: across all batchable scenarios.  The refactor drove this to zero;
-#: any regression (a scenario quietly losing batch support) fails here.
+#: across all scenarios.  Every cell batches; any regression (a scenario
+#: quietly losing batch support) fails here.
 MAX_FALLBACKS = 0
 
 CFG = default_system(n_cores=N_CORES, n_levels=3, budget_fraction=0.6)
@@ -82,10 +79,17 @@ SCENARIO_KWARGS = {
         ),
     },
     "hetero": {"hetero": big_little_map(N_CORES)},
+    # Stateful options: every cell runs on its own copy, so the shared
+    # instances below are never advanced by a test.
+    "sensors": {"sensors": SensorSuite(np.random.default_rng(3))},
+    "memory": {"memory_system": default_memory_system(CFG)},
+    "injector": {
+        "faults": FaultInjector(FaultCampaign.random(N_CORES, N_EPOCHS, rate=0.2, seed=2)),
+    },
 }
 
 
-def _suite_tasks(sim_kwargs):
+def _suite_tasks(sim_kwargs, profile=False):
     tasks = []
     for name, factory in sorted(standard_controllers(seed=0).items()):
         cell = RunCell(
@@ -95,69 +99,53 @@ def _suite_tasks(sim_kwargs):
             seed=0,
             n_epochs=N_EPOCHS,
         )
-        tasks.append(CellTask(cell, CFG, WORKLOAD, factory, dict(sim_kwargs)))
+        tasks.append(
+            CellTask(cell, CFG, WORKLOAD, factory, dict(sim_kwargs), profile=profile)
+        )
     return tasks
+
+
+def _mixed_grid():
+    """Every scenario's suite, plus a profiled one, in one task list."""
+    tasks = _suite_tasks({}, profile=True)
+    for _, kwargs in sorted(SCENARIO_KWARGS.items()):
+        tasks.extend(_suite_tasks(kwargs))
+    return tasks
+
+
+def _context(task):
+    """Which grid cell a mismatch is in (labels repeat across scenarios)."""
+    return f"{task.cell.label()} {sorted(task.sim_kwargs)} profile={task.profile}"
 
 
 class TestFallbackRegression:
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_KWARGS))
     def test_gate_accepts_standard_suite(self, scenario):
-        reasons = [
-            batch_unsupported_reason(task)
-            for task in _suite_tasks(SCENARIO_KWARGS[scenario])
-        ]
-        assert reasons.count(None) == len(reasons), reasons
+        # The stack's one gate is its argument check: every scenario's
+        # planned groups run through simulate_batch without raising.
+        tasks = _suite_tasks(SCENARIO_KWARGS[scenario])
+        for group in plan_batches(tasks, len(tasks)):
+            assert len(simulate_batch([tasks[i] for i in group])) == len(group)
 
     def test_fallback_count_at_most_pinned(self):
-        fallbacks = []
-        for scenario, kwargs in sorted(SCENARIO_KWARGS.items()):
-            tasks = _suite_tasks(kwargs)
-            serial = execute_cells(tasks, jobs=1)
-            rec = BufferRecorder()
-            batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
-            # The newly-batchable scenarios must also stay bit-identical.
-            for task, a, b in zip(tasks, serial, batched):
-                assert_trace_equal(
-                    a, b, context=f"{scenario}[{task.cell.controller}]"
-                )
-            fallbacks.extend(
-                (scenario, e["cell"], e["reason"])
-                for e in rec.events
-                if e["type"] == "cell_fallback"
-            )
-        assert len(fallbacks) <= MAX_FALLBACKS, fallbacks
-
-    def test_remaining_reasons_are_the_allowed_set(self, tmp_path):
-        lineup = standard_controllers(seed=0)
-        declining = [
-            CellTask(
-                RunCell(
-                    controller="profile", workload=WORKLOAD.name, budget=None,
-                    seed=0, n_epochs=N_EPOCHS,
-                ),
-                CFG, WORKLOAD, lineup["pid"], {}, profile=True,
-            ),
-            CellTask(
-                RunCell(
-                    controller="sensors", workload=WORKLOAD.name, budget=None,
-                    seed=0, n_epochs=N_EPOCHS,
-                ),
-                CFG, WORKLOAD, lineup["pid"], {"sensors": object()},
-            ),
-            CellTask(
-                RunCell(
-                    controller="memory", workload=WORKLOAD.name, budget=None,
-                    seed=0, n_epochs=N_EPOCHS,
-                ),
-                CFG, WORKLOAD, lineup["pid"], {"memory_system": object()},
-            ),
+        tasks = _mixed_grid()
+        serial = execute_cells(tasks, jobs=1)
+        rec = BufferRecorder()
+        batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
+        for task, a, b in zip(tasks, serial, batched):
+            assert_trace_equal(a, b, context=_context(task))
+        fallbacks = [
+            (e["cell"], e["reason"]) for e in rec.events if e["type"] == "cell_fallback"
         ]
-        for task in declining:
-            reason = batch_unsupported_reason(task)
-            assert reason is not None
-            assert f"{reason}" in ALLOWED_FALLBACK_REASONS or reason.startswith(
-                "sim_kwargs:"
-            )
+        assert len(fallbacks) <= MAX_FALLBACKS, fallbacks
+        assert sum(e["type"] == "cell_batched" for e in rec.events) == len(tasks)
+
+    def test_mixed_grid_matches_in_the_pool(self):
+        tasks = _mixed_grid()
+        serial = execute_cells(tasks, jobs=1)
+        pooled = execute_cells(tasks, jobs=2)
+        for task, a, b in zip(tasks, serial, pooled):
+            assert_trace_equal(a, b, context=_context(task))
 
     def test_watchdog_and_plant_options_join_batch_groups(self):
         # The headline win: scenarios that used to be PerRunPolicy-only
@@ -268,7 +256,6 @@ class TestODRLRouting:
     @pytest.mark.parametrize("scenario", ["clean", "faults", "variation", "hetero"])
     def test_odrl_groups_get_batch_odrl(self, monkeypatch, scenario, group):
         tasks = _odrl_tasks(SCENARIO_KWARGS[scenario], self._groups()[group])
-        assert [batch_unsupported_reason(t) for t in tasks] == [None] * 3
         assert _stack_policy(monkeypatch, tasks) is BatchODRL
 
     def test_differing_thermal_limits_stay_per_run(self, monkeypatch):
@@ -400,3 +387,41 @@ class TestHeuristicRouting:
         # the budgets steer the rows apart within the shortest run
         prefixes = {results[r].core_levels[: min(lengths)].tobytes() for r in range(3)}
         assert len(prefixes) == 3
+
+
+#: plant option -> (EpochKernel keyword, ManyCoreChip keyword, row r's instance)
+STATEFUL_ROWS = {
+    "memory": (
+        "memory_systems", "memory_system", lambda r: default_memory_system(CFG),
+    ),
+    "sensors": (
+        "sensors", "sensors", lambda r: SensorSuite(np.random.default_rng(10 + r)),
+    ),
+}
+
+
+class TestStatefulPlantRows:
+    """Per-row memory systems and noisy sensor suites in one ragged stack
+    with precomputed phase streams: each row is bit for bit its serial
+    chip run, whichever stack policy decides."""
+
+    @pytest.mark.parametrize(
+        "name", ["od-rl", "pid", "maxbips", "greedy-ascent", "static-uniform"]
+    )
+    @pytest.mark.parametrize("option", sorted(STATEFUL_ROWS))
+    def test_rows_match_their_serial_runs(self, option, name):
+        kernel_key, chip_key, make = STATEFUL_ROWS[option]
+        lengths = [12, 9, 7]
+        cfgs = [CFG.with_budget(CFG.power_budget * f) for f in (0.8, 1.0, 1.2)]
+        factory = standard_controllers(seed=0)[name]
+        kernel = EpochKernel(
+            cfgs, [WORKLOAD] * 3, n_epochs=max(lengths),
+            **{kernel_key: [make(r) for r in range(3)]},
+        )
+        policy = build_batch_policy([factory(cfg) for cfg in cfgs])
+        policy.reset()
+        results = run_stack(kernel, policy, lengths, record_per_core=True)
+        for r, (cfg, n) in enumerate(zip(cfgs, lengths)):
+            chip = ManyCoreChip(cfg, WORKLOAD, **{chip_key: make(r)})
+            alone = simulate(chip, factory(cfg), n, record_per_core=True)
+            assert_trace_equal(results[r], alone, context=f"{option} {name} row {r}")

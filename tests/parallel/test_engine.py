@@ -8,14 +8,21 @@ in-cell exceptions deterministically.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import time
 import traceback
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.baselines import StaticUniformController
-from repro.manycore import default_system
+from repro.faults import FaultCampaign
+from repro.faults.injector import FaultInjector
+from repro.manycore import SensorSuite, default_system
+from repro.manycore.memory import default_memory_system
 from repro.obs import BufferRecorder
 from repro.parallel import (
     CellFailure,
@@ -26,11 +33,14 @@ from repro.parallel import (
     ResultCache,
     RetryPolicy,
     RunCell,
+    assert_trace_equal,
     execute_cells,
     execute_cells_report,
 )
 from repro.parallel import chaos as chaos_module
-from repro.workloads import mixed_workload
+from repro.parallel import engine as engine_module
+from repro.sim import run_suite, standard_controllers
+from repro.workloads import make_benchmark, mixed_workload
 
 from tests.parallel import helpers
 
@@ -485,3 +495,117 @@ class TestReportInvariant:
         )
         with pytest.raises(ValueError, match="engine invariant"):
             ExecutionReport(results=(result,), failures=(failure,), counters={})
+
+
+class TestStatefulOptions:
+    """Cells sharing a sensor suite, memory system or pre-built injector
+    each run on their own copy: the result is a function of the cell's
+    inputs whatever ``jobs`` and ``batch`` are, and the caller's instances
+    are never advanced."""
+
+    def test_shared_options_give_equal_results_at_every_backend(self):
+        cfg = default_system(n_cores=8)
+        workloads = {n: make_benchmark(n, 8, seed=0) for n in ("fft", "barnes")}
+        controllers = {"pid": standard_controllers(seed=0)["pid"]}
+        options = {
+            "sensors": SensorSuite(np.random.default_rng(5)),
+            "memory_system": default_memory_system(cfg),
+            "faults": FaultInjector(FaultCampaign.random(8, 40, rate=0.1, seed=1)),
+        }
+        before = {k: pickle.dumps(v) for k, v in options.items()}
+        runs = [
+            run_suite(cfg, workloads, controllers, 40, sim_kwargs=options, **kw)
+            for kw in ({"jobs": 1}, {"jobs": 2}, {"batch": True})
+        ]
+        for other in runs[1:]:
+            for name in workloads:
+                assert_trace_equal(runs[0]["pid"][name], other["pid"][name], context=name)
+        assert {k: pickle.dumps(v) for k, v in options.items()} == before
+
+
+class _FakePool:
+    """Stands in for ``ProcessPoolExecutor``: the pool built ``broken_at``
+    (0-based) refuses its ``refuse_at``-th submission with
+    ``BrokenProcessPool`` and leaves earlier futures in flight; every
+    other pool runs each call where it is submitted."""
+
+    built = 0
+
+    def __init__(self, broken_at, refuse_at, **_pool_kwargs):
+        self.broken = _FakePool.built == broken_at
+        _FakePool.built += 1
+        self.refuse_at = refuse_at
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        future = Future()
+        if self.broken:
+            self.submitted += 1
+            if self.submitted == self.refuse_at:
+                raise BrokenProcessPool("pool died under submit")
+            return future  # in flight until the pool is given up
+        future.set_result(fn(*args))
+        return future
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+
+class TestBrokenPoolPaths:
+    """The settle loop's broken-pool branches, driven by a fake pool."""
+
+    def _run(self, cfg, workload, monkeypatch, refuse_at):
+        _FakePool.built = 0
+        monkeypatch.setattr(
+            engine_module, "ProcessPoolExecutor", partial(_FakePool, 0, refuse_at)
+        )
+        tasks = [
+            make_task(cfg, workload, helpers.build_static, name=f"c{i}") for i in range(2)
+        ]
+        rec = BufferRecorder()
+        pooled = execute_cells(tasks, jobs=2, recorder=rec)
+        assert _FakePool.built == 2  # the broken pool, then its rebuild
+        for task, a, b in zip(tasks, execute_cells(tasks, jobs=1), pooled):
+            assert_trace_equal(a, b, context=task.cell.label())
+        return rec
+
+    def test_submit_raising_broken_pool_resubmits_on_a_fresh_pool(
+        self, cfg, workload, monkeypatch
+    ):
+        rec = self._run(cfg, workload, monkeypatch, refuse_at=1)
+        # Nothing was in flight, so nothing was charged.
+        assert [e for e in rec.events if e["type"] == "cell_retry"] == []
+        done = [e["attempts"] for e in rec.events if e["type"] == "cell_done"]
+        assert done == [1, 1]
+
+    def test_cell_in_flight_when_the_pool_breaks_is_charged_a_crash(
+        self, cfg, workload, monkeypatch
+    ):
+        rec = self._run(cfg, workload, monkeypatch, refuse_at=2)
+        (retry,) = [e for e in rec.events if e["type"] == "cell_retry"]
+        assert retry["cell"].startswith("c0/")
+        assert retry["error_type"] == "WorkerCrash"
+        done = {e["cell"][:2]: e["attempts"] for e in rec.events if e["type"] == "cell_done"}
+        assert done == {"c0": 2, "c1": 1}
+
+
+class TestCacheQuarantine:
+    def test_corrupt_entry_emits_quarantine_and_recomputes(
+        self, cfg, workload, tmp_path
+    ):
+        task = make_task(cfg, workload, helpers.build_static)
+        cache = ResultCache(tmp_path)
+        (cold,) = execute_cells([task], cache=cache)
+        (entry,) = cache.iter_entries()
+        entry.write_bytes(b"not a result")
+        rec = BufferRecorder()
+        (warm,) = execute_cells([task], cache=cache, recorder=rec)
+        assert_trace_equal(cold, warm)
+        (event,) = [e for e in rec.events if e["type"] == "cache_quarantine"]
+        assert event["key"] == entry.stem
+        (summary,) = [e for e in rec.events if e["type"] == "engine_summary"]
+        assert summary["counters"]["engine.cache_quarantines"] == 1
+        assert summary["counters"]["engine.cells_run"] == 1
