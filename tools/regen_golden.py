@@ -1,7 +1,7 @@
 """Regenerate the golden-trace fixtures under ``tests/golden/``.
 
 The golden suite pins exact controller trajectories: a small, fast grid
-(16 cores, 50 epochs, mixed workload, three representative controllers)
+(16 cores, 50 epochs, mixed workload, four representative controllers)
 whose every deterministic output — power, instructions, temperature,
 per-core series, extras — must stay bit-for-bit stable across refactors.
 ``decision_time`` is wall-clock measurement noise, not simulated
@@ -78,7 +78,7 @@ GOLDEN_N_CORES = 16
 GOLDEN_N_EPOCHS = 50
 GOLDEN_SEED = 0
 GOLDEN_BUDGET_FRACTION = 0.6
-GOLDEN_CONTROLLERS = ("od-rl", "pid", "static-uniform")
+GOLDEN_CONTROLLERS = ("od-rl", "pid", "static-uniform", "centralized-rl")
 
 #: Golden harvest trace: the od-rl learner's run above re-recorded with
 #: ``harvest=True``, pinning the transition-event stream the offline
