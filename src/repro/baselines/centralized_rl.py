@@ -54,7 +54,7 @@ class CentralizedRLController(Controller):
             n_states=self.encoder.n_states,
             n_actions=cfg.n_levels,
             gamma=gamma,
-            rng=np.random.default_rng(seed),
+            rng=[np.random.default_rng(seed)],
         )
         self._freqs = np.array([f for f, _ in cfg.vf_levels])
         self._instr_scale = max_epoch_instructions(cfg) * cfg.n_cores
@@ -68,7 +68,7 @@ class CentralizedRLController(Controller):
     def decide(self, obs: Optional[EpochObservation]) -> np.ndarray:
         if obs is None:
             start = self.n_levels // 2
-            self._prev_action = np.array([start])
+            self._prev_action = np.array([[start]])
             return self._full(start)
 
         chip_power = float(np.sum(obs.sensed_power))
@@ -78,16 +78,16 @@ class CentralizedRLController(Controller):
         mean_ipc = chip_instr / max(cycles, 1.0)
 
         state = self.encoder.encode(
-            np.array([chip_power]),
-            np.array([self.cfg.power_budget]),
-            np.array([mean_ipc]),
-            np.array([int(obs.levels[0])]),
+            np.array([[chip_power]]),
+            np.array([[self.cfg.power_budget]]),
+            np.array([[mean_ipc]]),
+            np.array([[int(obs.levels[0])]]),
         )
         reward = compute_reward(
             self.reward_params,
-            np.array([chip_instr]),
-            np.array([chip_power]),
-            np.array([self.cfg.power_budget]),
+            np.array([[chip_instr]]),
+            np.array([[chip_power]]),
+            np.array([[self.cfg.power_budget]]),
             self._instr_scale,
         )
         if self._prev_state is not None and self._prev_action is not None:
@@ -95,4 +95,4 @@ class CentralizedRLController(Controller):
         action = self.agent.act(state)
         self._prev_state = state
         self._prev_action = action
-        return self._full(int(action[0]))
+        return self._full(int(action[0, 0]))

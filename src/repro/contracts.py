@@ -9,7 +9,8 @@ simulator relies on, and a single switch to arm them:
 * set the environment variable ``REPRO_VALIDATE=1``, or
 * pass ``validate=True`` to :func:`repro.sim.simulator.simulate`,
   :class:`repro.manycore.chip.ManyCoreChip`,
-  :class:`repro.core.agent.QLearningPopulation` or
+  :class:`repro.core.agent.QLearningPopulation` (the tabular learner
+  OD-RL and centralized RL share) or
   :func:`repro.core.budget.reallocate_budget`.
 
 Each validator raises :class:`InvariantViolation` naming the epoch, the

@@ -18,7 +18,7 @@ without any per-core model.
 
 The controller follows the :class:`repro.sim.interface.Controller` protocol
 and consumes only sensed telemetry.  It is a one-row view of the only
-OD-RL implementation, the stacked learner
+OD-RL implementation, the stacked decide
 :class:`repro.kernel.policies.BatchODRL`, as
 :class:`~repro.manycore.chip.ManyCoreChip` views the epoch kernel: it
 holds the run's configuration, seed and exploration stream, its learned
@@ -302,17 +302,17 @@ class ODRLController(Controller):
     @property
     def q(self) -> np.ndarray:
         """Q-tables, ``(n_cores, n_states, n_actions)`` (a view)."""
-        return self.stack.q[0]
+        return self.stack.learner.q[0]
 
     @property
     def visits(self) -> np.ndarray:
         """Per-(core, state, action) visit counts (a view)."""
-        return self.stack.visits[0]
+        return self.stack.learner.visits[0]
 
     @property
     def step_count(self) -> int:
         """TD updates so far: the exploration schedule's clock."""
-        return int(self.stack.step_counts[0])
+        return int(self.stack.learner.step_counts[0])
 
     @property
     def allocation(self) -> np.ndarray:

@@ -72,15 +72,16 @@ def snapshot_policy(controller: "ODRLController") -> Dict[str, np.ndarray]:
     snapshot is a deep copy: later learning does not mutate it.
     """
     stack = controller.stack
+    learner = stack.learner
     return {
         "format_version": np.array(_FORMAT_VERSION),
         "n_cores": np.array(stack.n_cores),
         "n_states": np.array(stack.n_states),
         "n_actions": np.array(stack.n_actions),
         "action_mode": np.array(stack.action_mode),
-        "q": stack.q[0].copy(),
-        "visits": stack.visits[0].copy(),
-        "step_count": np.array(stack.step_counts[0]),
+        "q": learner.q[0].copy(),
+        "visits": learner.visits[0].copy(),
+        "step_count": np.array(learner.step_counts[0]),
         "allocation": stack.allocation[0].copy(),
         "guard": np.array(stack.guard[0]),
         "epoch": np.array(stack._epochs[0]),
@@ -137,9 +138,10 @@ def restore_row(stack: "BatchODRL", row: int, snapshot: Dict[str, np.ndarray]) -
             f"policy action_mode mismatch: file has {mode!r}, controller "
             f"has {stack.action_mode!r}"
         )
-    stack.q[row] = snapshot["q"]
-    stack.visits[row] = snapshot["visits"]
-    stack.step_counts[row] = int(snapshot["step_count"])
+    learner = stack.learner
+    learner.q[row] = snapshot["q"]
+    learner.visits[row] = snapshot["visits"]
+    learner.step_counts[row] = int(snapshot["step_count"])
     stack.allocation[row] = snapshot["allocation"]
     stack.guard[row] = float(snapshot["guard"])
     if version >= 2:

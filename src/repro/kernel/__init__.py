@@ -13,8 +13,8 @@ imports this package's views.
 
 The bit-identity contract — every backend produces bit-for-bit the traces
 of the ``n_runs=1`` view — is pinned by ``tests/golden/`` and the
-backend-conformance suite in ``tests/kernel/``, and statically checked by
-the DET002 parity analyzer (see ``docs/static-analysis.md``).
+backend-conformance suite in ``tests/kernel/``; the DET002 analyzer
+checks that the views stay thin (see ``docs/static-analysis.md``).
 """
 
 from repro.kernel.epoch import EpochKernel, EpochObservation, KernelObservation

@@ -2,11 +2,11 @@
 
 Five shapes, selected by :func:`build_batch_policy`:
 
-* :class:`BatchODRL` — the OD-RL learner itself, the only OD-RL decide:
-  Q/visit tables carry a leading run axis, and telemetry sanitization,
-  reward, state encoding, the Q gather and argmax, the TD scatter and the
-  budget reallocation run over the whole stack.  Only the three RNG draws
-  of the action step run per run, in the exact serial order.  Every
+* :class:`BatchODRL` — the only OD-RL decide: telemetry sanitization,
+  reward, state encoding and the budget reallocation run over the whole
+  stack, and one :class:`~repro.core.agent.QLearningPopulation` with a
+  row per run acts and learns over the stack, each run drawing its
+  exploration from its own stream.  Every
   :class:`ODRLController` is a one-row view of a :class:`BatchODRL`; a
   group of them stacks into one when all are stock controllers with the
   same hyper-parameters, power bounds and ``thermal_limit`` (or none).
@@ -66,8 +66,7 @@ from repro.baselines.greedy import (
 )
 from repro.baselines.maxbips import MaxBIPSController
 from repro.baselines.pid import PIDCappingController
-from repro.contracts import check_q_table, validation_enabled
-from repro.core.agent import default_alpha_schedule, default_epsilon_schedule
+from repro.core.agent import QLearningPopulation
 from repro.core.budget import reallocate_budgets, uniform_allocation
 from repro.core.controller import ODRLController
 from repro.core.policy_io import restore_row
@@ -196,12 +195,12 @@ class PerRunPolicy(BatchPolicy):
 
 
 class BatchODRL(BatchPolicy):
-    """The OD-RL learner: a stack of runs' agent rows advanced in lockstep.
+    """The OD-RL decide: a stack of runs' agent rows advanced in lockstep.
 
-    Each row is one run: its Q/visit tables, budget shares, guard band,
-    reallocation window, epoch counter and sanitizer registers.  Only the
-    three RNG draws of the action step run per row, in the serial order,
-    from each run's own stream.  An :class:`ODRLController` is row 0 of a
+    Each row is one run: its budget shares, guard band, reallocation
+    window, epoch counter and sanitizer registers, and its row of
+    :attr:`learner`, the tabular Q-learner holding every run's Q/visit
+    tables and schedule clock.  An :class:`ODRLController` is row 0 of a
     one-row stack, so a stacked run and that run alone execute this code.
     Rows may differ in budget, seed and warm start; build stacks of
     several controllers via :func:`build_batch_policy`, which checks what
@@ -223,27 +222,25 @@ class BatchODRL(BatchPolicy):
         self.realloc_period = c0.realloc_period
         self.degradation = c0.degradation
         self.thermal_limit = c0.thermal_limit
-        self.gamma = c0.gamma
-        self.td_rule = c0.td_rule
         self.n_states = c0.n_states
         self.n_actions = c0.n_actions
-        self.epsilon = default_epsilon_schedule()
-        self.alpha = default_alpha_schedule()
-        self._q_init = 1.0 / (1.0 - self.gamma)
-        self._agents_validate = validation_enabled(None)
+        #: every row's Q/visit tables and schedule clock, drawing from each
+        #: run's own exploration stream
+        self.learner = QLearningPopulation(
+            self.n_cores,
+            self.n_states,
+            self.n_actions,
+            gamma=c0.gamma,
+            rng=[c._rng for c in controllers],
+            optimistic_init=1.0 / (1.0 - c0.gamma),
+            td_rule=c0.td_rule,
+        )
         self._deltas = np.array(c0.RELATIVE_DELTAS, dtype=int)
         self._freqs = np.array([f for f, _ in cfg.vf_levels])
         self._instr_scale = max_epoch_instructions(cfg)
         self._floors = c0._floors
         self._caps = c0._caps
         self._floors_total = float(np.sum(self._floors))
-        self._rngs = [c._rng for c in controllers]
-        #: row of each (run, core) agent's first state in the Q/visit
-        #: tables viewed as (n_runs * n_cores * n_states, n_actions)
-        self._table_base = (
-            np.arange(self.n_runs * self.n_cores).reshape(self.n_runs, self.n_cores)
-            * self.n_states
-        )
         self.sanitizer = TelemetrySanitizer(
             (self.n_runs, self.n_cores), c0.sanitizer_policy
         )
@@ -263,12 +260,7 @@ class BatchODRL(BatchPolicy):
         are not reset (a controller's stream runs on across resets)."""
         n_runs, n_cores = self.n_runs, self.n_cores
         self._budgets = np.array([c.cfg.power_budget for c in self.controllers])
-        tables = (n_runs, n_cores, self.n_states, self.n_actions)
-        # C-contiguous, so the flat views _act and _update index through
-        # are views, not copies.
-        self.q = np.full(tables, self._q_init)
-        self.visits = np.zeros(tables, dtype=np.int64)
-        self.step_counts = np.zeros(n_runs, dtype=np.int64)
+        self.learner.reset()
         # Uniform shares can exceed a core's cap on loose budgets; clamp
         # into the feasible box (the first reallocation fixes shares).
         self.allocation = np.clip(
@@ -384,112 +376,6 @@ class BatchODRL(BatchPolicy):
         self._window_epochs[runs] = 0
         self._window_over[runs] = 0
 
-    def _repair_nonfinite(self, active: Optional[np.ndarray]) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.sum(self.q)
-        if np.isfinite(total):
-            # Any NaN or inf entry makes the sum non-finite, so a finite
-            # sum clears every table in one pass.
-            return np.zeros((self.n_runs, self.n_cores), dtype=bool)
-        bad = ~np.isfinite(self.q).all(axis=(2, 3))
-        if active is not None:
-            # A finished run's learner is frozen: its tables are exactly
-            # what a standalone run of its length left behind, so never
-            # repair (or count repairs for) inactive rows.
-            bad &= active[:, None]
-        if bad.any():
-            self.q[bad] = self._q_init
-            self.visits[bad] = 0
-            self.agents_repaired += np.count_nonzero(bad, axis=1)
-        return bad
-
-    def _act(self, states: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
-        """Epsilon-greedy over the stack.  The three RNG draws per epoch
-        (tie-break jitter, explore coin, random action) happen per run in
-        the serial order, so each run's exploration stream is
-        bit-identical; the Q gather, the jittered argmax and the explore
-        select then run over the whole stack.  Finished runs draw nothing
-        — their streams stay frozen — and act 0."""
-        n_runs, n_cores, n_actions = self.n_runs, self.n_cores, self.n_actions
-        jitter = np.zeros((n_runs, n_cores, n_actions))
-        coins = np.ones((n_runs, n_cores))
-        random_actions = np.zeros((n_runs, n_cores), dtype=np.int64)
-        eps = np.zeros(n_runs)
-        # Runs mostly share a step count: evaluate the schedule once per
-        # distinct count (the same float a per-run call returns).
-        steps = self.step_counts.tolist()
-        eps_at = {step: self.epsilon(step) for step in set(steps)}
-        runs = range(n_runs) if active is None else np.flatnonzero(active).tolist()
-        for r in runs:
-            rng = self._rngs[r]
-            rng.random(out=jitter[r])
-            coins[r] = rng.random(n_cores)
-            random_actions[r] = rng.integers(n_actions, size=n_cores)
-            eps[r] = eps_at[steps[r]]
-        jitter *= 1e-12
-        explore = coins < eps[:, None]
-        qs = np.take(
-            self.q.reshape(-1, n_actions), self._table_base + states, axis=0
-        )
-        greedy_actions = np.argmax(qs + jitter, axis=2)
-        actions = np.where(explore, random_actions, greedy_actions)
-        if active is not None:
-            # Zeros, not stale picks: inactive rows must stay valid action
-            # indices (they index _deltas before the loop freezes the row).
-            actions[~active] = 0
-        return actions
-
-    def _update(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        next_actions: np.ndarray,
-        masks: Optional[np.ndarray],
-        active: Optional[np.ndarray],
-    ) -> None:
-        """One TD scatter over every live ``(run, core)`` agent.
-
-        ``live = mask & active`` in row-major order; every cell is a
-        distinct ``(run, core)`` agent, so the scatter (through flat views
-        of the stacked tables) has no duplicate indices and each value is
-        the serial per-run update bit for bit (bootstraps are read before
-        any write, as serially).  A run's schedule clock ticks only if one
-        of its agents learned — a fully masked run matches the serial
-        early return."""
-        live = np.ones(states.shape, dtype=bool) if masks is None else masks
-        if active is not None:
-            live = live & active[:, None]
-        cells = np.flatnonzero(live)
-        if cells.size == 0:
-            return
-        n_actions = self.n_actions
-        q = self.q.reshape(-1)
-        visits = self.visits.reshape(-1)
-        base = self._table_base.reshape(-1)[cells]
-        next_rows = base + next_states.reshape(-1)[cells]
-        if self.td_rule == "sarsa":
-            bootstrap = q[next_rows * n_actions + next_actions.reshape(-1)[cells]]
-        else:
-            bootstrap = np.max(
-                np.take(self.q.reshape(-1, n_actions), next_rows, axis=0), axis=1
-            )
-        sa = (base + states.reshape(-1)[cells]) * n_actions + actions.reshape(-1)[
-            cells
-        ]
-        a = self.alpha.value(visits[sa])
-        target = rewards.reshape(-1)[cells] + self.gamma * bootstrap
-        td = target - q[sa]
-        q[sa] += a * td
-        visits[sa] += 1
-        learned = live.any(axis=1)
-        self.step_counts += learned
-        if self._agents_validate:
-            runs = cells // self.n_cores
-            for r in np.flatnonzero(learned).tolist():
-                check_q_table(q[sa[runs == r]], step=int(self.step_counts[r]))
-
     def decide(
         self,
         bobs: Optional[KernelObservation],
@@ -565,16 +451,19 @@ class BatchODRL(BatchPolicy):
         if self.degradation:
             # Safe-state reflex: a corrupted Q-table (non-finite rows) is
             # wiped before it can steer an action or absorb an update.
-            repaired = self._repair_nonfinite(active)
+            repaired = self.learner.repair_nonfinite(active)
         else:
             repaired = np.zeros((n_runs, n_cores), dtype=bool)
-        actions = self._act(states, active)
+        # The learner's unchecked entries: this decide builds its inputs
+        # itself, so the public methods' argument checks would only add
+        # per-epoch cost.
+        actions = self.learner._act(states, active)
         if self._prev_states is not None and self._prev_actions is not None:
             # An update is only as good as the telemetry on both of its
             # ends; repaired agents' stale (state, action) pair refers to
             # the table that was just wiped.
             masks = trusted & self._prev_trusted & ~repaired
-            self._update(
+            self.learner._update(
                 self._prev_states,
                 self._prev_actions,
                 rewards,
@@ -605,6 +494,7 @@ class BatchODRL(BatchPolicy):
                 levels + self._deltas[actions], 0, self.n_levels - 1
             )
         if repaired.any():
+            self.agents_repaired += np.count_nonzero(repaired, axis=1)
             # Park freshly reinitialized agents at the safe bottom level
             # for one epoch while their table restarts from scratch.
             next_levels = np.where(repaired, 0, next_levels)

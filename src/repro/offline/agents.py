@@ -290,11 +290,11 @@ def train(
 class LinearQController(Controller):
     """Greedy controller over a trained linear Q-function.
 
-    Entirely RNG-free (greedy ties break to the first maximal action, as
-    :meth:`QLearningPopulation.act` does with ``greedy=True``) and
-    learning-free — the offline weights *are* the policy.  The coarse
-    level mirrors OD-RL's windowed-IPC budget reallocation without the
-    adaptive guard band (there is no learning transient to guard).
+    Entirely RNG-free (greedy ties break to the first maximal action,
+    ``np.argmax``'s rule) and learning-free — the offline weights *are*
+    the policy.  The coarse level mirrors OD-RL's windowed-IPC budget
+    reallocation without the adaptive guard band (there is no learning
+    transient to guard).
     ``realloc_period`` is that reallocation cadence in epochs; ``0``
     disables the coarse level.
     """

@@ -2,8 +2,8 @@
 
 Public surface of the ``repro.parallel`` package:
 
-* :class:`~repro.parallel.cells.RunCell` and the plan/merge/shard helpers
-  — the pure grid bookkeeping;
+* :class:`~repro.parallel.cells.RunCell` and the merge helpers — the
+  pure grid bookkeeping;
 * :func:`~repro.parallel.cache.cell_key`, :func:`~repro.parallel.cache.stable_hash`
   and :class:`~repro.parallel.cache.ResultCache` — content-addressed
   persistence of cell results;
@@ -41,15 +41,7 @@ from repro.parallel.cache import (
     workload_token,
 )
 from repro.parallel.chaos import ChaosPolicy, ChaosTransientError
-from repro.parallel.cells import (
-    RunCell,
-    merge_shards,
-    merge_suite,
-    merge_sweep,
-    plan_suite,
-    plan_sweep,
-    split_shards,
-)
+from repro.parallel.cells import RunCell, merge_suite, merge_sweep
 from repro.parallel.compare import assert_trace_equal, trace_equal
 from repro.parallel.engine import (
     CellFailure,
@@ -90,12 +82,8 @@ __all__ = [
     "controller_fingerprint",
     "execute_cells",
     "execute_cells_report",
-    "merge_shards",
     "merge_suite",
     "merge_sweep",
-    "plan_suite",
-    "plan_sweep",
-    "split_shards",
     "stable_hash",
     "trace_equal",
     "workload_token",

@@ -3,35 +3,26 @@
 A sweep such as :func:`repro.sim.runner.run_suite` is a dense grid —
 controller × workload (× budget) × epochs — whose cells are mutually
 independent closed-loop runs.  This module gives that grid an explicit,
-hashable unit of work, :class:`RunCell`, plus the pure bookkeeping around
-it: planning a grid into an ordered cell list, splitting the list into
-balanced shards for workers, and merging per-cell results back into the
-exact nested-dict shapes the serial runner returns.
+hashable unit of work, :class:`RunCell`, plus the pure bookkeeping that
+merges per-cell results back into the exact nested-dict shapes the
+serial runner returns.
 
 Everything here is deliberately free of process machinery (that lives in
-:mod:`repro.parallel.engine`) so planning and merging can be property
-tested in isolation: for any grid shape, ``merge_shards(split_shards(...))``
-round-trips, and plan → merge reproduces the serial dict layout.
+:mod:`repro.parallel.engine`), so merging can be tested in isolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TypeVar
+from typing import Dict, Optional, Sequence
 
 from repro.sim.results import SimulationResult
 
 __all__ = [
     "RunCell",
-    "plan_suite",
-    "plan_sweep",
     "merge_suite",
     "merge_sweep",
-    "split_shards",
-    "merge_shards",
 ]
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -79,48 +70,13 @@ class RunCell:
         )
 
 
-def plan_suite(
-    controllers: Sequence[str],
-    workloads: Sequence[str],
-    n_epochs: int,
-    seeds: Optional[Dict[str, int]] = None,
-) -> List[RunCell]:
-    """Decompose a controller × workload suite into an ordered cell list.
-
-    The order is controller-major, matching the serial runner's nested
-    loops, so ``merge_suite`` restores the identical dict layout.
-    """
-    seed_of = seeds or {}
-    return [
-        RunCell(c, w, None, seed_of.get(c, 0), n_epochs)
-        for c in controllers
-        for w in workloads
-    ]
-
-
-def plan_sweep(
-    controllers: Sequence[str],
-    workload: str,
-    budgets: Sequence[float],
-    n_epochs: int,
-    seeds: Optional[Dict[str, int]] = None,
-) -> List[RunCell]:
-    """Decompose a controller × budget sweep over one workload into cells."""
-    seed_of = seeds or {}
-    return [
-        RunCell(c, workload, float(b), seed_of.get(c, 0), n_epochs)
-        for c in controllers
-        for b in budgets
-    ]
-
-
 def merge_suite(
     cells: Sequence[RunCell], results: Sequence[SimulationResult]
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Merge per-cell results into ``{controller: {workload: result}}``.
 
-    Insertion order follows the cell order, so a plan produced by
-    :func:`plan_suite` reproduces the serial runner's dict layout exactly.
+    Insertion order follows the cell order, so cells in controller-major
+    order reproduce the serial runner's dict layout exactly.
     """
     if len(cells) != len(results):
         raise ValueError(f"{len(cells)} cells but {len(results)} results")
@@ -141,31 +97,4 @@ def merge_sweep(
         if cell.budget is None:
             raise ValueError(f"sweep cell {cell.label()} has no budget")
         merged.setdefault(cell.controller, {})[cell.budget] = result
-    return merged
-
-
-def split_shards(items: Sequence[_T], n_shards: int) -> List[List[_T]]:
-    """Split ``items`` into ``n_shards`` contiguous, balanced shards.
-
-    Shard sizes differ by at most one (the first ``len % n_shards`` shards
-    get the extra item); empty shards are returned when there are more
-    shards than items, so the count is always exactly ``n_shards``.
-    """
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    base, extra = divmod(len(items), n_shards)
-    shards: List[List[_T]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(list(items[start : start + size]))
-        start += size
-    return shards
-
-
-def merge_shards(shards: Sequence[Sequence[_T]]) -> List[_T]:
-    """Concatenate shards back into one list (inverse of :func:`split_shards`)."""
-    merged: List[_T] = []
-    for shard in shards:
-        merged.extend(shard)
     return merged

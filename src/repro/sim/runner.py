@@ -159,8 +159,11 @@ def standard_controllers(
     is baked into the factory, so cached results are keyed to the exact
     policy.  Appending never changes the base lineup's derived seeds
     (seed children are keyed by position, and the offline names come
-    last).  Warm/linear controllers fall back to ``PerRunPolicy`` in the
-    batched harness — bit-identical by construction.
+    last).  In the batched harness an ``od-rl-warm`` controller is a stock
+    :class:`~repro.core.controller.ODRLController` with a ``pretrained``
+    snapshot, so it stacks into ``BatchODRL``, which restores each row's
+    snapshot on reset; ``linear-q`` decides per run through
+    ``PerRunPolicy``.
     """
     seeded = [name for name, (_, takes_seed) in _LINEUP.items() if takes_seed]
     offline_names = sorted(offline) if offline else []

@@ -11,9 +11,11 @@ class ManyCoreChip:
         return obs
 
     def _accumulate(self, power, dt):
-        # Reached transitively from step(); hiding a store in a helper
-        # must not hide it from the view-thinness check.
-        self.total_energy += float(sum(power)) * dt
+        # Reached transitively from step(); hiding a store in a helper, or
+        # writing through a reshaped alias, must not hide it from the
+        # view-thinness check.
+        totals = self.total_energy.reshape(-1)
+        totals[0] += float(sum(power)) * dt
 
-    def reset(self):
-        self._kernel.reset()
+    def reset(self):  # BAD (draws from an RNG)
+        self._kernel.reset(self._rng.normal())

@@ -35,9 +35,9 @@ class TestCentralizedRL:
     def test_reset(self, cfg):
         ctl = CentralizedRLController(cfg, seed=0)
         run_controller(cfg, mixed_workload(8, seed=2), ctl, n_epochs=50)
-        assert ctl.agent.step_count > 0
+        assert ctl.agent.step_counts[0] > 0
         ctl.reset()
-        assert ctl.agent.step_count == 0
+        assert ctl.agent.step_counts[0] == 0
 
     def test_deterministic(self, cfg):
         wl = mixed_workload(8, seed=3)

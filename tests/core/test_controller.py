@@ -231,8 +231,8 @@ class TestOneRowView:
         ctl = ODRLController(cfg, seed=5)
         run_controller(cfg, wl, ctl, n_epochs=30)
         assert ctl.stack.n_runs == 1
-        assert np.shares_memory(ctl.q, ctl.stack.q)
-        assert ctl.step_count == int(ctl.stack.step_counts[0])
+        assert np.shares_memory(ctl.q, ctl.stack.learner.q)
+        assert ctl.step_count == int(ctl.stack.learner.step_counts[0])
         assert ctl.checkpoint()["epoch"] == 29
 
     def test_pickled_controller_decides_identically(self, cfg, wl):
@@ -242,6 +242,8 @@ class TestOneRowView:
         run_controller(cfg, wl, ctl, n_epochs=30)
         twin = pickle.loads(pickle.dumps(ctl))
         np.testing.assert_array_equal(twin.q, ctl.q)
+        # the twin's learner explores from the twin's own stream
+        assert twin.stack.learner._rngs[0] is twin._rng
         chips = [ManyCoreChip(cfg, wl), ManyCoreChip(cfg, wl)]
         obs = [chip.step(c.decide(None)) for chip, c in zip(chips, (ctl, twin))]
         for _ in range(10):

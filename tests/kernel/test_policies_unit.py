@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.baselines import GreedyAscentController, SteepestDropController
 from repro.baselines.estimator import LevelPredictions, PowerPerfEstimator
 from repro.baselines.maxbips import MaxBIPSController, solve_dp
+from repro.core.agent import QLearningPopulation
 from repro.core.controller import ODRLController
 from repro.core.reward import RewardParams
 from repro.core.state import StateEncoder
@@ -119,34 +120,35 @@ class TestODRLDegradation:
         assert isinstance(policy, BatchODRL)
         kernel = EpochKernel([CFG] * N_RUNS, [WL] * N_RUNS, n_epochs=4)
         bobs = kernel.step(policy.decide(None))
-        policy.q[0, 1] = np.nan  # corrupt run 0's agent on core 1
+        policy.learner.q[0, 1] = np.nan  # corrupt run 0's agent on core 1
         levels = policy.decide(bobs)
         assert policy.agents_repaired.tolist() == [1, 0]
         assert levels[0, 1] == 0  # safe-state reflex parks the core
-        assert np.isfinite(policy.q).all()  # table reinitialized
+        assert np.isfinite(policy.learner.q).all()  # table reinitialized
 
     def test_all_finite_repair_is_a_no_op(self):
         policy = BatchODRL([ODRLController(CFG, seed=s) for s in range(N_RUNS)])
         _drive(policy, n_epochs=3)
-        q_before = policy.q.copy()
-        assert not policy._repair_nonfinite(None).any()
-        np.testing.assert_array_equal(policy.q, q_before)
+        q_before = policy.learner.q.copy()
+        assert not policy.learner.repair_nonfinite(None).any()
+        np.testing.assert_array_equal(policy.learner.q, q_before)
         assert policy.agents_repaired.tolist() == [0, 0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_bad_agent_reset_others_kept(self, bad):
         policy = BatchODRL([ODRLController(CFG, seed=s) for s in range(N_RUNS)])
         _drive(policy, n_epochs=4)
-        assert policy.visits[1, 2].sum() > 0
-        survivors = policy.q.copy(), policy.visits.copy()
-        policy.q[1, 2, 0, 1] = bad
-        repaired = policy._repair_nonfinite(None)
+        learner = policy.learner
+        assert learner.visits[1, 2].sum() > 0
+        survivors = learner.q.copy(), learner.visits.copy()
+        learner.q[1, 2, 0, 1] = bad
+        repaired = learner.repair_nonfinite(None)
         assert repaired.tolist() == [[False] * N_CORES, [False, False, True, False]]
-        assert np.all(policy.q[1, 2] == policy._q_init)
-        assert policy.visits[1, 2].sum() == 0
+        assert np.all(learner.q[1, 2] == 1.0 / (1.0 - policy.controllers[0].gamma))
+        assert learner.visits[1, 2].sum() == 0
         keep = ~repaired
-        np.testing.assert_array_equal(policy.q[keep], survivors[0][keep])
-        np.testing.assert_array_equal(policy.visits[keep], survivors[1][keep])
+        np.testing.assert_array_equal(learner.q[keep], survivors[0][keep])
+        np.testing.assert_array_equal(learner.visits[keep], survivors[1][keep])
 
     def test_fully_masked_update_learns_nothing(self):
         policy = build_batch_policy(
@@ -154,15 +156,16 @@ class TestODRLDegradation:
         )
         assert isinstance(policy, BatchODRL)
         _drive(policy, n_epochs=3)
-        q_before = policy.q.copy()
-        counts_before = policy.step_counts.tolist()
+        learner = policy.learner
+        q_before = learner.q.copy()
+        counts_before = learner.step_counts.tolist()
         states = np.zeros((N_RUNS, N_CORES), dtype=int)
         actions = np.zeros((N_RUNS, N_CORES), dtype=int)
         rewards = np.ones((N_RUNS, N_CORES))
         masks = np.zeros((N_RUNS, N_CORES), dtype=bool)
-        policy._update(states, actions, rewards, states, actions, masks, None)
-        np.testing.assert_array_equal(policy.q, q_before)
-        assert policy.step_counts.tolist() == counts_before
+        learner.update(states, actions, rewards, states, actions, mask=masks)
+        np.testing.assert_array_equal(learner.q, q_before)
+        assert learner.step_counts.tolist() == counts_before
 
     def test_validated_agents_check_updated_cells(self, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "1")
@@ -170,9 +173,31 @@ class TestODRLDegradation:
             [ODRLController(CFG, seed=s) for s in range(N_RUNS)]
         )
         assert isinstance(policy, BatchODRL)
-        assert policy._agents_validate
+        assert policy.learner.validate
         _drive(policy, n_epochs=4)  # TD updates run through check_q_table
-        assert all(c > 0 for c in policy.step_counts)
+        assert all(c > 0 for c in policy.learner.step_counts)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"td_rule": "sarsa", "degradation": False}],
+        ids=["stock", "sarsa-raw"],
+    )
+    def test_decide_skips_the_learners_argument_checks(self, monkeypatch, options):
+        """The decide builds the learner's inputs itself; re-checking their
+        shapes and ranges every epoch would only slow it down."""
+
+        def checked(*args, **kwargs):
+            raise AssertionError("per-epoch decide ran a public learner check")
+
+        for name in ("act", "update", "_check_states", "_check_active"):
+            monkeypatch.setattr(QLearningPopulation, name, checked)
+        controllers = [ODRLController(CFG, seed=s, **options) for s in range(N_RUNS)]
+        policy = build_batch_policy(controllers)
+        assert isinstance(policy, BatchODRL)
+        _drive(policy, n_epochs=5, active=np.array([True, False]))
+        single = ODRLController(CFG, seed=0, **options)
+        _serial_trajectory([single], n_epochs=5)
+        assert policy.learner.step_counts[0] == single.step_count > 0
 
     def test_inactive_rows_skip_reallocation(self):
         policy = build_batch_policy(

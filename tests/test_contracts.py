@@ -131,26 +131,26 @@ class TestQTable:
         check_q_table(np.zeros((2, 3, 4)))
 
     def test_agent_update_detects_injected_nan(self):
-        pop = QLearningPopulation(2, 3, 2, rng=np.random.default_rng(0), validate=True)
-        pop.q[1, 0, 0] = np.nan
+        pop = QLearningPopulation(2, 3, 2, rng=[np.random.default_rng(0)], validate=True)
+        pop.q[0, 1, 0, 0] = np.nan
         with pytest.raises(InvariantViolation):
             pop.update(
-                states=np.array([0, 0]),
-                actions=np.array([0, 0]),
-                rewards=np.array([0.5, 0.5]),
-                next_states=np.array([1, 1]),
+                states=np.array([[0, 0]]),
+                actions=np.array([[0, 0]]),
+                rewards=np.array([[0.5, 0.5]]),
+                next_states=np.array([[1, 1]]),
             )
 
     def test_agent_update_without_validation_stays_quiet(self):
         pop = QLearningPopulation(
-            2, 3, 2, rng=np.random.default_rng(0), validate=False
+            2, 3, 2, rng=[np.random.default_rng(0)], validate=False
         )
-        pop.q[1, 0, 0] = np.nan
+        pop.q[0, 1, 0, 0] = np.nan
         pop.update(
-            states=np.array([0, 0]),
-            actions=np.array([0, 0]),
-            rewards=np.array([0.5, 0.5]),
-            next_states=np.array([1, 1]),
+            states=np.array([[0, 0]]),
+            actions=np.array([[0, 0]]),
+            rewards=np.array([[0.5, 0.5]]),
+            next_states=np.array([[1, 1]]),
         )
 
 

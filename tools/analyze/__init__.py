@@ -8,8 +8,8 @@ cross-module analyzers over it:
 ========  ==========================================================
 DET001    RNG dataflow: argless/literal-seed ``default_rng``, ad-hoc
           child-seed derivation, module-level shared streams
-DET002    backend parity: serial vs batched epoch steps must mutate
-          the same state and draw from the RNG in the same pattern
+DET002    view thinness: serial views of the stacked backends must
+          mutate nothing beyond their backend handle and draw no RNG
 DET003    spawn safety: everything submitted to the process pool or
           bundled into a :class:`CellTask` must be module-level and
           picklable

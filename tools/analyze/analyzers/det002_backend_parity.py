@@ -1,47 +1,32 @@
-"""DET002 — kernel/view backend parity.
+"""DET002 — serial views stay thin over their stacked backends.
 
 The plant's epoch step has a single implementation — the array-native
 :class:`repro.kernel.epoch.EpochKernel` — and the serial chip is a thin
-``n_runs=1`` view over it.  The OD-RL controller likewise has a single
-implementation — the stacked learner
-:class:`repro.kernel.policies.BatchODRL` — and the serial
-:class:`~repro.core.controller.ODRLController` is a one-row view over
-it.  What remains checkable structurally has two halves:
+``n_runs=1`` view over it.  The OD-RL controller likewise is a one-row
+view of the stacked decide :class:`repro.kernel.policies.BatchODRL`,
+whose tabular learner is the one :class:`repro.core.agent.QLearningPopulation`.
+What remains checkable structurally is **view thinness**
+(:class:`ViewPair`): a view method may mutate nothing but its backend
+handle and must not draw RNG, because any epoch state the view keeps of
+its own is state the stacked backend cannot see.
 
-* **view thinness** (:class:`ViewPair`) — a view method may mutate
-  nothing but its backend handle and must not draw RNG: any epoch state
-  the view keeps of its own is state the stacked backend cannot see;
-* **learner parity** (:class:`ParityPair`) — the per-agent reference
-  learner :class:`repro.core.agent.QLearningPopulation` (centralized-rl
-  still runs it) and the stacked learner's act/update must touch the
-  *same* state and draw from their RNG streams the *same* number of
-  times per epoch.
-
-This analyzer diffs each configured pair structurally:
-
-* **state parity** — the set of ``self`` attributes a method mutates
+* **mutations** — the set of ``self`` attributes a view mutates
   (assignments, augmented assignments, subscript stores — including
-  stores through local aliases of ``self`` attributes — plus in-place
-  mutator calls like ``self.thermal.step(...)``), collected
-  *transitively* through ``self.method(...)`` calls so a refactor that
-  moves a store into a helper does not hide it;
-* **draw parity** — the multiset of RNG draw methods invoked directly in
-  the method body (``random``/``integers``/``normal``/...), so an extra
-  exploration draw on one side — which silently desynchronizes every
-  subsequent sample — is caught at review time instead of by a failing
-  golden trace.
-
-Pairs are configured with an attribute-name mapping (serial name ->
-batch name) and per-side ignore sets for state one backend keeps inline
-while the other delegates to sub-objects it owns.
+  stores through local aliases and reshaped views of ``self``
+  attributes — plus in-place mutator calls like
+  ``self.thermal.step(...)``), collected *transitively* through
+  ``self.method(...)`` calls so a refactor that moves a store into a
+  helper does not hide it;
+* **draws** — the multiset of RNG draw methods invoked directly in the
+  view body (``random``/``integers``/``normal``/...).
 """
 
 from __future__ import annotations
 
 import ast
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from tools.analyze.engine import Analyzer
 from tools.analyze.project import FunctionInfo, ProjectIndex
@@ -50,7 +35,6 @@ from tools.lint.engine import Violation
 
 __all__ = [
     "BackendParity",
-    "ParityPair",
     "ViewPair",
     "extract_mutations",
     "extract_draws",
@@ -73,20 +57,6 @@ MUTATOR_METHODS = frozenset(
         "remove",
     }
 )
-
-
-@dataclass(frozen=True)
-class ParityPair:
-    """One serial method and its batched counterpart."""
-
-    serial: str
-    batch: str
-    #: serial attribute name -> equivalent batch attribute name
-    mapping: Dict[str, str] = field(default_factory=dict)
-    #: serial-side attributes with no batch counterpart by design
-    ignore_serial: FrozenSet[str] = frozenset()
-    #: batch-side attributes with no serial counterpart by design
-    ignore_batch: FrozenSet[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -130,22 +100,6 @@ VIEW_PAIRS: Tuple[ViewPair, ...] = (
         handle="stack",
     ),
 )
-
-#: The shipped learner-parity contract: the reference learner's act and
-#: update against the stacked learner's (the schedule clock is one count
-#: per run in the stack).
-PAIRS: Tuple[ParityPair, ...] = (
-    ParityPair(
-        serial="repro.core.agent.QLearningPopulation.act",
-        batch="repro.kernel.policies.BatchODRL._act",
-    ),
-    ParityPair(
-        serial="repro.core.agent.QLearningPopulation.update",
-        batch="repro.kernel.policies.BatchODRL._update",
-        mapping={"step_count": "step_counts"},
-    ),
-)
-
 
 def _self_attr(node: ast.expr) -> Optional[str]:
     """``self.<attr>`` -> attr name, else None."""
@@ -288,9 +242,8 @@ def _is_rngish(node: ast.expr) -> bool:
 def extract_draws(index: ProjectIndex, qualname: str) -> Optional[Counter]:
     """Multiset of RNG draw methods called *directly* in the body.
 
-    Non-transitive on purpose: both sides of a pair place their draws at
-    the same structural depth, and following calls would double-count
-    helpers shared between backends.
+    Non-transitive on purpose: a view's calls into its backend, which
+    does draw, are not the view's own draws.
     """
     fn = index.function(qualname)
     if fn is None:
@@ -321,25 +274,14 @@ class BackendParity(Analyzer):
     analyzer_id = "DET002"
     summary = (
         "serial views must delegate all epoch state to their stacked "
-        "backend, and the reference and stacked learners must mutate "
-        "equivalent state and draw from RNG streams identically per step"
+        "backend and draw no RNG of their own"
     )
 
-    pairs: Tuple[ParityPair, ...] = PAIRS
     view_pairs: Tuple[ViewPair, ...] = VIEW_PAIRS
 
     def check(self, index: ProjectIndex) -> Iterator[Violation]:
         for view_pair in self.view_pairs:
             yield from self._check_view(index, view_pair)
-        for pair in self.pairs:
-            serial_fn = index.function(pair.serial)
-            batch_fn = index.function(pair.batch)
-            if serial_fn is None or batch_fn is None:
-                # One side absent from the analyzed tree (e.g. linting a
-                # sub-package): nothing to diff.
-                continue
-            yield from self._check_state(index, pair, batch_fn)
-            yield from self._check_draws(index, pair, batch_fn)
 
     def _check_view(
         self, index: ProjectIndex, pair: ViewPair
@@ -371,51 +313,3 @@ class BackendParity(Analyzer):
                 f"all stochastic state belongs in `{pair.kernel}`, where "
                 "every backend consumes the same stream",
             )
-
-    def _check_state(
-        self, index: ProjectIndex, pair: ParityPair, batch_fn: FunctionInfo
-    ) -> Iterator[Violation]:
-        serial_raw = extract_mutations(index, pair.serial)
-        batch_raw = extract_mutations(index, pair.batch)
-        if serial_raw is None or batch_raw is None:
-            return
-        serial = {
-            pair.mapping.get(a, a)
-            for a in serial_raw
-            if a not in pair.ignore_serial
-        }
-        batch = batch_raw - pair.ignore_batch
-        missing = serial - batch
-        extra = batch - serial
-        if missing:
-            yield self.violation(
-                batch_fn.module,
-                batch_fn.node,
-                f"`{pair.batch}` does not mutate {_fmt(missing)} while its "
-                f"serial counterpart `{pair.serial}` does — the backends "
-                "will diverge on any code path reading that state",
-            )
-        if extra:
-            yield self.violation(
-                batch_fn.module,
-                batch_fn.node,
-                f"`{pair.batch}` mutates {_fmt(extra)} with no serial "
-                f"counterpart in `{pair.serial}` — either mirror the state "
-                "serially or declare it in the pair's ignore set",
-            )
-
-    def _check_draws(
-        self, index: ProjectIndex, pair: ParityPair, batch_fn: FunctionInfo
-    ) -> Iterator[Violation]:
-        serial = extract_draws(index, pair.serial)
-        batch = extract_draws(index, pair.batch)
-        if serial is None or batch is None or serial == batch:
-            return
-        yield self.violation(
-            batch_fn.module,
-            batch_fn.node,
-            f"RNG draw mismatch: `{pair.serial}` draws "
-            f"{_fmt_counter(serial)} per step but `{pair.batch}` draws "
-            f"{_fmt_counter(batch)} — unequal consumption desynchronizes "
-            "every subsequent sample in the stream",
-        )
