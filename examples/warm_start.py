@@ -14,8 +14,6 @@ Run:
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro import ManyCoreChip, ODRLController, default_system, mixed_workload
 from repro.core import load_policy, save_policy
 from repro.sim import run_controller, simulate

@@ -122,16 +122,6 @@ GREEDY_ASCENT = Heuristic(negate=True, start=0, run=_ascend)
 STEEPEST_DROP = Heuristic(negate=False, start=-1, run=_drop)
 
 
-def _greedy_ascent(pred: LevelPredictions, budget: float) -> np.ndarray:
-    """Bottom-up marginal-utility allocation.  Shared by controllers/tests."""
-    return GREEDY_ASCENT.levels(pred, budget)
-
-
-def _steepest_drop(pred: LevelPredictions, budget: float) -> np.ndarray:
-    """Top-down power shedding.  Shared by controllers/tests."""
-    return STEEPEST_DROP.levels(pred, budget)
-
-
 class GreedyAscentController(Controller):
     """Per-epoch bottom-up marginal-utility allocation on model predictions."""
 

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.baselines.estimator import LevelPredictions, PowerPerfEstimator
-from repro.baselines.greedy import _greedy_ascent
+from repro.baselines.greedy import GREEDY_ASCENT
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
 from repro.manycore.hetero import HeterogeneousMap
@@ -116,7 +116,7 @@ def solve_max_swap(
     """
     power, ips = pred.power, pred.ips
     n = power.shape[0]
-    levels = _greedy_ascent(pred, budget)
+    levels = GREEDY_ASCENT.levels(pred, budget)
     total = float(np.sum(power[np.arange(n), levels]))
     rounds = 0
     cap = 4 * n if max_rounds is None else max_rounds

@@ -10,7 +10,7 @@ efficiency plus where OD-RL's reallocator sends the watts per core type.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 

@@ -26,9 +26,10 @@ The state injection needs — the level each stuck actuator froze at, which
 is only known at runtime, and per-class counters of affected
 (core, epoch) samples — lives in ``(rows, ·)`` arrays the caller owns: the
 kernel keeps one row per run.  :class:`FaultInjector` is one run's handle
-on that state; its per-epoch methods are one-row calls of the same code,
-and its :attr:`~FaultInjector.counts` report the *realized* fault density
-next to the campaign's target.
+on that state, bound to its kernel row; its :attr:`~FaultInjector.counts`
+report the *realized* fault density next to the campaign's target.  The
+per-epoch scalar reference is the campaign's own queries
+(:meth:`FaultCampaign.dead_mask` and friends).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -218,8 +219,7 @@ class FaultInjector:
     The stuck-level captures and the per-class counters are one-row
     ``(1, n_cores)`` and ``(1, 4)`` arrays.  A kernel :meth:`bind` binds them
     to its own row of the stacked state, so :attr:`counts` reads what the
-    kernel injects; standalone, the per-epoch methods apply the campaign
-    through the kernel's own code on a one-row stack.
+    kernel injects through its :class:`FaultPlanes`.
 
     Parameters
     ----------
@@ -243,11 +243,6 @@ class FaultInjector:
     def n_cores(self) -> int:
         return self.campaign.n_cores
 
-    @functools.cached_property
-    def _planes(self) -> FaultPlanes:
-        """The one-row stack the standalone per-epoch methods apply."""
-        return FaultPlanes([self.campaign])
-
     def bind(self, stuck_levels: np.ndarray, counts: np.ndarray) -> None:
         """Move this injector's state into ``stuck_levels`` (``(1, n_cores)``)
         and ``counts`` (``(1, 4)``) — a kernel's row views — and keep
@@ -261,35 +256,3 @@ class FaultInjector:
         """Forget runtime state (stuck-level captures, counters)."""
         self._stuck_levels.fill(-1)
         self._counts.fill(0)
-
-    def effective_levels(
-        self, epoch: int, current: np.ndarray, commanded: np.ndarray
-    ) -> np.ndarray:
-        """The levels actually applied after actuator faults.
-
-        Parameters
-        ----------
-        epoch:
-            The epoch about to run.
-        current:
-            Levels in force during the previous epoch.
-        commanded:
-            The controller's (already clamped) level command.
-        """
-        effective = self._planes.actuate(
-            self._planes.rows(epoch),
-            np.asarray(current)[None],
-            np.asarray(commanded)[None],
-            self._stuck_levels,
-            self._counts,
-        )
-        return effective[0].astype(int)
-
-    def dead_mask(self, epoch: int) -> np.ndarray:
-        """Cores dead during ``epoch`` (no retirement, leakage only)."""
-        return self._planes.dead(self._planes.rows(epoch), self._counts)[0]
-
-    def blackout_channels(self, epoch: int) -> FrozenSet[str]:
-        """Sensor channels blacked out during ``epoch``."""
-        black = self._planes.blackout(self._planes.rows(epoch), self._counts)[0]
-        return frozenset(c for c, on in zip(SENSOR_CHANNELS, black) if on)

@@ -20,7 +20,6 @@ from typing import Any, AsyncIterator, Dict, List, Mapping, Optional, Union
 
 from repro.obs.metrics import Number
 from repro.parallel.cache import ResultCache
-from repro.parallel.retry import RetryPolicy
 from repro.service.events import EventHub
 from repro.service.jobs import JobSpec, plan_job, result_digest
 from repro.service.scheduler import ContinuousScheduler, Job, ServiceError
@@ -36,9 +35,10 @@ class ExperimentService:
 
     Construction does not start anything: jobs submitted before
     :meth:`start` queue up and run once the scheduler starts (tests use
-    this to assemble deterministic fairness scenarios).  :meth:`stop`
-    drains in-flight rounds and leaves zero tasks and zero worker
-    processes.
+    this to assemble deterministic fairness scenarios).  The options are
+    the scheduler's (see :class:`ContinuousScheduler`); ``cache`` may also
+    be a directory path.  :meth:`stop` lets the executing round finish and
+    leaves zero tasks and zero worker processes.
     """
 
     def __init__(
@@ -47,20 +47,14 @@ class ExperimentService:
         engine_jobs: int = 1,
         batch: Union[bool, int] = True,
         round_size: int = 64,
-        max_concurrent_rounds: int = 1,
-        retry_policy: Optional[RetryPolicy] = None,
         timeout: Optional[float] = None,
-        memo_limit: int = 4096,
     ) -> None:
         self._scheduler = ContinuousScheduler(
             cache=ResultCache.coerce(cache),
             engine_jobs=engine_jobs,
             batch=batch,
             round_size=round_size,
-            max_concurrent_rounds=max_concurrent_rounds,
-            retry_policy=retry_policy,
             timeout=timeout,
-            memo_limit=memo_limit,
         )
         self._ids = itertools.count(1)
         self._started = False
@@ -87,7 +81,7 @@ class ExperimentService:
         self._started = True
 
     async def stop(self) -> None:
-        """Drain in-flight rounds and stop; pending jobs are cancelled."""
+        """Finish the executing round and stop; pending jobs are cancelled."""
         await self._scheduler.stop()
         self._started = False
 

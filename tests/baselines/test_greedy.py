@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import GreedyAscentController, SteepestDropController
 from repro.baselines.estimator import LevelPredictions
-from repro.baselines.greedy import _greedy_ascent, _steepest_drop
+from repro.baselines.greedy import GREEDY_ASCENT, STEEPEST_DROP
 from repro.manycore import default_system
 from repro.sim import run_controller
 from repro.workloads import mixed_workload
@@ -21,7 +21,7 @@ class TestGreedyAscentAlgorithm:
             [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
             [[1.0, 2.0, 3.0], [1.0, 1.1, 1.2]],
         )
-        levels = _greedy_ascent(pred, budget=5.0)
+        levels = GREEDY_ASCENT.levels(pred, budget=5.0)
         total = sum(pred.power[i, l] for i, l in enumerate(levels))
         assert total <= 5.0
 
@@ -31,13 +31,13 @@ class TestGreedyAscentAlgorithm:
             [[1.0, 2.0], [1.0, 2.0]],
             [[1.0, 11.0], [1.0, 2.0]],
         )
-        levels = _greedy_ascent(pred, budget=3.0)
+        levels = GREEDY_ASCENT.levels(pred, budget=3.0)
         assert levels[0] == 1
         assert levels[1] == 0
 
     def test_budget_below_bottom_keeps_bottom(self):
         pred = predictions([[2.0, 3.0]], [[1.0, 2.0]])
-        levels = _greedy_ascent(pred, budget=1.0)
+        levels = GREEDY_ASCENT.levels(pred, budget=1.0)
         assert levels[0] == 0
 
     def test_loose_budget_gives_top(self):
@@ -45,7 +45,7 @@ class TestGreedyAscentAlgorithm:
             [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
             [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
         )
-        levels = _greedy_ascent(pred, budget=100.0)
+        levels = GREEDY_ASCENT.levels(pred, budget=100.0)
         assert np.all(levels == 2)
 
     def test_skips_unaffordable_but_continues(self):
@@ -54,7 +54,7 @@ class TestGreedyAscentAlgorithm:
             [[1.0, 10.0], [1.0, 1.5]],
             [[1.0, 100.0], [1.0, 1.4]],
         )
-        levels = _greedy_ascent(pred, budget=3.0)
+        levels = GREEDY_ASCENT.levels(pred, budget=3.0)
         assert levels[0] == 0
         assert levels[1] == 1
 
@@ -65,7 +65,7 @@ class TestSteepestDropAlgorithm:
             [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
             [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
         )
-        levels = _steepest_drop(pred, budget=100.0)
+        levels = STEEPEST_DROP.levels(pred, budget=100.0)
         assert np.all(levels == 2)
 
     def test_sheds_power_to_fit(self):
@@ -73,7 +73,7 @@ class TestSteepestDropAlgorithm:
             [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
             [[1.0, 2.0, 3.0], [1.0, 1.1, 1.2]],
         )
-        levels = _steepest_drop(pred, budget=4.0)
+        levels = STEEPEST_DROP.levels(pred, budget=4.0)
         total = sum(pred.power[i, l] for i, l in enumerate(levels))
         assert total <= 4.0
 
@@ -83,13 +83,13 @@ class TestSteepestDropAlgorithm:
             [[1.0, 2.0], [1.0, 2.0]],
             [[1.0, 5.0], [1.0, 1.01]],
         )
-        levels = _steepest_drop(pred, budget=3.0)
+        levels = STEEPEST_DROP.levels(pred, budget=3.0)
         assert levels[0] == 1
         assert levels[1] == 0
 
     def test_infeasible_ends_all_bottom(self):
         pred = predictions([[2.0, 3.0], [2.0, 3.0]], [[1.0, 2.0], [1.0, 2.0]])
-        levels = _steepest_drop(pred, budget=1.0)
+        levels = STEEPEST_DROP.levels(pred, budget=1.0)
         assert np.all(levels == 0)
 
 

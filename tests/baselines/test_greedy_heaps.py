@@ -1,9 +1,9 @@
 """Differential tests: the list-driven greedy heaps against their
 per-step scalar originals.
 
-``_greedy_ascent`` and ``_steepest_drop`` compute each core's step tables
-once (``np.diff`` power deltas and ``∓Δips / max(Δpower, 1e-12)`` keys) and
-run the heap over Python floats.  The scalar implementations they replaced
+``GREEDY_ASCENT.levels`` and ``STEEPEST_DROP.levels`` compute each core's
+step tables once (``np.diff`` power deltas and ``∓Δips / max(Δpower,
+1e-12)`` keys) and run the heap over Python floats.  The scalar implementations they replaced
 are frozen below as the oracle: for any predictions and budget, both must
 return the same levels — same pop order, same ties, same ``total``
 accumulation — including one- and two-level tables, power steps below the
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.estimator import LevelPredictions
-from repro.baselines.greedy import _greedy_ascent, _steepest_drop
+from repro.baselines.greedy import GREEDY_ASCENT, STEEPEST_DROP
 
 
 def _oracle_greedy_ascent(pred: LevelPredictions, budget: float) -> np.ndarray:
@@ -138,7 +138,7 @@ class TestHeapsMatchScalarOracle:
     @example((_FLAT, 2.0))
     @example((LevelPredictions(np.ones((2, 1)), np.ones((2, 1))), 1.0))
     def test_greedy_ascent(self, case):
-        _check(_greedy_ascent, _oracle_greedy_ascent, *case)
+        _check(GREEDY_ASCENT.levels, _oracle_greedy_ascent, *case)
 
     @settings(max_examples=300, deadline=None)
     @given(_tables())
@@ -146,7 +146,7 @@ class TestHeapsMatchScalarOracle:
     @example((_FLAT, 2.0))
     @example((LevelPredictions(np.ones((2, 1)), np.ones((2, 1))), 1.0))
     def test_steepest_drop(self, case):
-        _check(_steepest_drop, _oracle_steepest_drop, *case)
+        _check(STEEPEST_DROP.levels, _oracle_steepest_drop, *case)
 
     def test_estimator_shaped_tables(self):
         """Monotone estimator-like tables at a realistic size."""
@@ -156,5 +156,5 @@ class TestHeapsMatchScalarOracle:
         pred = LevelPredictions(power=power, ips=ips)
         for frac in np.linspace(0.0, 1.2, 13):
             budget = float(frac * np.sum(power[:, -1]))
-            _check(_greedy_ascent, _oracle_greedy_ascent, pred, budget)
-            _check(_steepest_drop, _oracle_steepest_drop, pred, budget)
+            _check(GREEDY_ASCENT.levels, _oracle_greedy_ascent, pred, budget)
+            _check(STEEPEST_DROP.levels, _oracle_steepest_drop, pred, budget)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import MaxSwapController, solve_exhaustive, solve_max_swap
 from repro.baselines.estimator import LevelPredictions
-from repro.baselines.greedy import _greedy_ascent
+from repro.baselines.greedy import GREEDY_ASCENT
 from repro.manycore import default_system
 from repro.sim import run_controller
 from repro.workloads import mixed_workload
@@ -39,7 +39,7 @@ class TestSolveMaxSwap:
             pred = predictions(power, ips)
             budget = float(np.sum(power[:, 0]) + rng.uniform(1.0, 5.0))
             ms = total(pred, solve_max_swap(pred, budget), "ips")
-            greedy = total(pred, _greedy_ascent(pred, budget), "ips")
+            greedy = total(pred, GREEDY_ASCENT.levels(pred, budget), "ips")
             assert ms >= greedy - 1e-9
 
     def test_near_optimal_on_average(self):
@@ -64,7 +64,7 @@ class TestSolveMaxSwap:
             [[1.0, 4.0], [1.0, 9.0]],
         )
         budget = 4.0
-        greedy = _greedy_ascent(pred, budget)
+        greedy = GREEDY_ASCENT.levels(pred, budget)
         assert list(greedy) == [1, 0]  # stuck at the local optimum
         swap = solve_max_swap(pred, budget)
         assert list(swap) == [0, 1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ODRLController, RewardParams, StateEncoder
+from repro.core import ODRLController
 from repro.manycore import ManyCoreChip, default_system
 from repro.sim import run_controller, simulate
 from repro.workloads import mixed_workload

@@ -1,86 +1,121 @@
-"""FaultInjector: actuator filtering, stuck-level capture, realized counts."""
+"""One-row fault application: actuator filtering, stuck-level capture,
+realized counts.
+
+Each case applies a campaign through a one-row :class:`FaultPlanes` on
+state bound to a :class:`FaultInjector`, exactly as the kernel applies
+every row of a stack.
+"""
 
 import numpy as np
-import pytest
 
-from repro.faults import ActuatorFault, CoreDeathFault, FaultCampaign, FaultInjector
+from repro.faults import (
+    ActuatorFault,
+    CoreDeathFault,
+    FaultCampaign,
+    FaultInjector,
+    TelemetryBlackout,
+)
+from repro.faults.campaign import SENSOR_CHANNELS
+from repro.faults.injector import COUNT_KINDS, FaultPlanes
 
 
-def make_injector(**kwargs):
-    campaign = FaultCampaign(n_cores=4, **kwargs)
-    return FaultInjector(campaign)
+class OneRow:
+    """A campaign's planes plus an injector bound to one row of state."""
+
+    def __init__(self, campaign):
+        self.planes = FaultPlanes([campaign])
+        self.stuck_levels = np.full((1, campaign.n_cores), -1, dtype=int)
+        self.counts = np.zeros((1, len(COUNT_KINDS)), dtype=np.int64)
+        self.injector = FaultInjector(campaign)
+        self.injector.bind(self.stuck_levels, self.counts)
+
+    def levels(self, epoch, current, commanded):
+        return self.planes.actuate(
+            self.planes.rows(epoch),
+            np.asarray(current)[None],
+            np.asarray(commanded)[None],
+            self.stuck_levels,
+            self.counts,
+        )[0]
+
+    def dead(self, epoch):
+        return self.planes.dead(self.planes.rows(epoch), self.counts)[0]
+
+    def blackout(self, epoch):
+        black = self.planes.blackout(self.planes.rows(epoch), self.counts)[0]
+        return frozenset(c for c, on in zip(SENSOR_CHANNELS, black) if on)
+
+
+def make_row(**kwargs):
+    return OneRow(FaultCampaign(n_cores=4, **kwargs))
 
 
 class TestEffectiveLevels:
     def test_healthy_actuators_pass_commands_through(self):
-        injector = make_injector()
+        row = make_row()
         current = np.array([0, 1, 2, 3])
         commanded = np.array([3, 2, 1, 0])
-        np.testing.assert_array_equal(
-            injector.effective_levels(0, current, commanded), commanded
-        )
+        np.testing.assert_array_equal(row.levels(0, current, commanded), commanded)
 
     def test_drop_holds_current_level(self):
-        injector = make_injector(
+        row = make_row(
             actuator_faults=(ActuatorFault(core=1, start_epoch=0, duration=2, mode="drop"),)
         )
         current = np.array([0, 3, 0, 0])
         commanded = np.array([2, 0, 2, 2])
-        effective = injector.effective_levels(0, current, commanded)
+        effective = row.levels(0, current, commanded)
         np.testing.assert_array_equal(effective, [2, 3, 2, 2])
         # after the window, commands land again
-        effective = injector.effective_levels(2, current, commanded)
+        effective = row.levels(2, current, commanded)
         np.testing.assert_array_equal(effective, commanded)
 
     def test_stuck_freezes_at_level_in_force_when_fault_began(self):
-        injector = make_injector(
+        row = make_row(
             actuator_faults=(ActuatorFault(core=2, start_epoch=1, duration=3, mode="stuck"),)
         )
         # epoch 0: healthy
-        injector.effective_levels(0, np.full(4, 1), np.full(4, 2))
+        row.levels(0, np.full(4, 1), np.full(4, 2))
         # epoch 1: fault begins with level 2 in force — capture it
-        effective = injector.effective_levels(1, np.full(4, 2), np.full(4, 3))
+        effective = row.levels(1, np.full(4, 2), np.full(4, 3))
         assert effective[2] == 2
         # epoch 2-3: commands keep changing, the capture holds
-        effective = injector.effective_levels(2, effective, np.full(4, 0))
+        effective = row.levels(2, effective, np.full(4, 0))
         assert effective[2] == 2
-        effective = injector.effective_levels(3, effective, np.full(4, 1))
+        effective = row.levels(3, effective, np.full(4, 1))
         assert effective[2] == 2
         # epoch 4: fault cleared, command lands
-        effective = injector.effective_levels(4, effective, np.full(4, 1))
+        effective = row.levels(4, effective, np.full(4, 1))
         assert effective[2] == 1
 
     def test_cleared_stuck_fault_refreezes_at_new_level(self):
-        injector = make_injector(
+        row = make_row(
             actuator_faults=(
                 ActuatorFault(core=0, start_epoch=0, duration=1, mode="stuck"),
                 ActuatorFault(core=0, start_epoch=3, duration=1, mode="stuck"),
             )
         )
-        effective = injector.effective_levels(0, np.full(4, 3), np.full(4, 0))
+        effective = row.levels(0, np.full(4, 3), np.full(4, 0))
         assert effective[0] == 3
-        injector.effective_levels(1, effective, np.full(4, 1))
-        injector.effective_levels(2, np.full(4, 1), np.full(4, 1))
+        row.levels(1, effective, np.full(4, 1))
+        row.levels(2, np.full(4, 1), np.full(4, 1))
         # second window freezes at the level now in force, not the old capture
-        effective = injector.effective_levels(3, np.full(4, 1), np.full(4, 2))
+        effective = row.levels(3, np.full(4, 1), np.full(4, 2))
         assert effective[0] == 1
 
     def test_returns_int_dtype(self):
-        injector = make_injector()
-        effective = injector.effective_levels(0, np.zeros(4, dtype=int), np.ones(4, dtype=int))
+        row = make_row()
+        effective = row.levels(0, np.zeros(4, dtype=int), np.ones(4, dtype=int))
         assert effective.dtype.kind == "i"
 
 
 class TestDeadMaskAndCounts:
     def test_dead_mask_delegates_to_campaign(self):
-        injector = make_injector(
-            core_deaths=(CoreDeathFault(core=3, start_epoch=1, duration=1),)
-        )
-        assert not injector.dead_mask(0).any()
-        np.testing.assert_array_equal(injector.dead_mask(1), [False, False, False, True])
+        row = make_row(core_deaths=(CoreDeathFault(core=3, start_epoch=1, duration=1),))
+        assert not row.dead(0).any()
+        np.testing.assert_array_equal(row.dead(1), [False, False, False, True])
 
     def test_counts_accumulate_realized_samples(self):
-        injector = make_injector(
+        row = make_row(
             core_deaths=(CoreDeathFault(core=0, start_epoch=0, duration=2),),
             actuator_faults=(
                 ActuatorFault(core=1, start_epoch=0, duration=2, mode="drop"),
@@ -90,50 +125,46 @@ class TestDeadMaskAndCounts:
         )
         current = np.zeros(4, dtype=int)
         for epoch in range(3):
-            injector.dead_mask(epoch)
-            injector.effective_levels(epoch, current, current)
-            injector.blackout_channels(epoch)
-        assert injector.counts == {"dead": 2, "dropped": 2, "stuck": 1, "blackout": 0}
+            row.dead(epoch)
+            row.levels(epoch, current, current)
+            row.blackout(epoch)
+        assert row.injector.counts == {"dead": 2, "dropped": 2, "stuck": 1, "blackout": 0}
 
     def test_blackout_counts_every_core_per_channel(self):
-        from repro.faults import TelemetryBlackout
-
-        injector = make_injector(
+        row = make_row(
             blackouts=(TelemetryBlackout(start_epoch=0, duration=2, channels=("power", "perf")),)
         )
-        assert injector.blackout_channels(0) == {"power", "perf"}
-        assert injector.counts["blackout"] == 4 * 2
+        assert row.blackout(0) == {"power", "perf"}
+        assert row.injector.counts["blackout"] == 4 * 2
 
     def test_reset_clears_state_and_counters(self):
-        injector = make_injector(
+        row = make_row(
             core_deaths=(CoreDeathFault(core=0, start_epoch=0),),
             actuator_faults=(ActuatorFault(core=1, start_epoch=0, mode="stuck"),),
         )
-        injector.dead_mask(0)
-        injector.effective_levels(0, np.full(4, 2), np.full(4, 3))
-        assert injector.counts["dead"] == 1
-        injector.reset()
-        assert injector.counts == {"dead": 0, "dropped": 0, "stuck": 0, "blackout": 0}
+        row.dead(0)
+        row.levels(0, np.full(4, 2), np.full(4, 3))
+        assert row.injector.counts["dead"] == 1
+        row.injector.reset()
+        assert row.injector.counts == {"dead": 0, "dropped": 0, "stuck": 0, "blackout": 0}
         # the stuck capture is forgotten: next epoch re-freezes at current
-        effective = injector.effective_levels(5, np.full(4, 1), np.full(4, 3))
+        effective = row.levels(5, np.full(4, 1), np.full(4, 3))
         assert effective[1] == 1
 
     def test_n_cores_property(self):
-        assert make_injector().n_cores == 4
+        assert make_row().injector.n_cores == 4
 
     def test_deterministic_replay_after_reset(self):
-        campaign = FaultCampaign.random(4, 30, rate=0.3, seed=11)
-        injector = FaultInjector(campaign)
+        row = OneRow(FaultCampaign.random(4, 30, rate=0.3, seed=11))
         rng = np.random.default_rng(0)
         currents = rng.integers(0, 4, size=(30, 4))
         commands = rng.integers(0, 4, size=(30, 4))
 
         def trace():
-            out = []
-            for e in range(30):
-                out.append(injector.effective_levels(e, currents[e], commands[e]).copy())
-            return np.stack(out)
+            return np.stack(
+                [row.levels(e, currents[e], commands[e]).copy() for e in range(30)]
+            )
 
         first = trace()
-        injector.reset()
+        row.injector.reset()
         np.testing.assert_array_equal(first, trace())

@@ -6,7 +6,6 @@ actually exercise.
 """
 
 import numpy as np
-import pytest
 
 from repro import (
     ODRLController,

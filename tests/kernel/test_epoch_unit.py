@@ -18,7 +18,7 @@ from repro.faults import FaultCampaign
 from repro.faults.campaign import CoreDeathFault, TelemetryBlackout
 from repro.kernel.epoch import EpochKernel
 from repro.manycore import default_system
-from repro.manycore.hetero import HeterogeneousMap, big_little_map
+from repro.manycore.hetero import big_little_map
 from repro.manycore.memory import default_memory_system
 from repro.manycore.sensors import SensorSuite
 from repro.manycore.variation import sample_variation

@@ -1,7 +1,5 @@
 """Tests for repro.manycore.config."""
 
-import math
-
 import pytest
 
 from repro.manycore import (

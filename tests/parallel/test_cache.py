@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
 
 import numpy as np
 import pytest

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import solve_dp, solve_exhaustive, solve_max_swap
 from repro.baselines.estimator import LevelPredictions
-from repro.baselines.greedy import _greedy_ascent, _steepest_drop
+from repro.baselines.greedy import GREEDY_ASCENT, STEEPEST_DROP
 
 
 @st.composite
@@ -31,8 +31,8 @@ def instance(draw):
 
 
 SOLVERS = {
-    "greedy": _greedy_ascent,
-    "steepest": _steepest_drop,
+    "greedy": GREEDY_ASCENT.levels,
+    "steepest": STEEPEST_DROP.levels,
     "max-swap": solve_max_swap,
     "dp": solve_dp,
 }
@@ -60,7 +60,7 @@ def test_solutions_feasible(inst, solver_name):
 def test_max_swap_dominates_greedy(inst):
     pred, budget = inst
     _, ips_swap = totals(pred, solve_max_swap(pred, budget))
-    _, ips_greedy = totals(pred, _greedy_ascent(pred, budget))
+    _, ips_greedy = totals(pred, GREEDY_ASCENT.levels(pred, budget))
     assert ips_swap >= ips_greedy - 1e-9
 
 
@@ -79,7 +79,7 @@ def test_dp_dominates_greedy_up_to_quantization(inst):
     shrunk = budget - n * quantum
     if shrunk < float(np.sum(pred.power[:, 0])):
         return  # shrunken problem infeasible; nothing to compare
-    _, ips_greedy = totals(pred, _greedy_ascent(pred, shrunk))
+    _, ips_greedy = totals(pred, GREEDY_ASCENT.levels(pred, shrunk))
     assert ips_dp >= ips_greedy - 1e-9
 
 

@@ -1,6 +1,5 @@
 """Property-based tests: workload phase lookup and trace round-trips."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

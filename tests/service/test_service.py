@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import sys
+import threading
 
 import pytest
 
 from repro.manycore import default_system
+from repro.parallel import cache as cache_module
 from repro.parallel.compare import assert_trace_equal
 from repro.service import ExperimentService, JobSpec, ServiceError, result_digest
+from repro.service import scheduler as scheduler_module
 from repro.service.jobs import _workload
 from repro.sim.runner import run_budget_sweep, run_suite, standard_controllers
 
@@ -219,6 +223,103 @@ class TestDedupAndBatching:
             await service.stop()
 
         asyncio.run(main())
+
+
+class TestSchedulerContracts:
+    def test_each_cell_is_keyed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = cache_module.cell_key
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        # Every binding of the function, wherever it was imported.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "cell_key", None) is original:
+                monkeypatch.setattr(module, "cell_key", counted)
+
+        async def main():
+            service = ExperimentService(cache=str(tmp_path / "cache"))
+            await service.start()
+            job_id = await service.submit(sweep_spec())
+            status = await service.wait(job_id, timeout=120.0)
+            assert status["state"] == "done"
+            assert service.counters()["engine.cells_run"] == 4
+            await service.stop()
+            return status["cells"]
+
+        n_cells = asyncio.run(main())
+        # Planning keys each cell; the round's cache probe reuses the key.
+        assert len(calls) == n_cells == 4
+
+    def test_memo_evicts_its_oldest_entry_past_its_bound(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler_module, "MEMO_LIMIT", 2)
+
+        async def main():
+            service = ExperimentService(cache=str(tmp_path / "cache"))
+            await service.start()
+
+            async def run(budget):
+                spec = sweep_spec(controllers=("pid",), budgets=(budget,))
+                job_id = await service.submit(spec)
+                assert (await service.wait(job_id, timeout=120.0))["state"] == "done"
+                return service.counters()
+
+            for budget in (30.0, 40.0, 50.0):
+                counters = await run(budget)
+            assert counters["service.rounds"] == 3
+            assert counters.get("service.dedup_memo", 0) == 0
+            # 30 W settled first and was evicted: it needs a round again.
+            counters = await run(30.0)
+            assert counters["service.rounds"] == 4
+            assert counters.get("service.dedup_memo", 0) == 0
+            # 50 W is still memoised: answered at submit time.
+            counters = await run(50.0)
+            assert counters["service.rounds"] == 4
+            assert counters["service.dedup_memo"] == 1
+            await service.stop()
+
+        asyncio.run(main())
+
+    def test_stop_during_a_round_settles_its_waiters(self, tmp_path, monkeypatch):
+        started = threading.Event()
+        release = threading.Event()
+        original = scheduler_module.execute_cells_report
+
+        def held(*args, **kwargs):
+            started.set()
+            assert release.wait(60.0), "the test never released the round"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "execute_cells_report", held)
+
+        async def main():
+            service = ExperimentService(cache=str(tmp_path / "cache"))
+            await service.start()
+            running = await service.submit(sweep_spec(), client="a")
+            assert await asyncio.to_thread(started.wait, 60.0)
+            # Arrives during the round: it would join the next one.
+            queued = await service.submit(
+                sweep_spec(controllers=("greedy-ascent",)), client="b"
+            )
+            stopping = asyncio.ensure_future(service.stop())
+            await asyncio.sleep(0.05)
+            assert not stopping.done()
+            release.set()
+            await stopping
+            assert service.status(running)["state"] == "done"
+            assert service.status(queued)["state"] == "cancelled"
+            leftovers = [
+                t for t in asyncio.all_tasks()
+                if t is not asyncio.current_task()
+            ]
+            assert leftovers == []
+
+        asyncio.run(main())
+        assert multiprocessing.active_children() == []
 
 
 class TestFairShare:

@@ -1,6 +1,5 @@
 """Tests for repro.sim.stats (multi-seed aggregation)."""
 
-import numpy as np
 import pytest
 
 from repro.core import ODRLController

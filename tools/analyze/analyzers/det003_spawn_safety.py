@@ -27,7 +27,7 @@ the spawn-based CI runner.  Four sites are checked:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from tools.analyze.engine import Analyzer
 from tools.analyze.project import FunctionInfo, ModuleInfo, ProjectIndex

@@ -22,7 +22,7 @@ flags every source of nondeterminism reachable from them:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Optional
 
 from tools.analyze.engine import Analyzer
 from tools.analyze.project import FunctionInfo, ModuleInfo, ProjectIndex
