@@ -1,4 +1,4 @@
-"""Batched tensor simulation backend.
+"""Stacked simulation of run cells.
 
 Stacks N independent run cells — controller × workload × seed × budget —
 into one ``(n_runs, n_cores, ...)`` epoch kernel so a single NumPy epoch
@@ -6,11 +6,11 @@ step advances every run at once, with results **bit-identical** to the
 serial path (the golden-trace and ``tests/batch/`` differential suites
 are the referee).  The stack runs through the same control loop as a
 serial run (:func:`repro.sim.simulator.run_stack`); this package holds
-what is batch-specific: the planner that groups cells into stacks, and
-the stacked run itself.  Exposed as the third execution backend beside
-serial and ``jobs=`` via ``run_suite(..., batch=True)``,
-``GridOptions(batch=...)`` and the CLI ``--batch`` flag; see
-``docs/batch.md`` for the stacking rules and batch-error semantics.
+the planner that groups cells into stacks and the stacked run itself,
+which is how the engine runs every cell, one per stack by default and
+planned stacks with ``run_suite(..., batch=True)``,
+``GridOptions(batch=...)`` or the CLI ``--batch`` flag, at any ``jobs``;
+see ``docs/batch.md`` for the stacking rules and batch-error semantics.
 """
 
 from repro.batch.simulator import plan_batches, simulate_batch

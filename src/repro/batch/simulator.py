@@ -1,4 +1,4 @@
-"""Batched execution of run-cell groups.
+"""Stacked execution of run-cell groups.
 
 :func:`simulate_batch` stacks a group of independent run cells into one
 :class:`~repro.kernel.epoch.EpochKernel` plus one
@@ -6,7 +6,8 @@
 :func:`repro.sim.simulator.run_stack` — the same control loop the serial
 :func:`~repro.sim.simulator.simulate` runs as a one-row stack — which
 returns one ordinary :class:`~repro.sim.results.SimulationResult` and,
-given a recorder, one serial-identical event trace per cell.  The
+given a recorder, one serial-identical event trace per cell.  It is how
+the engine runs every cell (a lone cell is a one-row stack).  The
 conformance suite in ``tests/kernel/`` verifies the results bit for bit.
 
 Runs in one stack may differ in power budget, seed, workload recipe,
@@ -21,9 +22,8 @@ per run by :class:`~repro.kernel.policies.PerRunPolicy`.
 inside one stack (controller recipe modulo seed, config modulo budget,
 simulation options modulo fault campaign, profiling) — budgets, seeds,
 workloads, campaigns and epoch counts may differ between the runs of
-one batch.  Every cell stacks; a task carrying an option the stack does
-not model makes :func:`simulate_batch` raise, and the engine re-runs
-that group's cells on the serial path.
+one batch.  Every cell stacks; if a stack of several cells raises, the
+engine re-runs its cells one per stack.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.epoch import EpochKernel
-from repro.kernel.policies import build_batch_policy
+from repro.kernel.policies import PerRunPolicy, build_batch_policy
 from repro.obs import PhaseProfiler, Recorder
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import own_options, run_stack, supervise
@@ -42,9 +42,9 @@ if TYPE_CHECKING:
 
 __all__ = ["plan_batches", "simulate_batch"]
 
-#: ``run_controller`` keyword arguments the batched path understands.
-#: Anything else is a simulator feature the stack has not been taught
-#: about: :func:`simulate_batch` raises rather than silently ignore it.
+#: ``run_controller`` keyword arguments a stack understands.  Anything
+#: else is an unexpected keyword: :func:`simulate_batch` raises rather
+#: than silently ignore it.
 _KNOWN_KEYS = frozenset(
     {
         "sensors",
@@ -57,6 +57,7 @@ _KNOWN_KEYS = frozenset(
         "watchdog",
         "checkpoint_period",
         "max_strikes",
+        "harvest",
     }
 )
 
@@ -188,22 +189,26 @@ def simulate_batch(
     come back in task order, each indistinguishable from the serial run
     of the same cell (``assert_trace_equal`` holds bit for bit).
 
+    With ``harvest``, the rows decide through their serial controllers
+    (:class:`~repro.kernel.policies.PerRunPolicy`), whose TD updates a
+    traced row emits as ``transition`` events.
+
     Raises
     ------
-    ValueError
-        When a task carries a ``sim_kwargs`` key the stack does not model.
+    TypeError
+        When a task carries a ``sim_kwargs`` key that is not a
+        :func:`~repro.sim.simulator.run_controller` option.
     """
     if not tasks:
         return []
     for task in tasks:
         unknown = sorted(set(task.sim_kwargs) - _KNOWN_KEYS)
         if unknown:
-            raise ValueError(
-                f"task {task.cell.label()}: the stack does not model {unknown}"
+            raise TypeError(
+                f"task {task.cell.label()}: unexpected simulation options {unknown}"
             )
     options: List[Dict[str, Any]] = [own_options(task.sim_kwargs) for task in tasks]
     kwargs0 = options[0]
-    validate = kwargs0.get("validate", None)
     n_epochs = [task.cell.n_epochs for task in tasks]
 
     drivers = [task.factory(task.cfg) for task in tasks]
@@ -212,7 +217,7 @@ def simulate_batch(
         [task.workload for task in tasks],
         n_epochs=max(n_epochs),
         faults=[o.get("faults") for o in options],
-        validate=validate,
+        validate=kwargs0.get("validate"),
         sensors=[o.get("sensors") for o in options],
         variations=[o.get("variation") for o in options],
         memory_systems=[o.get("memory_system") for o in options],
@@ -230,14 +235,15 @@ def simulate_batch(
             )
             for driver, injector in zip(drivers, kernel.faults)
         ]
-    policy = build_batch_policy(drivers)
+    harvest = bool(kwargs0.get("harvest", False))
+    policy = PerRunPolicy(drivers) if harvest else build_batch_policy(drivers)
     policy.reset()
     return run_stack(
         kernel,
         policy,
         n_epochs,
         record_per_core=bool(kwargs0.get("record_per_core", False)),
-        validate=validate,
         recorders=recorders,
         profiler=PhaseProfiler() if tasks[0].profile else None,
+        harvest=harvest,
     )

@@ -19,8 +19,9 @@ bit-identical to the default serial run — see ``docs/parallel.md``).
 ``--trace PATH`` streams the run's typed event log to a JSONL file and
 ``--profile`` collects the per-epoch phase timing breakdown; neither
 perturbs the simulated trajectories (see ``docs/observability.md``).
-``--batch [N]`` stacks compatible grid cells into tensor batches (the
-third backend — see ``docs/batch.md``), again bit-identical to serial.
+``--batch [N]`` stacks compatible grid cells into shared kernel stacks,
+also inside ``--jobs`` workers (see ``docs/batch.md``), again
+bit-identical to serial.
 ``--journal PATH`` checkpoints every completed grid cell so a killed
 campaign resumes where it left off, and ``--timeout SECONDS`` arms the
 hung-worker watchdog (see ``docs/robustness.md``).

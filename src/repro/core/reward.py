@@ -22,12 +22,13 @@ pressure to back off together when the *chip* is over TDP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 from repro.manycore.config import SystemConfig
 
-__all__ = ["RewardParams", "compute_reward", "max_epoch_instructions"]
+__all__ = ["RewardParams", "compute_reward", "max_epoch_instructions", "reward_rows"]
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,38 @@ def compute_reward(
         raise ValueError(f"chip_budget must be >= 0, got {chip_budget}")
     if np.any(allocation <= 0):
         raise ValueError("allocation must be positive for all cores")
+    chip: Tuple[Any, Any] = (
+        (np.sum(power), np.asarray(chip_budget)) if chip_budget > 0 else (None, None)
+    )
+    return reward_rows(params, instructions, power, allocation, instructions_scale, *chip)
+
+
+def reward_rows(
+    params: RewardParams,
+    instructions: np.ndarray,
+    power: np.ndarray,
+    allocation: np.ndarray,
+    instructions_scale: float,
+    chip_power: Optional[np.ndarray] = None,
+    chip_budget: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`compute_reward` without its argument checks, on
+    ``(n_runs, n_agents)`` rows of instructions, power (watts) and
+    allocation (watts).
+
+    ``chip_power`` and ``chip_budget`` (watts, positive) hold one value
+    per row for the shared chip-overshoot term; ``None`` disables it.
+    The stacked OD-RL decide calls this form every epoch on inputs it
+    built itself.
+    """
     throughput_norm = instructions / instructions_scale
     overshoot = np.maximum(0.0, (power - allocation) / allocation)
     reward = throughput_norm - params.overshoot_weight * overshoot
     if params.energy_weight > 0:
         reward = reward - params.energy_weight * (power / allocation)
-    if chip_budget > 0 and params.chip_overshoot_weight > 0:
-        chip_over = max(0.0, (float(np.sum(power)) - chip_budget) / chip_budget)
-        reward = reward - params.chip_overshoot_weight * chip_over
+    if chip_power is not None and chip_budget is not None and params.chip_overshoot_weight > 0:
+        # max(0, x) as where(x > 0, x, 0): NaN maps to 0 either way.
+        chip_over = (chip_power - chip_budget) / chip_budget
+        chip_over = np.where(chip_over > 0.0, chip_over, 0.0)
+        reward = reward - params.chip_overshoot_weight * chip_over[..., None]
     return reward

@@ -43,10 +43,11 @@ class GridOptions:
         ``result.extras["timing"]`` (wall clock only; never affects the
         simulated trajectories).
     batch:
-        Stack the grid's cells into tensor batches (the
-        :mod:`repro.batch` backend, CLI ``--batch``): ``False`` disables,
-        ``True`` batches each compatible group whole, an integer caps the
-        stack size.  Bit-identical to the serial loop.
+        Stack compatible grid cells into shared kernel stacks (CLI
+        ``--batch``), run in the calling process or, with ``jobs > 1``,
+        in the workers: ``False`` runs each cell as a one-row stack,
+        ``True`` stacks each compatible group whole, an integer caps the
+        stack size.  Bit-identical either way.
     journal:
         Campaign journal path (CLI ``--journal``): checkpoints every
         completed grid cell so a killed campaign resumes where it left

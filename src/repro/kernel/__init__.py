@@ -3,9 +3,8 @@
 :class:`~repro.kernel.epoch.EpochKernel` owns the canonical
 ``(n_runs, n_cores)`` epoch step — power, thermal, phase, sensor, and
 fault advance.  The serial chip (:class:`repro.manycore.chip.ManyCoreChip`)
-is an ``n_runs=1`` view, worker processes (``jobs=N``) run the serial
-view per cell, and the batched backend (:mod:`repro.batch`) builds one
-kernel per stack of cells.  Both drive their kernel through the one
+is an ``n_runs=1`` view, and :mod:`repro.batch` builds one kernel per
+stack of cells, as the engine does for every cell.  Both drive their kernel through the one
 control loop, :func:`repro.sim.simulator.run_stack`.  The batch policies
 that decide for a stack live in :mod:`repro.kernel.policies`; they are
 *not* imported here because they pull in the controller layer, which

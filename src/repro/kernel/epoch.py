@@ -7,10 +7,9 @@ backend runs it through the one control loop,
 
 * the serial chip (:class:`repro.manycore.chip.ManyCoreChip`) wraps an
   ``n_runs=1`` kernel and hands out row views;
-* the batched backend (:func:`repro.batch.simulate_batch`) builds one
-  kernel per stack of cells, with phase streams precomputed
-  (``n_epochs=...``) and the vectorized exact-sensor path;
-* worker processes (``jobs=N``) run the serial view per cell.
+* the stack (:func:`repro.batch.simulate_batch`), which is how the
+  engine runs every cell at any ``jobs``, builds one kernel per stack of
+  cells, with phase streams precomputed (``n_epochs=...``).
 
 The bit-identity contract between all of them rests on three facts:
 

@@ -70,7 +70,7 @@ from repro.core.agent import QLearningPopulation
 from repro.core.budget import reallocate_budgets, uniform_allocation
 from repro.core.controller import ODRLController
 from repro.core.policy_io import restore_row
-from repro.core.reward import max_epoch_instructions
+from repro.core.reward import max_epoch_instructions, reward_rows
 from repro.faults.sanitizer import TelemetrySanitizer
 from repro.kernel.epoch import KernelObservation, _row_active
 from repro.sim.interface import Controller
@@ -303,33 +303,6 @@ class BatchODRL(BatchPolicy):
             return None
         return {key: value[run] for key, value in update.items()}
 
-    def _compute_rewards(
-        self,
-        instructions: np.ndarray,
-        power: np.ndarray,
-        temperature: np.ndarray,
-        chip_power: np.ndarray,
-    ) -> np.ndarray:
-        params = self.reward_params
-        throughput_norm = instructions / self._instr_scale
-        overshoot = np.maximum(0.0, (power - self.allocation) / self.allocation)
-        reward = throughput_norm - params.overshoot_weight * overshoot
-        if params.energy_weight > 0:
-            reward = reward - params.energy_weight * (power / self.allocation)
-        if params.chip_overshoot_weight > 0:
-            # The chip-level term is a per-run scalar (compute_reward's
-            # max(0.0, x) is where(x > 0, x, 0), NaN included); budgets
-            # are positive, as uniform_allocation checks on reset.
-            budget = self._budgets
-            chip_over = (chip_power - budget) / budget
-            chip_over = np.where(chip_over > 0.0, chip_over, 0.0)
-            reward = reward - params.chip_overshoot_weight * chip_over[:, None]
-        if self.thermal_limit is not None:
-            excess = np.maximum(0.0, temperature - self.thermal_limit)
-            penalty = self.controllers[0].THERMAL_PENALTY_PER_K  # type: ignore[attr-defined]
-            reward = reward - penalty * excess
-        return reward
-
     def _reallocate(
         self, ipc: np.ndarray, over: np.ndarray, active: Optional[np.ndarray]
     ) -> None:
@@ -442,7 +415,15 @@ class BatchODRL(BatchPolicy):
         ipc = instructions / np.maximum(cycles, 1.0)
 
         chip_power = power.sum(axis=1)
-        rewards = self._compute_rewards(instructions, power, temperature, chip_power)
+        # Budgets are positive, as uniform_allocation checks on reset.
+        rewards = reward_rows(
+            self.reward_params, instructions, power, self.allocation,
+            self._instr_scale, chip_power, self._budgets,
+        )
+        if self.thermal_limit is not None:
+            excess = np.maximum(0.0, temperature - self.thermal_limit)
+            penalty = self.controllers[0].THERMAL_PENALTY_PER_K  # type: ignore[attr-defined]
+            rewards = rewards - penalty * excess
         # Reallocation runs before state encoding so the agents always act
         # (and the TD update always bootstraps) on the current shares.
         self._reallocate(ipc, chip_power > self._budgets, active)

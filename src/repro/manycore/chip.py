@@ -4,8 +4,7 @@
 epoch kernel (:class:`repro.kernel.epoch.EpochKernel`), which owns the
 canonical epoch step on ``(n_runs, n_cores)`` state.  The chip validates
 its configuration, wraps a single-run kernel, and hands out row views —
-so the serial loop, the ``jobs=N`` worker pool, and the batched backend
-all execute the same code path.  Each epoch:
+so a serial run and a stack of runs execute the same code path.  Each epoch:
 
 1. the controller supplies a per-core VF-level vector;
 2. cores that changed level pay the VF transition stall;
@@ -128,8 +127,10 @@ class ManyCoreChip:
     workload:
         Phase traces the cores execute.
     sensors:
-        Telemetry model; defaults to :meth:`SensorSuite.exact` so that the
-        plant is deterministic unless noise is requested explicitly.
+        Telemetry model; ``None`` (default) reads exactly — the readings
+        of :meth:`SensorSuite.exact`, taken by the kernel's vectorized
+        path — so the plant is deterministic unless noise is requested
+        explicitly.
     initial_level:
         VF level all cores start at; defaults to the top level (the
         uncontrolled, performance-greedy state the paper's problem begins
@@ -180,7 +181,7 @@ class ManyCoreChip:
 
         self.cfg = cfg
         self.workload = workload
-        self.sensors = sensors if sensors is not None else SensorSuite.exact()
+        self.sensors = sensors
         self.memory_system = memory_system
         # The kernel validates every argument (VF table, budget, per-core
         # maps, fault campaign, initial level) in the chip's own words.

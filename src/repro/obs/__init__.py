@@ -41,6 +41,7 @@ from repro.obs.recorder import (
     JsonlRecorder,
     NullRecorder,
     Recorder,
+    replay_events,
 )
 from repro.obs.summarize import (
     TraceSummary,
@@ -64,6 +65,7 @@ __all__ = [
     "JsonlRecorder",
     "BufferRecorder",
     "NULL_RECORDER",
+    "replay_events",
     "PHASES",
     "NESTED_IN",
     "PhaseProfiler",

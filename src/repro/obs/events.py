@@ -57,9 +57,9 @@ Event types
     A journalled campaign restarted: total planned cells, cells already
     completed per the journal, and cells still pending.
 ``cell_batched`` / ``cell_fallback``
-    Batched-backend routing: a cell executed inside a batch group (with
-    the group's index and size; a traced cell's run events follow it), or
-    a cell of a group that raised, re-queued for the serial path —
+    Stack routing: a cell executed inside its planned stack (with the
+    plan group's index and size; a traced cell's run events follow it),
+    or a cell of a stack that failed, re-queued to run alone —
     ``reason`` is ``"batch-error"``.  Traces written before every cell
     batched also carry older reasons (``"profile"``,
     ``"sim_kwargs:<key>"``, …); they validate and summarize unchanged.

@@ -29,7 +29,7 @@ only in extras/traces — never in the deterministic simulation series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 __all__ = ["PHASES", "PhaseProfiler", "TimingBreakdown"]
 
@@ -110,7 +110,6 @@ class PhaseProfiler:
 
     _totals: Dict[str, float] = field(default_factory=dict)
     _epoch_row: Dict[str, float] = field(default_factory=dict)
-    _epoch_rows: List[Dict[str, float]] = field(default_factory=list)
     _n_epochs: int = 0
 
     def add(self, phase: str, seconds: float) -> None:
@@ -123,7 +122,6 @@ class PhaseProfiler:
         row = self._epoch_row
         for phase, seconds in row.items():
             self._totals[phase] = self._totals.get(phase, 0.0) + seconds
-        self._epoch_rows.append(row)
         self._epoch_row = {}
         self._n_epochs += 1
         return row
@@ -146,11 +144,6 @@ class PhaseProfiler:
     @property
     def n_epochs(self) -> int:
         return self._n_epochs
-
-    @property
-    def epoch_rows(self) -> List[Dict[str, float]]:
-        """Per-epoch phase rows, in epoch order (read-only use)."""
-        return self._epoch_rows
 
     def breakdown(self) -> TimingBreakdown:
         """Aggregate everything recorded so far."""

@@ -23,8 +23,8 @@ Implementations
 :class:`BufferRecorder`
     Collects events in memory.  The parallel engine hands one to each
     worker-side ``simulate`` call and ships the buffer back with the
-    result, so a parent :class:`JsonlRecorder` can replay cell events in
-    deterministic task order regardless of worker scheduling.
+    result, so :func:`replay_events` can re-emit cell events into a parent
+    recorder in deterministic task order regardless of worker scheduling.
 
 A single module-level :data:`NULL_RECORDER` instance is shared wherever a
 default is needed — the null recorder is stateless, so sharing is safe.
@@ -33,7 +33,7 @@ default is needed — the null recorder is stateless, so sharing is safe.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, IO, List, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.obs.events import make_event
 
@@ -43,6 +43,7 @@ __all__ = [
     "JsonlRecorder",
     "BufferRecorder",
     "NULL_RECORDER",
+    "replay_events",
 ]
 
 
@@ -158,13 +159,6 @@ class JsonlRecorder(_SequencedRecorder):
             self._pending.clear()
         self._fh.flush()
 
-    def record_all(self, events: List[Dict[str, Any]]) -> None:
-        """Replay pre-built events (from a :class:`BufferRecorder`),
-        re-stamping their sequence numbers into this recorder's stream."""
-        for event in events:
-            payload = {k: v for k, v in event.items() if k not in ("type", "seq")}
-            self.emit(event["type"], **payload)
-
     def close(self) -> None:
         if self._fh is not None:
             self.flush()
@@ -196,6 +190,14 @@ class BufferRecorder(_SequencedRecorder):
 
     def flush(self) -> None:
         return None
+
+
+def replay_events(rec: Recorder, events: Sequence[Mapping[str, Any]]) -> None:
+    """Re-emit pre-built events (from a :class:`BufferRecorder`) into
+    ``rec``, which re-stamps their sequence numbers into its own stream."""
+    for event in events:
+        payload = {k: v for k, v in event.items() if k not in ("type", "seq")}
+        rec.emit(event["type"], **payload)
 
 
 def _json_default(obj: Any) -> Any:

@@ -45,17 +45,22 @@ cell recomputed.  With a :class:`~repro.parallel.journal.CampaignJournal`,
 every settlement is checkpointed so a killed campaign resumes completing
 only the missing cells, bit-identical to an uninterrupted run.
 
-**One settle loop.**  ``jobs=1`` swaps the process pool for an
-in-process executor that runs each cell where it is submitted and hands
-back an already-completed future, so both executors feed the same loop:
-classification, backoff, cache writes, journal records and task-ordered
-event emission live in one place.  A settled cell's events are emitted
-as soon as every earlier cell has settled, so a traced ``jobs=1`` grid
-holds only the running cell's buffer.  Two things stay pool-only: worker
-crash and hang injection (the calling process cannot kill or preempt
-itself) and the soft-deadline watchdog.  ``jobs=1`` without a resilience
-option keeps one more contract: :func:`execute_cells` re-raises the
-first failed cell's original exception, traceback included.
+**One settle loop.**  Every cell runs as a row of a stack
+(:func:`~repro.batch.simulate_batch`); the loop submits, retries and
+settles stacks, one per cell or, with ``batch``, those of
+:func:`~repro.batch.plan_batches`.  A stack of several cells gets one
+free try, without chaos or soft deadline; if it fails in any way its
+cells re-enter the loop alone, as charged attempts.  ``jobs=1`` swaps
+the process pool for an in-process executor that runs each stack where
+it is submitted and hands back an already-completed future, so both
+executors feed the same loop: classification, backoff, cache writes,
+journal records and task-ordered event emission live in one place.  A
+settled cell's events are emitted as soon as every earlier cell has
+settled.  Two things stay pool-only: worker crash and hang injection
+(the calling process cannot kill or preempt itself) and the
+soft-deadline watchdog.  ``jobs=1`` without a resilience option keeps
+one more contract: :func:`execute_cells` re-raises the first failed
+cell's original exception, traceback included.
 """
 
 from __future__ import annotations
@@ -71,7 +76,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.manycore.config import SystemConfig
-from repro.obs import NULL_RECORDER, BufferRecorder, CounterRegistry, Recorder
+from repro.obs import (
+    NULL_RECORDER,
+    BufferRecorder,
+    CounterRegistry,
+    Recorder,
+    replay_events,
+)
 from repro.obs.metrics import Number
 from repro.parallel.cache import ResultCache, cell_key
 from repro.parallel.cells import RunCell
@@ -92,6 +103,9 @@ __all__ = [
 
 CacheLike = Union[ResultCache, str, Path, None]
 JournalLike = Union[CampaignJournal, str, Path, None]
+#: The settle loop's unit of work: task indices run as one stack, in
+#: task order (a single cell is a one-row unit).
+Unit = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -241,8 +255,6 @@ class ParallelExecutionError(RuntimeError):
         )
 
 
-
-
 #: ``execute_cells``' default: one extra attempt, no backoff.
 _DEFAULT_POLICY = RetryPolicy(retries=1, base_delay=0.0, max_delay=0.0, jitter=0.0)
 
@@ -250,72 +262,59 @@ _DEFAULT_POLICY = RetryPolicy(retries=1, base_delay=0.0, max_delay=0.0, jitter=0
 _CACHE_COUNTERS = ("hits", "misses", "corrupt", "quarantined", "put_errors")
 
 
-def _run_cell(
-    task: CellTask, recorder: Optional[Recorder] = None
-) -> SimulationResult:
-    """Execute one cell: build the controller, run the loop on copies of
-    the cell's stateful options (see :func:`~repro.sim.simulator.own_options`)."""
-    # Imported here, not at module level: the simulator pulls in the full
-    # plant stack, and worker processes import this module on spawn.
-    from repro.sim.simulator import own_options, run_controller
-
-    controller = task.factory(task.cfg)
-    return run_controller(
-        task.cfg,
-        task.workload,
-        controller,
-        task.cell.n_epochs,
-        recorder=recorder,
-        profile=task.profile,
-        **own_options(task.sim_kwargs),
-    )
-
-
-def _run_cell_guarded(
-    task: CellTask,
+def _run_unit(
+    tasks: Sequence[CellTask],
     chaos: Optional[ChaosPolicy] = None,
     attempt: int = 1,
     in_process: bool = False,
 ) -> Tuple[str, Any]:
-    """One attempt, for either executor: failures come back as values.
+    """One attempt at a unit — a stack of cells, run by
+    :func:`~repro.batch.simulate_batch` — for either executor: failures
+    come back as values.
 
     In a worker, returning ``("error", ...)`` instead of raising keeps
     ordinary cell failures (bad config, contract violation) out of the
     pool's exception machinery, so only hard process death ever breaks
-    the pool.  The ``"ok"`` payload is ``(result, events)`` — the run's
-    buffered trace events when ``task.trace`` is set, else ``None``.  The
-    ``"error"`` payload is ``(error_type, message, traceback_text, events,
-    exception)``: the attempt's *partial* event buffer, so a cell that
-    fails permanently still leaves a trace through its last completed
-    epoch, and, in-process only, the exception object itself (a worker's
-    may not pickle).
+    the pool.  The ``"ok"`` payload holds ``(result, events)`` per task,
+    ``events`` being a traced run's buffered events.  The ``"error"``
+    payload is ``(error_type, message, traceback_text, events,
+    exception)``: a one-row unit's *partial* event buffer, so a cell that
+    fails for good still leaves a trace through its last completed epoch,
+    and, in-process only, the exception object itself (a worker's may not
+    pickle).
 
-    ``chaos`` (when armed) injects its faults before the cell simulates,
-    keyed deterministically by the cell label and the 1-based ``attempt``
-    number, so injection decisions are identical across the spawn
-    boundary and across runs.  In-process, only the faults that are safe
-    in the calling process fire
+    ``chaos`` injects its faults before the cell simulates, keyed by the
+    cell label and the 1-based ``attempt``, so injection decisions are
+    identical across the spawn boundary and across runs.  In-process,
+    only the faults safe in the calling process fire
     (:meth:`~repro.parallel.chaos.ChaosPolicy.inline_cell_start`), and
-    only ``Exception`` is caught: ``KeyboardInterrupt`` and ``SystemExit``
-    stop the calling process at once.
+    only ``Exception`` is caught: ``KeyboardInterrupt`` and
+    ``SystemExit`` stop the calling process at once.
     """
-    buffer = BufferRecorder() if task.trace else None
+    # Imported here, not at module level: repro.batch pulls in the full
+    # plant + controller stack, and worker processes import this module
+    # on spawn.
+    from repro.batch import simulate_batch
+
+    buffers = [BufferRecorder() if task.trace else None for task in tasks]
     try:
         if chaos is not None:
-            if in_process:
-                chaos.inline_cell_start(task.cell.label(), attempt)
-            else:
-                chaos.at_cell_start(task.cell.label(), attempt)
-        result = _run_cell(task, recorder=buffer)
-        return "ok", (result, buffer.events if buffer is not None else None)
+            start = chaos.inline_cell_start if in_process else chaos.at_cell_start
+            start(tasks[0].cell.label(), attempt)
+        results = simulate_batch(tasks, buffers)
+        return "ok", [
+            (result, buffer.events if buffer is not None else None)
+            for result, buffer in zip(results, buffers)
+        ]
     except BaseException as exc:  # returned to the settle loop as a value
         if in_process and not isinstance(exc, Exception):
             raise
+        partial = buffers[0] if len(tasks) == 1 else None
         return "error", (
             type(exc).__qualname__,
             str(exc),
             traceback.format_exc(),
-            buffer.events if buffer is not None and buffer.events else None,
+            partial.events if partial is not None and partial.events else None,
             exc if in_process else None,
         )
 
@@ -390,16 +389,19 @@ class _Invocation:
         if store is not None:
             self.cache0 = {name: getattr(store, name) for name in _CACHE_COUNTERS}
         self.q_cursor = len(store.quarantine_log) if store is not None else 0
-        #: Settle-loop state per cell: attempts made, ``(error_type,
-        #: message)`` history, backoff deadline; ``waiting`` holds the
-        #: unsubmitted cells (ready or backing off) in task order.
+        #: Settle-loop state per cell: attempts made and ``(error_type,
+        #: message)`` history; ``waiting`` holds the unsubmitted units
+        #: (ready or backing off) in task order, each with its backoff
+        #: deadline in ``not_before``; ``groups`` maps a cell to its plan
+        #: group while its planned stack stands.
         self.attempts: Dict[int, int] = {}
         self.history: Dict[int, List[Tuple[str, str]]] = {}
-        self.not_before: Dict[int, float] = {}
-        self.waiting: List[int] = []
+        self.not_before: Dict[Unit, float] = {}
+        self.waiting: List[Unit] = []
+        self.groups: Dict[int, int] = {}
         self.failures: Dict[int, CellFailure] = {}
-        #: Deferred per-cell emission: retry-stack notes and run events,
-        #: emitted by :meth:`flush` in task order.
+        #: Deferred per-cell emission: notes (stack routing and the retry
+        #: stack) and run events, emitted by :meth:`flush` in task order.
         self.notes: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
         self.events: Dict[int, Any] = {}
         self.cursor = 0
@@ -428,25 +430,35 @@ class _Invocation:
             if self.jour is not None:
                 self.jour.record_done(i, key)
 
-    def enqueue(self, i: int, delay: float = 0.0) -> None:
-        """Put cell ``i`` back among the waiting cells, ready after ``delay``."""
-        self.not_before[i] = time.monotonic() + delay if delay else 0.0
-        bisect.insort(self.waiting, i)
+    def enqueue(self, unit: Unit, delay: float = 0.0) -> None:
+        """Put ``unit`` among the waiting units, ready after ``delay``."""
+        self.not_before[unit] = time.monotonic() + delay if delay else 0.0
+        bisect.insort(self.waiting, unit)
 
     def note(self, i: int, kind: str, **payload: Any) -> None:
         self.notes.setdefault(i, []).append((kind, payload))
 
-    def charge(
+    def fail(
         self,
-        i: int,
+        unit: Unit,
         error: Tuple[str, str, str],
         events: Any = None,
         exception: Optional[BaseException] = None,
     ) -> None:
-        """Book one unsuccessful attempt of cell ``i``: re-queue it behind
-        its backoff when the policy grants a retry, else settle it as a
-        :class:`CellFailure` (noting ``cell_abandoned`` when budget
-        remained unspent)."""
+        """Book an unsuccessful attempt at ``unit``.  A stack's try is
+        free: each member notes ``cell_fallback`` (reason ``batch-error``)
+        and re-enters as a one-row unit.  A one-row unit's cell is charged
+        an attempt: re-queued behind its backoff when the policy grants a
+        retry, else settled as a :class:`CellFailure` (noting
+        ``cell_abandoned`` when budget remained unspent)."""
+        if len(unit) > 1:
+            self.metrics.inc("engine.batch_errors")
+            for i in unit:
+                del self.groups[i]
+                self.note(i, "cell_fallback", reason="batch-error")
+                self.enqueue((i,))
+            return
+        (i,) = unit
         error_type, message, tb_text = error
         self.attempts[i] += 1
         attempt = self.attempts[i]
@@ -463,7 +475,7 @@ class _Invocation:
                 classification=classification,
                 delay=delay,
             )
-            self.enqueue(i, delay)
+            self.enqueue((i,), delay)
             return
         if attempt <= self.policy.retries:
             self.metrics.inc("engine.cells_abandoned")
@@ -492,12 +504,32 @@ class _Invocation:
         if self.jour is not None and key is not None:
             self.jour.record_failed(i, key, error_type, attempt)
 
+    def settle(self, unit: Unit, status: str, payload: Any) -> None:
+        """Book a returned attempt at ``unit`` (see :func:`_run_unit`):
+        each member of a successful unit completes, noting
+        ``cell_batched`` when the unit is its planned stack."""
+        if status != "ok":
+            error_type, message, tb_text, events, exception = payload
+            self.fail(unit, (error_type, message, tb_text), events, exception)
+            return
+        planned = unit[0] in self.groups
+        if planned:
+            self.metrics.inc("engine.batch_groups")
+        for i, (result, events) in zip(unit, payload):
+            self.attempts[i] += 1
+            if planned:
+                self.metrics.inc("engine.cells_batched")
+                self.note(i, "cell_batched", group=self.groups[i], size=len(unit))
+            if events:
+                self.events[i] = events
+            self.complete(i, result)
+
     def flush(self) -> None:
         """Emit the deferred events of every settled cell not preceded by
         an unsettled one — notes, run events, then ``cell_done`` or
         ``cell_failed`` — so the trace's cell order is a function of the
-        task list alone.  Cached and batched cells emitted theirs earlier
-        and are skipped."""
+        task list alone.  Cached cells emitted theirs earlier and are
+        skipped."""
         rec = self.rec
         while self.cursor < len(self.tasks):
             i = self.cursor
@@ -513,7 +545,7 @@ class _Invocation:
             for kind, payload in notes:
                 rec.emit(kind, cell=label, **payload)
             if events:
-                _replay_events(rec, events)
+                replay_events(rec, events)
             if failure is None:
                 rec.emit("cell_done", cell=label, attempts=self.attempts[i])
             else:
@@ -532,76 +564,6 @@ class _Invocation:
         for name, start in self.cache0.items():
             counters[f"cache.{name}"] = getattr(self.store, name) - start
         return counters
-
-
-def _run_batched(
-    run: _Invocation, pending: List[int], batch: Union[bool, int]
-) -> List[int]:
-    """Run ``pending`` through the stacked backend; return the cells of
-    groups that raised, in task order, for the settle loop.
-
-    A group that raises is not fatal: every member emits a
-    ``cell_fallback`` event with the ``"batch-error"`` reason and is
-    recomputed by the settle loop, so a batching defect — or an option
-    the stack does not model — can cost time but never a result.  Traced
-    members run with a :class:`~repro.obs.BufferRecorder` each, replayed
-    between ``cell_batched`` and ``cell_done``; a group that raises drops
-    its partial buffers, so the re-run emits each event once.
-    """
-    # Imported here, not at module level: repro.batch pulls in the full
-    # plant + controller stack, which the engine otherwise avoids loading
-    # (worker processes import this module on spawn).
-    from repro.batch import plan_batches, simulate_batch
-
-    tasks, rec, metrics = run.tasks, run.rec, run.metrics
-    leftovers: List[int] = []
-    max_batch = len(pending) if batch is True else int(batch)
-    plan = plan_batches([tasks[i] for i in pending], max_batch)
-    for group_index, group in enumerate(plan):
-        members = [pending[j] for j in group]
-        buffers = [
-            BufferRecorder() if tasks[i].trace and rec.enabled else None
-            for i in members
-        ]
-        try:
-            group_results = simulate_batch([tasks[i] for i in members], buffers)
-        except Exception:
-            # Recorded and re-queued, never swallowed: every member is
-            # recomputed by the settle loop.
-            metrics.inc("engine.batch_errors")
-            for i in members:
-                if rec.enabled:
-                    rec.emit(
-                        "cell_fallback",
-                        cell=tasks[i].cell.label(),
-                        reason="batch-error",
-                    )
-            leftovers.extend(members)
-            continue
-        metrics.inc("engine.batch_groups")
-        for i, result, buffer in zip(members, group_results, buffers):
-            metrics.inc("engine.cells_batched")
-            run.complete(i, result)
-            if rec.enabled:
-                rec.emit(
-                    "cell_batched",
-                    cell=tasks[i].cell.label(),
-                    group=group_index,
-                    size=len(members),
-                )
-                if buffer is not None:
-                    _replay_events(rec, buffer.events)
-                rec.emit("cell_done", cell=tasks[i].cell.label(), attempts=1)
-    leftovers.sort()
-    return leftovers
-
-
-def _replay_events(rec: Recorder, events: Sequence[Mapping[str, Any]]) -> None:
-    """Re-emit buffered run events into the invocation's recorder
-    (sequence numbers are re-stamped by the recorder's own counter)."""
-    for event in events:
-        payload = {k: v for k, v in event.items() if k not in ("type", "seq")}
-        rec.emit(event["type"], **payload)
 
 
 def execute_cells(
@@ -676,7 +638,7 @@ def execute_cells_report(
     tasks:
         The cells to run; results come back in the same order.
     jobs:
-        Worker process count.  ``1`` runs each cell in the calling
+        Worker process count.  ``1`` runs each stack in the calling
         process (no pool, no pickling), one at a time, through the same
         settle loop as the pool.
     cache:
@@ -689,7 +651,8 @@ def execute_cells_report(
     recorder:
         Optional event sink (see :mod:`repro.obs`).  The engine emits
         cell lifecycle events (``cell_start`` / ``cell_cached`` /
-        ``cell_done`` / ``cell_failed``), retry-stack incidents
+        ``cell_batched`` / ``cell_fallback`` / ``cell_done`` /
+        ``cell_failed``), retry-stack incidents
         (``cell_retry`` / ``cell_timeout`` / ``cell_abandoned``), cache
         integrity incidents (``cache_quarantine``), ``campaign_resume``
         when a journal resumes, and a closing ``engine_summary``.  Per-run
@@ -698,18 +661,18 @@ def execute_cells_report(
         has settled, so the trace is a function of the task list alone,
         whatever the worker scheduling.
     batch:
-        Route every cache-missed cell through the stacked tensor backend
-        (:mod:`repro.batch`) before the settle loop.  ``True`` stacks each
+        Stack compatible cache-missed cells (:func:`~repro.batch.plan_batches`)
+        instead of running each as a one-row stack, in the calling process
+        or, with ``jobs > 1``, in the workers.  ``True`` stacks each
         compatible group whole; an integer caps the runs per stack.  Mixed
         budgets, seeds, epoch counts, fault campaigns, variation/hetero
         maps, watchdog supervision, sensor suites and memory systems all
-        stack; traced cells stream each run's events as the serial path
-        does, and profiled cells (stacked only with each other) get their
-        row's share of the stack's timing.  The cells of a group that
-        raises — a batching defect, or an option the stack does not model
-        — re-run in the settle loop after a ``cell_fallback`` event with
-        reason ``batch-error``; results are bit-identical either way.
-        Batch membership never enters :func:`~repro.parallel.cache.cell_key`.
+        stack; traced cells stream each run's events as a lone run does,
+        and profiled cells (stacked only with each other) get their row's
+        share of the stack's timing.  The cells of a stack that fails
+        re-run one per stack after a ``cell_fallback`` event with reason
+        ``batch-error``; results are bit-identical either way.  Batch
+        membership never enters :func:`~repro.parallel.cache.cell_key`.
     retry_policy:
         Transient/deterministic error classification, the
         identical-failure cutoff, and bounded exponential backoff with
@@ -799,10 +762,8 @@ def execute_cells_report(
                     continue
             pending.append(i)
 
-        if batch and pending:
-            pending = _run_batched(run, pending, batch)
         if pending:
-            _run_pool(run, pending, jobs, timeout, chaos)
+            _run_pool(run, pending, batch, jobs, timeout, chaos)
         run.drain_quarantine()
         counters = run.counters()
         if rec.enabled:
@@ -828,28 +789,47 @@ def execute_cells_report(
 def _run_pool(
     run: _Invocation,
     pending: List[int],
+    batch: Union[bool, int],
     jobs: int,
     timeout: Optional[float],
     chaos: Optional[ChaosPolicy],
 ) -> None:
-    """The settle loop: submit, watch, classify, retry or settle.
+    """The settle loop: plan, submit, watch, classify, retry or settle.
 
-    The only place a non-batched cell is attempted.  ``jobs=1`` runs on
-    an :class:`_InProcessExecutor`, one cell at a time, so every cell
-    settles — and its events are emitted — before the next one starts.
-    ``jobs > 1`` runs on a spawn-started process pool, rebuilt whenever a
+    The only place a cell is attempted, always in a unit run by
+    :func:`_run_unit`: the cache-missed cells ``pending`` one per unit,
+    or with ``batch`` the stacks of :func:`~repro.batch.plan_batches` of
+    at most ``batch`` runs (``True``: no cap).  A stack of several cells
+    gets one try that costs no attempt and sees no chaos or soft
+    deadline; if it fails in any way (it raises, its worker dies, its
+    pool breaks) its cells re-enter as one-row units, each an attempt
+    under the retry policy (:meth:`_Invocation.fail`).  ``jobs=1`` runs
+    on an :class:`_InProcessExecutor`, one unit at a time, so every unit
+    settles — and its events are emitted — before the next one starts;
+    ``jobs > 1`` on a spawn-started process pool, rebuilt whenever a
     worker death or the watchdog breaks it.
 
     Backoff never blocks dispatch: a retried cell waits aside behind its
-    per-cell ``not_before`` deadline while ready cells are submitted and
-    the hung-worker watchdog keeps ticking; the loop sleeps only when
-    nothing is in flight and every waiting cell is backing off.
+    ``not_before`` deadline while ready units are submitted and the
+    hung-worker watchdog keeps ticking; the loop sleeps only when nothing
+    is in flight and every waiting unit is backing off.
     """
+    units: List[Unit] = [(i,) for i in pending]
+    if batch:
+        # Imported here, not at module level: repro.batch pulls in the
+        # full plant + controller stack (workers import this module).
+        from repro.batch import plan_batches
+
+        max_batch = len(pending) if batch is True else int(batch)
+        plan = plan_batches([run.tasks[i] for i in pending], max_batch)
+        units = [tuple(pending[j] for j in members) for members in plan]
+        run.groups = {i: group for group, unit in enumerate(units) for i in unit}
     in_process = jobs == 1
-    for i in pending:
-        run.attempts[i] = 0
-        run.history[i] = []
-        run.enqueue(i)
+    for unit in units:
+        for i in unit:
+            run.attempts[i] = 0
+            run.history[i] = []
+        run.enqueue(unit)
     while run.waiting:
         executor: Any = (
             _InProcessExecutor()
@@ -860,35 +840,35 @@ def _run_pool(
             )
         )
         with executor as pool:
-            live: Dict[Any, int] = {}
+            live: Dict[Any, Unit] = {}
             running_since: Dict[Any, float] = {}
             broken = False
             watchdog_broke = False
             while (live or run.waiting) and not broken:
                 now = time.monotonic()
-                ripe = [j for j in run.waiting if run.not_before[j] <= now]
-                for i in ripe[:1] if in_process else ripe:
+                ripe = [u for u in run.waiting if run.not_before[u] <= now]
+                for unit in ripe[:1] if in_process else ripe:
                     try:
                         fut = pool.submit(
-                            _run_cell_guarded,
-                            run.tasks[i],
-                            chaos,
-                            run.attempts[i] + 1,
+                            _run_unit,
+                            [run.tasks[i] for i in unit],
+                            chaos if len(unit) == 1 else None,
+                            run.attempts[unit[0]] + 1,
                             in_process,
                         )
                     except BrokenProcessPool:
-                        # The pool died under us: unsubmitted cells keep
+                        # The pool died under us: unsubmitted units keep
                         # their deadlines for the next pool.
                         broken = True
                         break
-                    run.waiting.remove(i)
-                    live[fut] = i
+                    run.waiting.remove(unit)
+                    live[fut] = unit
                 if broken:
                     break
                 if not live:
-                    # Every waiting cell is backing off: sleep to the
+                    # Every waiting unit is backing off: sleep to the
                     # nearest deadline.
-                    wake_at = min(run.not_before[j] for j in run.waiting)
+                    wake_at = min(run.not_before[u] for u in run.waiting)
                     time.sleep(max(0.0, wake_at - time.monotonic()))
                     continue
                 # Poll when a watchdog deadline or a backoff is armed; a
@@ -898,7 +878,7 @@ def _run_pool(
                 if timeout is not None:
                     ticks.append(max(0.01, min(0.05, timeout / 5.0)))
                 if run.waiting:
-                    wake_at = min(run.not_before[j] for j in run.waiting)
+                    wake_at = min(run.not_before[u] for u in run.waiting)
                     ticks.append(max(0.01, wake_at - time.monotonic()))
                 done, _ = wait(
                     live,
@@ -906,13 +886,13 @@ def _run_pool(
                     return_when=FIRST_COMPLETED,
                 )
                 for fut in done:
-                    i = live.pop(fut)
+                    unit = live.pop(fut)
                     try:
                         status, payload = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        run.charge(
-                            i,
+                        run.fail(
+                            unit,
                             (
                                 "WorkerCrash",
                                 "worker process died before returning a result",
@@ -923,32 +903,24 @@ def _run_pool(
                     except Exception as exc:
                         # Submission-side errors (e.g. an unpicklable lambda
                         # factory) surface here rather than in the worker;
-                        # they consume an attempt like any other failure.
-                        run.charge(
-                            i,
+                        # they count as an attempt like any other failure.
+                        run.fail(
+                            unit,
                             (type(exc).__qualname__, str(exc), traceback.format_exc()),
                         )
                         continue
-                    if status == "ok":
-                        result, events = payload
-                        run.attempts[i] += 1
-                        if events:
-                            run.events[i] = events
-                        run.complete(i, result)
-                    else:
-                        error_type, message, tb_text, events, exc = payload
-                        run.charge(i, (error_type, message, tb_text), events, exc)
+                    run.settle(unit, status, payload)
                 run.flush()
                 if broken or timeout is None or not live:
                     continue
                 # Soft-deadline watchdog (pool only: an in-process future is
-                # complete when submitted, so ``live`` is empty here):
-                # charge stragglers, kill the pool, and let the broken-pool
-                # path re-queue the innocents for free (their budgets are
-                # untouched).
+                # complete when submitted, so ``live`` is empty here; one-
+                # row units only): charge stragglers, kill the pool, and let
+                # the broken-pool path re-queue the innocents for free
+                # (their budgets are untouched).
                 now = time.monotonic()
-                for fut in live:
-                    if fut.running() and fut not in running_since:
+                for fut, unit in live.items():
+                    if len(unit) == 1 and fut.running() and fut not in running_since:
                         running_since[fut] = now
                 expired = [
                     fut
@@ -959,7 +931,7 @@ def _run_pool(
                     broken = True
                     watchdog_broke = True
                     for fut in expired:
-                        i = live.pop(fut)
+                        (i,) = live.pop(fut)
                         run.metrics.inc("engine.timeouts")
                         run.note(
                             i,
@@ -967,8 +939,8 @@ def _run_pool(
                             attempt=run.attempts[i] + 1,
                             deadline=timeout,
                         )
-                        run.charge(
-                            i,
+                        run.fail(
+                            (i,),
                             (
                                 "CellTimeout",
                                 f"cell exceeded its soft deadline of {timeout}s",
@@ -977,18 +949,18 @@ def _run_pool(
                         )
                     _terminate_pool_processes(pool)
             if broken:
-                for fut, i in live.items():
+                for fut, unit in live.items():
                     fut.cancel()
-                    if watchdog_broke:
-                        # Innocent bystanders of a watchdog kill: re-queued
-                        # at once, their attempt budgets untouched.
+                    if watchdog_broke and len(unit) == 1:
+                        # Innocent bystander of a watchdog kill: re-queued
+                        # at once, its attempt budget untouched.
                         run.metrics.inc("engine.requeued")
-                        run.enqueue(i)
+                        run.enqueue(unit)
                     else:
-                        # Casualties of a genuine crash: one attempt each,
-                        # then resubmitted to a fresh pool.
-                        run.charge(
-                            i,
+                        # Casualties of a genuine crash (and every stack):
+                        # an attempt each, then resubmitted to a fresh pool.
+                        run.fail(
+                            unit,
                             (
                                 "WorkerCrash",
                                 "worker pool broke while the cell was queued/in flight",

@@ -54,6 +54,9 @@ __all__ = ["ServiceError", "Job", "CellRecord", "ContinuousScheduler"]
 
 #: Settled results the memo keeps; past it, the oldest entry is evicted.
 MEMO_LIMIT = 4096
+#: Terminal jobs the job table keeps; past it, the job that ended first
+#: is evicted (its id then reads as unknown).  Running jobs always stay.
+JOB_RETENTION = 4096
 
 
 class ServiceError(RuntimeError):
@@ -167,7 +170,9 @@ class ContinuousScheduler:
         default retry policy.
 
     Rounds run one at a time, so everything arriving during a round
-    joins the next; the memo keeps the last :data:`MEMO_LIMIT` results.
+    joins the next; the memo keeps the last :data:`MEMO_LIMIT` results,
+    and :attr:`jobs` every running job plus the last
+    :data:`JOB_RETENTION` to end.
     """
 
     def __init__(
@@ -192,6 +197,8 @@ class ContinuousScheduler:
         #: (``engine.cells_batched``, ``cache.hits``, ...).
         self.engine_totals: Dict[str, Number] = {}
         self.jobs: Dict[str, Job] = {}
+        #: ids of the terminal jobs in :attr:`jobs`, oldest end first
+        self._ended: Deque[str] = deque()
         self._queues: "OrderedDict[str, Deque[CellRecord]]" = OrderedDict()
         self._inflight: Dict[str, CellRecord] = {}
         self._memo: "OrderedDict[str, SimulationResult]" = OrderedDict()
@@ -322,7 +329,7 @@ class ContinuousScheduler:
         for job_id in [
             job_id
             for job_id, queue in self._queues.items()
-            if not queue and self.jobs[job_id].terminal
+            if not queue and (job_id not in self.jobs or self.jobs[job_id].terminal)
         ]:
             del self._queues[job_id]
         return picked
@@ -438,6 +445,9 @@ class ContinuousScheduler:
         )
         job.hub.close()
         job.done_event.set()
+        self._ended.append(job.id)
+        while len(self._ended) > JOB_RETENTION:
+            del self.jobs[self._ended.popleft()]
 
     # -- introspection -----------------------------------------------------
     def counters(self) -> Dict[str, Number]:

@@ -335,14 +335,14 @@ def run_suite(
         buffered and emitted in task order as cells settle; the engine
         flushes the recorder on the way out, also when a cell raises.
     batch:
-        Stack the cells into tensor batches (:mod:`repro.batch`) and
-        advance each stack with one NumPy epoch step — the third backend
-        beside the in-process loop and ``jobs=``.  ``True`` batches each
-        compatible group whole; an integer caps the stack size.  Results
-        are bit-identical to the unbatched run; every cell stacks, and a
-        profiled cell's timing is its row's share of its stack's.
-        Composes with ``cache=`` (batching never changes a cell's cache
-        key) and with ``jobs=`` for the cells of a stack that raised.
+        Stack compatible cells (:mod:`repro.batch`) and advance each
+        stack with one NumPy epoch step; without it every cell is a
+        one-row stack.  ``True`` batches each compatible group whole; an
+        integer caps the stack size.  Results are bit-identical to the
+        unbatched run; every cell stacks, and a profiled cell's timing is
+        its row's share of its stack's.  Composes with ``cache=``
+        (batching never changes a cell's cache key) and with ``jobs=``,
+        whose workers run the stacks.
     timeout, journal:
         A per-cell soft deadline in seconds (armed for ``jobs > 1``
         only) and a campaign journal path (or

@@ -34,12 +34,7 @@ if TYPE_CHECKING:
 
 import numpy as np
 
-from repro.contracts import (
-    check_observation_sane,
-    check_power_samples,
-    check_time_monotone,
-    validation_enabled,
-)
+from repro.contracts import check_observation_sane, check_time_monotone
 from repro.manycore.chip import ManyCoreChip
 from repro.manycore.config import SystemConfig
 from repro.manycore.hetero import HeterogeneousMap
@@ -98,9 +93,10 @@ def simulate(
         a run (e.g. to measure post-convergence behaviour separately).
     validate:
         Arm the runtime invariant contracts (see :mod:`repro.contracts`)
-        for this run, overriding the ``REPRO_VALIDATE`` environment
-        variable; also forwarded to the chip's per-epoch checks.  ``None``
-        (default) defers to the environment.
+        for this run by setting the chip's ``validate`` switch, which
+        both the chip step and the loop read.  ``None`` (default) keeps
+        the chip's switch, which deferred to the ``REPRO_VALIDATE``
+        environment variable when the chip was built.
     watchdog:
         Wrap the controller in a
         :class:`~repro.faults.watchdog.WatchdogController` before running:
@@ -168,7 +164,6 @@ def simulate(
         PerRunPolicy([controller]),
         [n_epochs],
         record_per_core=record_per_core,
-        validate=validate,
         recorders=[recorder],
         profiler=PhaseProfiler() if profile else None,
         harvest=harvest,
@@ -208,7 +203,6 @@ def run_stack(
     policy: "BatchPolicy",
     n_epochs: Sequence[int],
     record_per_core: bool = False,
-    validate: Optional[bool] = None,
     recorders: Optional[Sequence[Optional[Recorder]]] = None,
     profiler: Optional[PhaseProfiler] = None,
     harvest: bool = False,
@@ -221,7 +215,8 @@ def run_stack(
     finished rows are masked through the kernel's ``active`` row mask,
     holding their last levels, so a shorter row sees exactly the
     operation sequence of a shorter stack.  Each result is sliced back to
-    its own length.
+    its own length.  With ``kernel.validate`` armed, the loop checks the
+    clock and each live row's observation after the kernel's own checks.
 
     ``recorders`` holds one optional event sink per row; ``profiler``
     times the decide / plant / contracts phases of the whole stack (and,
@@ -268,7 +263,7 @@ def run_stack(
         for r, rec in enumerate(recorders or ())
         if rec is not None and rec.enabled
     }
-    validating = validation_enabled(validate)
+    validating = kernel.validate
     max_epochs = int(lengths.max())
     ragged = bool((lengths != max_epochs).any())
 
@@ -319,11 +314,10 @@ def run_stack(
             obs = kernel.step(levels, active=active)
             t2 = time.perf_counter() if profiler is not None else 0.0
             if validating:
-                live = [r for r in range(n_runs) if active is None or active[r]]
-                for r in live:
-                    check_power_samples(obs.power[r], epoch=e)
                 check_time_monotone(last_time_s, obs.time, epoch=e)
-                for r in live:
+                for r in range(n_runs):
+                    if active is not None and not active[r]:
+                        continue
                     check_observation_sane(
                         obs.sensed_power[r],
                         obs.sensed_instructions[r],
@@ -630,12 +624,11 @@ def run_controller(
 def own_options(sim_kwargs: Mapping[str, Any]) -> Dict[str, Any]:
     """``sim_kwargs`` with each stateful value deep-copied for one cell.
 
-    The engine's serial path and the batched stack both build a cell's
-    plant from this copy, so the caller's sensor suite, memory system or
-    fault injector is never mutated, and a cell's result depends only on
-    its own inputs, whatever ``jobs`` and ``batch`` are: cells sharing a
-    noisy suite each start from its RNG state, as every pool worker
-    always did from its pickled copy.  A frozen
+    Every stacked cell builds its plant from this copy, so the caller's
+    sensor suite, memory system or fault injector is never mutated, and
+    a cell's result depends only on its own inputs, whatever ``jobs`` and
+    ``batch`` are: cells sharing a noisy suite each start from its RNG
+    state, as a pool worker does from its pickled copy.  A frozen
     :class:`~repro.faults.campaign.FaultCampaign` is shared as is.
     """
     # Imported here: repro.faults imports this package's Controller

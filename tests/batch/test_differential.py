@@ -2,8 +2,8 @@
 
 The contract under test is the batched backend's whole reason to exist:
 for every deterministic output, ``batch=`` is *invisible* — any batch
-cap, any jobs count, any scenario produces the same bits as the
-historical serial loop.  The matrix crosses controllers (the
+cap, any jobs count, any scenario produces the same bits as the serial
+``run_controller`` run of each cell, outside the engine.  The matrix crosses controllers (the
 specialized OD-RL stack, the generic per-run fallback policy, and two
 deterministic baselines) with scenarios (clean, fault campaign,
 watchdog + crash — batched per run through its serial wrapper) and
@@ -22,8 +22,12 @@ from repro.faults import FaultCampaign
 from repro.manycore import default_system
 from repro.obs import BufferRecorder
 from repro.parallel import CellTask, RunCell, assert_trace_equal, execute_cells
+from repro.parallel.cells import merge_suite
 from repro.sim import run_suite, standard_controllers
+from repro.sim.runner import build_suite_tasks
 from repro.workloads import make_benchmark, mixed_workload
+
+from tools.regen_golden import serial_reference
 
 N_CORES = 8
 N_EPOCHS = 30
@@ -80,13 +84,15 @@ def scenario_kwargs():
 
 @pytest.fixture(scope="module")
 def serial_by_scenario(cfg, workloads, chosen, scenario_kwargs):
-    """The historical serial loop, once per scenario — the referee."""
-    return {
-        name: run_suite(
+    """The serial ``run_controller`` reference, once per scenario — the
+    referee."""
+    suites = {}
+    for name in SCENARIOS:
+        cells, tasks = build_suite_tasks(
             cfg, workloads, chosen, N_EPOCHS, sim_kwargs=scenario_kwargs[name]
         )
-        for name in SCENARIOS
-    }
+        suites[name] = merge_suite(cells, serial_reference(tasks))
+    return suites
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +173,8 @@ def _mixed_tasks(base_cfg, workload, factories, fracs):
 
 
 def _run_and_compare_mixed(tasks, context):
-    """Batched vs serial engine run of the same tasks; return the events."""
-    serial = execute_cells(tasks, jobs=1)
+    """Batched engine run vs the serial reference; return the events."""
+    serial = serial_reference(tasks)
     rec = BufferRecorder()
     batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
     for i, (a, b) in enumerate(zip(serial, batched)):

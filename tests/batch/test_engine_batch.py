@@ -1,10 +1,11 @@
-"""Engine behaviour of the ``batch=`` backend: grouping, errors, events.
+"""Engine behaviour of ``batch=``: grouping, errors, events.
 
 Covers the cells every former fallback reason named (each now stacks),
 the batch planner's grouping/chunking rules, the engine's event stream
-and counter snapshot, the batch-error re-queue (a failing stack must
-degrade to the serial path, never lose cells), and composition with the
-result cache (batch membership stays out of ``cell_key``).
+and counter snapshot, the batch-error split (a failing stack re-runs its
+cells one per stack, never losing one), and composition with the result
+cache (batch membership stays out of ``cell_key``).  The reference for
+every result is the serial ``run_controller`` run of the same cell.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.batch
 from repro.baselines import StaticUniformController
 from repro.batch import plan_batches
 from repro.faults import FaultCampaign
@@ -27,13 +32,18 @@ from repro.manycore.variation import sample_variation
 from repro.obs import BufferRecorder
 from repro.parallel import (
     CellTask,
+    ChaosPolicy,
     ResultCache,
+    RetryPolicy,
     RunCell,
     assert_trace_equal,
     execute_cells,
+    execute_cells_report,
 )
-from repro.sim import standard_controllers
+from repro.sim import run_controller, standard_controllers
 from repro.workloads import make_benchmark, mixed_workload
+
+from tools.regen_golden import serial_reference
 
 N_CORES = 4
 N_EPOCHS = 10
@@ -72,14 +82,31 @@ def events_of(rec, event_type):
     return [e for e in rec.events if e["type"] == event_type]
 
 
+def transitions(rec):
+    return [
+        {k: v for k, v in e.items() if k != "seq"} for e in events_of(rec, "transition")
+    ]
+
+
 def summary_counters(rec):
     (summary,) = events_of(rec, "engine_summary")
     return summary["counters"]
 
 
+def fail_stacks(real):
+    """``simulate_batch`` that raises for a stack of several cells and
+    runs one-row stacks for real."""
+    def simulate_batch(group, recorders=None):
+        if len(group) > 1:
+            raise RuntimeError("deliberate batch failure")
+        return real(group, recorders)
+
+    return simulate_batch
+
+
 def assert_batches(tasks):
     """Every task stacks (no ``cell_fallback``) and matches its serial run."""
-    serial = execute_cells(tasks, jobs=1)
+    serial = serial_reference(tasks)
     rec = BufferRecorder()
     batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
     for task, a, b in zip(tasks, serial, batched):
@@ -143,26 +170,45 @@ class TestUnsupportedReasons:
         )
 
     def test_unknown_sim_kwarg(self, cfg, workload, lineup):
-        # The stack refuses an option it does not model; the re-queued
-        # cell then fails exactly as its serial run does.
-        task = make_task(cfg, workload, lineup["od-rl"], sim_kwargs={"bogus": 1})
+        # The stack refuses an option it does not model, as run_controller
+        # does; a stack of two splits, and each re-run cell fails alike.
+        tasks = [
+            make_task(cfg, workload, lineup["od-rl"], name=name, sim_kwargs={"bogus": 1})
+            for name in ("a", "b")
+        ]
         with pytest.raises(TypeError, match="bogus"):
-            execute_cells([task], jobs=1)
+            serial_reference(tasks[:1])
+        with pytest.raises(TypeError, match="bogus"):
+            execute_cells(tasks[:1], jobs=1)
         rec = BufferRecorder()
         with pytest.raises(TypeError, match="bogus"):
-            execute_cells([task], jobs=1, batch=True, recorder=rec)
-        (fallback,) = events_of(rec, "cell_fallback")
-        assert fallback["reason"] == "batch-error"
+            execute_cells(tasks, jobs=1, batch=True, recorder=rec)
+        fallbacks = events_of(rec, "cell_fallback")
+        assert [e["reason"] for e in fallbacks] == ["batch-error"] * 2
+        assert len(events_of(rec, "cell_failed")) == 2
 
-    def test_unmodelled_option_gets_the_serial_outcome(self, cfg, workload, lineup):
-        # ``harvest`` is a real run_controller option the stack does not
-        # model: the group raises, and the serial re-run succeeds.
-        task = make_task(cfg, workload, lineup["od-rl"], sim_kwargs={"harvest": True})
+    def test_harvest_option_stacks(self, cfg, workload, lineup):
+        # ``harvest`` stacks through the rows' serial controllers, and a
+        # traced row emits the transitions its serial run emits.
+        tasks = [
+            make_task(
+                cfg, workload, standard_controllers(seed=s)["od-rl"], name=f"h{s}",
+                sim_kwargs={"harvest": True}, trace=True,
+            )
+            for s in range(2)
+        ]
+        assert_batches(tasks)
         rec = BufferRecorder()
-        (batched,) = execute_cells([task], jobs=1, batch=True, recorder=rec)
-        (serial,) = execute_cells([task], jobs=1)
-        assert_trace_equal(batched, serial)
-        assert [e["reason"] for e in events_of(rec, "cell_fallback")] == ["batch-error"]
+        execute_cells(tasks, jobs=1, batch=True, recorder=rec)
+        expected = []
+        for task in tasks:
+            serial = BufferRecorder()
+            run_controller(
+                task.cfg, task.workload, task.factory(task.cfg), N_EPOCHS,
+                recorder=serial, harvest=True,
+            )
+            expected += transitions(serial)
+        assert expected and transitions(rec) == expected
 
     @pytest.mark.parametrize("key", ["sensors", "memory_system"])
     def test_non_default_plant_option(self, cfg, workload, lineup, key):
@@ -301,7 +347,7 @@ class TestEngineBatchPath:
                 cfg, workload, lineup["pid"], name="profiled", profile=True,
             ),
         ]
-        serial = execute_cells(tasks, jobs=1)
+        serial = serial_reference(tasks)
         rec = BufferRecorder()
         batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
         for a, b in zip(serial, batched):
@@ -336,7 +382,7 @@ class TestEngineBatchPath:
                 },
             ),
         ]
-        serial = execute_cells(tasks, jobs=1)
+        serial = serial_reference(tasks)
         rec = BufferRecorder()
         batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
         for a, b in zip(serial, batched):
@@ -372,12 +418,10 @@ class TestEngineBatchPath:
             make_task(cfg, workload, lineup["pid"], name=f"pid-{i}")
             for i in range(2)
         ]
-        serial = execute_cells(tasks, jobs=1)
-
-        def explode(group, recorders=None):
-            raise RuntimeError("deliberate batch failure")
-
-        monkeypatch.setattr("repro.batch.simulate_batch", explode)
+        serial = serial_reference(tasks)
+        monkeypatch.setattr(
+            "repro.batch.simulate_batch", fail_stacks(repro.batch.simulate_batch)
+        )
         rec = BufferRecorder()
         batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
         for a, b in zip(serial, batched):
@@ -398,10 +442,9 @@ class TestEngineBatchPath:
             make_task(cfg, workload, lineup["static-uniform"], name="b"),
             make_task(cfg, workload, lineup["pid"], name="c"),
         ]
-        serial = execute_cells(tasks, jobs=1)
+        serial = serial_reference(tasks)
         monkeypatch.setattr(
-            "repro.batch.simulate_batch",
-            lambda group, recorders=None: (_ for _ in ()).throw(RuntimeError("boom")),
+            "repro.batch.simulate_batch", fail_stacks(repro.batch.simulate_batch)
         )
         batched = execute_cells(tasks, jobs=1, batch=True)
         for a, b in zip(serial, batched):
@@ -417,7 +460,7 @@ class TestCacheComposition:
                       name=f"od-rl-{s}")
             for s in range(3)
         ]
-        serial = execute_cells(tasks, jobs=1)
+        serial = serial_reference(tasks)
         cache = ResultCache(tmp_path)
         cold = execute_cells(tasks, jobs=1, cache=cache, batch=True)
         assert (cache.hits, cache.misses) == (0, 3)
@@ -443,3 +486,142 @@ class TestCacheComposition:
         assert events_of(rec, "cell_batched") == []
         for a, b in zip(cold, warm):
             assert_trace_equal(a, b, context="warm batch run")
+
+
+class _FakePool:
+    """Stands in for ``ProcessPoolExecutor``: runs each unit where it is
+    submitted, except in the first pool built, where a stack of several
+    cells either dies (``"die"``: its future raises ``BrokenProcessPool``)
+    or stays in flight while a one-row unit's worker dies (``"break"``)."""
+
+    built = 0
+
+    def __init__(self, mode, **_pool_kwargs):
+        self.mode = mode if _FakePool.built == 0 else "run"
+        _FakePool.built += 1
+
+    def submit(self, fn, tasks, *args):
+        future = Future()
+        stack = len(tasks) > 1
+        if (self.mode == "die" and stack) or (self.mode == "break" and not stack):
+            future.set_exception(BrokenProcessPool("worker died"))
+        elif not (self.mode == "break" and stack):
+            future.set_result(fn(tasks, *args))
+        return future
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+
+def stack_and_single(cfg, workload, lineup):
+    """Two od-rl cells (one stack) and a pid cell (a one-row unit)."""
+    return [
+        make_task(cfg, workload, standard_controllers(seed=s)["od-rl"], name=f"rl{s}")
+        for s in range(2)
+    ] + [make_task(cfg, workload, lineup["pid"], name="pid")]
+
+
+def attempts_by_cell(rec):
+    return {e["cell"][:3]: e["attempts"] for e in events_of(rec, "cell_done")}
+
+
+class TestStacksInWorkers:
+    """``jobs > 1`` with ``batch`` runs the planned stacks in the workers;
+    a stack's one try is free and untouched by chaos and the deadline."""
+
+    def test_stacks_run_in_workers_bit_identical(self, cfg, workload, lineup, monkeypatch):
+        tasks = stack_and_single(cfg, workload, lineup) + [
+            make_task(cfg, workload, lineup["pid"], name="pid2", trace=True)
+        ]
+        reference = execute_cells(tasks, jobs=1, batch=False)
+        parent_stacks = []
+        real = repro.batch.simulate_batch
+
+        def spy(group, recorders=None):
+            parent_stacks.append(len(group))
+            return real(group, recorders)
+
+        monkeypatch.setattr("repro.batch.simulate_batch", spy)
+        rec = BufferRecorder()
+        pooled = execute_cells(tasks, jobs=2, batch=True, recorder=rec)
+        assert parent_stacks == []  # every stack ran in a spawned worker
+        for task, a, b in zip(tasks, reference, pooled):
+            assert_trace_equal(a, b, context=task.cell.label())
+        assert [e["size"] for e in events_of(rec, "cell_batched")] == [2, 2, 2, 2]
+        assert events_of(rec, "cell_fallback") == []
+        assert len(events_of(rec, "run_start")) == 1  # the traced pid2 cell
+
+    @pytest.mark.parametrize("mode", ["raise", "die", "break"])
+    def test_failed_stack_splits_uncharged(self, cfg, workload, lineup, monkeypatch, mode):
+        tasks = stack_and_single(cfg, workload, lineup)
+        _FakePool.built = 0
+        pool_mode = "run" if mode == "raise" else mode
+        monkeypatch.setattr(
+            "repro.parallel.engine.ProcessPoolExecutor",
+            functools.partial(_FakePool, pool_mode),
+        )
+        if mode == "raise":
+            monkeypatch.setattr(
+                "repro.batch.simulate_batch", fail_stacks(repro.batch.simulate_batch)
+            )
+        rec = BufferRecorder()
+        report = execute_cells_report(tasks, jobs=2, batch=True, recorder=rec)
+        assert report.ok
+        for task, a, b in zip(tasks, serial_reference(tasks), report.results):
+            assert_trace_equal(a, b, context=task.cell.label())
+        fallbacks = [e["cell"][:3] for e in events_of(rec, "cell_fallback")]
+        assert fallbacks == ["rl0", "rl1"]
+        assert report.counters["engine.batch_errors"] == 1
+        # The stack's try is free: each member settles on its first attempt.
+        retried = [e["cell"][:3] for e in events_of(rec, "cell_retry")]
+        assert retried == (["pid"] if mode == "break" else [])
+        assert attempts_by_cell(rec) == {
+            "rl0": 1, "rl1": 1, "pid": 2 if mode == "break" else 1,
+        }
+
+    def test_chaos_never_touches_a_stack(self, cfg, workload, lineup, monkeypatch):
+        _FakePool.built = 0
+        monkeypatch.setattr(
+            "repro.parallel.engine.ProcessPoolExecutor",
+            functools.partial(_FakePool, "run"),
+        )
+        chaos = ChaosPolicy(seed=0, transient_rate=1.0)
+        rec = BufferRecorder()
+        report = execute_cells_report(
+            stack_and_single(cfg, workload, lineup), jobs=2, batch=True,
+            chaos=chaos, recorder=rec,
+            retry_policy=RetryPolicy(retries=2, base_delay=0.0, max_delay=0.0, jitter=0.0),
+        )
+        assert report.ok
+        # Only the one-row unit draws faults, on both chaos-armed attempts.
+        assert chaos.counts == {"transient": 2}
+        assert attempts_by_cell(rec) == {"rl0": 1, "rl1": 1, "pid": 3}
+        assert events_of(rec, "cell_fallback") == []
+
+    def test_soft_deadline_never_touches_a_stack(self, cfg, workload, monkeypatch):
+        # Threads stand in for workers, so the stack is really running
+        # past the deadline while the watchdog ticks.
+        monkeypatch.setattr(
+            "repro.parallel.engine.ProcessPoolExecutor",
+            lambda max_workers, mp_context: ThreadPoolExecutor(max_workers),
+        )
+        tasks = [
+            dataclasses.replace(
+                make_task(cfg, workload, standard_controllers(seed=s)["od-rl"], name=f"rl{s}"),
+                cell=RunCell(controller=f"rl{s}", workload=workload.name, budget=None,
+                             seed=s, n_epochs=400),
+            )
+            for s in range(2)
+        ]
+        rec = BufferRecorder()
+        t0 = time.perf_counter()
+        report = execute_cells_report(tasks, jobs=2, batch=True, timeout=0.01, recorder=rec)
+        assert time.perf_counter() - t0 > 0.01  # the stack outlived the deadline
+        assert report.ok
+        assert "engine.timeouts" not in report.counters
+        assert events_of(rec, "cell_timeout") == []
+        assert attempts_by_cell(rec) == {"rl0": 1, "rl1": 1}
+        assert [e["size"] for e in events_of(rec, "cell_batched")] == [2, 2]

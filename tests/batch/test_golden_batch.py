@@ -1,9 +1,9 @@
-"""Golden fixtures reproduced through the batched backend, bit for bit.
+"""Golden fixtures reproduced through the engine, bit for bit.
 
 The golden suite is the referee for the bit-identity contract: the same
-fixtures that pin the serial loop (and the process-pool backend, in
-``tests/golden/``) must come back byte-identical from the stacked tensor
-simulation, at every batch cap and jobs count.
+fixtures that pin the serial ``run_controller`` reference (and the
+process pool, in ``tests/golden/``) must come back byte-identical from
+the engine's stacks, at every batch cap and jobs count.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from repro.sim.result_io import load_result
 
 from tools.regen_golden import (
     GOLDEN_CONTROLLERS,
+    baseline_path,
+    compute_baseline_results,
     compute_golden_results,
     golden_path,
 )
@@ -34,8 +36,8 @@ def test_batched_run_is_bit_identical_to_golden(batch):
 
 
 def test_batched_with_pool_fallback_matches_golden():
-    # jobs=2 handles any cells the batch path declines; the combination
-    # must still reproduce the fixtures exactly.
+    # jobs=2 runs the capped stacks in its workers; the combination must
+    # still reproduce the fixtures exactly.
     batched = compute_golden_results(jobs=2, batch=2)
     for name in GOLDEN_CONTROLLERS:
         golden = load_result(golden_path(name))
@@ -44,6 +46,43 @@ def test_batched_with_pool_fallback_matches_golden():
             golden,
             compare_decision_time=True,
             context=f"golden[{name}] vs jobs=2 batch=2",
+        )
+
+
+def test_unbatched_engine_matches_golden():
+    # The engine's one-row stacks, against fixtures frozen from the
+    # serial run_controller reference.
+    engine = compute_golden_results(jobs=1)
+    for name in GOLDEN_CONTROLLERS:
+        assert_trace_equal(
+            engine[name],
+            load_result(golden_path(name)),
+            compare_decision_time=True,
+            context=f"golden[{name}] vs jobs=1 batch=False",
+        )
+
+
+@pytest.mark.parametrize("jobs, batch", [(1, False), (2, True)])
+def test_baselines_through_the_engine_match_golden(jobs, batch):
+    results = compute_baseline_results(batch=batch, jobs=jobs)
+    for (controller, variant), result in results.items():
+        assert_trace_equal(
+            result,
+            load_result(baseline_path(controller, variant)),
+            compare_decision_time=True,
+            context=f"golden baseline {controller}-{variant} vs jobs={jobs} batch={batch}",
+        )
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_uncapped_stacks_in_workers_match_golden(jobs):
+    batched = compute_golden_results(jobs=jobs, batch=True)
+    for name in GOLDEN_CONTROLLERS:
+        assert_trace_equal(
+            batched[name],
+            load_result(golden_path(name)),
+            compare_decision_time=True,
+            context=f"golden[{name}] vs jobs={jobs} batch=True",
         )
 
 

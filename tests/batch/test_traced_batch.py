@@ -12,8 +12,9 @@ MaxBIPS policies (including ``BatchODRL`` sanitizer incidents under
 telemetry blackouts), per-run watchdog drivers with crash/restore, and
 ragged stacks whose rows finish at different epochs.
 
-A group that raises mid-run is re-run serially; its partial buffers are
-dropped, so each event still appears exactly once.
+A stack that raises mid-run is re-run one cell per stack; its partial
+buffers are dropped, so each event still appears exactly once.  Whatever
+the stacks, the engine emits every cell's events in task order.
 """
 
 from __future__ import annotations
@@ -156,9 +157,11 @@ def test_group_raising_mid_run_leaves_each_event_once(monkeypatch):
     calls = {"n": 0}
 
     def fail_mid_run(self, bobs, active=None):
-        calls["n"] += 1
-        if calls["n"] > N_EPOCHS // 2:
-            raise RuntimeError("deliberate mid-run batch failure")
+        # Only stacks of several runs fail: the one-row re-runs succeed.
+        if self.n_runs > 1:
+            calls["n"] += 1
+            if calls["n"] > N_EPOCHS // 2:
+                raise RuntimeError("deliberate mid-run batch failure")
         return decide(self, bobs, active)
 
     monkeypatch.setattr(BatchODRL, "decide", fail_mid_run)
@@ -172,3 +175,38 @@ def test_group_raising_mid_run_leaves_each_event_once(monkeypatch):
         label = task.cell.label()
         assert batched[label] == serial[label], label
         assert [e["type"] for e in batched[label]].count("run_start") == 1
+
+
+def _engine_trace(events, drop=frozenset()):
+    """The trace minus ``drop``-typed events, volatile fields and the
+    ``engine_summary`` counters."""
+    kept = []
+    for event in events:
+        if event["type"] in drop:
+            continue
+        event = {k: v for k, v in event.items() if k not in VOLATILE}
+        if event["type"] == "engine_summary":
+            del event["counters"]
+        kept.append(event)
+    return kept
+
+
+def test_interleaved_stacks_emit_in_task_order():
+    # Controllers alternate in task order, so the plan's two stacks
+    # interleave; the trace must still follow the task list.
+    lineup = standard_controllers(seed=0)
+    tasks = []
+    for fraction in BUDGET_FRACTIONS:
+        for name in ("od-rl", "pid"):
+            cfg = CFG.with_budget(CFG.power_budget * fraction / 0.6)
+            cell = RunCell(
+                controller=name, workload=WORKLOAD.name, budget=cfg.power_budget,
+                seed=0, n_epochs=N_EPOCHS,
+            )
+            tasks.append(CellTask(cell, cfg, WORKLOAD, lineup[name], {}, trace=True))
+    batched = _traced(tasks, batch=True)
+    sizes = [e["size"] for e in batched if e["type"] == "cell_batched"]
+    assert sizes == [2, 2, 2, 2]
+    assert _engine_trace(batched, {"cell_batched"}) == _engine_trace(_traced(tasks))
+    done = [e["cell"] for e in batched if e["type"] == "cell_done"]
+    assert done == [t.cell.label() for t in tasks]

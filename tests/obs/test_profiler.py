@@ -46,10 +46,9 @@ class TestPhaseProfiler:
     def test_end_epoch_closes_the_row(self):
         prof = PhaseProfiler()
         prof.add("decide", 1.0)
-        prof.end_epoch()
+        assert prof.end_epoch() == {"decide": 1.0}
         assert prof.end_epoch() == {}  # fresh row, nothing recorded
         assert prof.n_epochs == 2
-        assert prof.epoch_rows == [{"decide": 1.0}, {}]
 
 
 class TestTimingBreakdown:
@@ -84,6 +83,19 @@ CFG = default_system(n_cores=4, n_levels=3, budget_fraction=0.6)
 WORKLOAD = mixed_workload(4, seed=0)
 
 
+class RowKeepingProfiler(PhaseProfiler):
+    """Keeps the stack's epoch rows, as :meth:`end_epoch` returns them."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def end_epoch(self):
+        row = super().end_epoch()
+        self.rows.append(row)
+        return row
+
+
 def _profiled_stack(name, lengths, sensors=None):
     """A ragged stack of ``name`` rows run under one profiler, each row
     traced: ``(results, stack profiler, per-row event lists)``."""
@@ -92,7 +104,7 @@ def _profiled_stack(name, lengths, sensors=None):
     factory = standard_controllers(seed=0)[name]
     policy = build_batch_policy([factory(cfg) for cfg in cfgs])
     policy.reset()
-    profiler = PhaseProfiler()
+    profiler = RowKeepingProfiler()
     recorders = [BufferRecorder() for _ in cfgs]
     results = run_stack(kernel, policy, lengths, recorders=recorders, profiler=profiler)
     return results, profiler, [rec.events for rec in recorders]
@@ -127,4 +139,4 @@ class TestStackShares:
         (result,), profiler, (row_events,) = _profiled_stack("pid", [7])
         assert result.extras["timing"] == profiler.breakdown().as_dict()
         phases = [e["phases"] for e in row_events if e["type"] == "epoch"]
-        assert phases == profiler.epoch_rows
+        assert phases == profiler.rows

@@ -11,6 +11,7 @@ from repro.obs import (
     JsonlRecorder,
     NullRecorder,
     Recorder,
+    replay_events,
 )
 
 
@@ -69,14 +70,14 @@ class TestJsonlRecorder:
             rec.emit("cell_start", cell="a")
         rec.close()  # idempotent
 
-    def test_record_all_restamps_sequence(self, tmp_path):
+    def test_replay_events_restamps_sequence(self, tmp_path):
         buffer = BufferRecorder()
         buffer.emit("cell_start", cell="w")
         buffer.emit("cell_done", cell="w", attempts=2)
         path = tmp_path / "t.jsonl"
         with JsonlRecorder(str(path)) as rec:
             rec.emit("cell_start", cell="parent")
-            rec.record_all(buffer.events)
+            replay_events(rec, buffer.events)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["seq"] for r in records] == [0, 1, 2]
         assert records[2] == {

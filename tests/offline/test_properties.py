@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.obs import JsonlRecorder
+from repro.obs import JsonlRecorder, replay_events
 from repro.offline import build_buffer, buffer_from_events, extract_runs
 
 SHARED = settings(
@@ -74,7 +74,7 @@ def test_torn_tail_on_disk_never_fabricates(
     tmp_path = tmp_path_factory.mktemp("torn")
     path = tmp_path / "shard.jsonl"
     with JsonlRecorder(str(path)) as rec:
-        rec.record_all(harvest_streams[0])
+        replay_events(rec, harvest_streams[0])
     raw = path.read_bytes()
     lines = raw.splitlines(keepends=True)
     line_idx = data.draw(st.integers(2, len(lines) - 1))
@@ -144,7 +144,7 @@ def test_full_stream_roundtrip_through_disk(
 ):
     path = tmp_path / "shard.jsonl"
     with JsonlRecorder(str(path)) as rec:
-        rec.record_all(harvest_streams[stream_idx])
+        replay_events(rec, harvest_streams[stream_idx])
     assert (
         build_buffer([path]).digest
         == buffer_from_events([harvest_streams[stream_idx]]).digest

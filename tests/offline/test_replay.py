@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.obs import JsonlRecorder
+from repro.obs import JsonlRecorder, replay_events
 from repro.offline import build_buffer, buffer_from_events, extract_runs
 
 from tests.offline.conftest import HARVEST_SEEDS, N_CORES, N_EPOCHS
@@ -191,7 +191,7 @@ class TestFileIngestion:
         for i, events in enumerate(harvest_streams):
             path = tmp_path / f"shard{i}.jsonl"
             with JsonlRecorder(str(path)) as rec:
-                rec.record_all(events)
+                replay_events(rec, events)
             paths.append(path)
         from_files = build_buffer(paths)
         assert from_files.digest == replay_buffer.digest
@@ -202,7 +202,7 @@ class TestFileIngestion:
         path = tmp_path / "torn.jsonl"
         with JsonlRecorder(str(path)) as rec:
             for events in harvest_streams:
-                rec.record_all(events)
+                replay_events(rec, events)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"type": "transition", "sta')
         assert build_buffer([path]).digest == replay_buffer.digest

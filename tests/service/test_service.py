@@ -284,6 +284,54 @@ class TestSchedulerContracts:
 
         asyncio.run(main())
 
+    def test_job_table_keeps_running_jobs_and_the_last_to_end(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler_module, "JOB_RETENTION", 2)
+        hold = threading.Event()
+        started = threading.Event()
+        release = threading.Event()
+        original = scheduler_module.execute_cells_report
+
+        def held(*args, **kwargs):
+            if hold.is_set():
+                started.set()
+                assert release.wait(60.0), "the test never released the round"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "execute_cells_report", held)
+
+        async def main():
+            service = ExperimentService(cache=str(tmp_path / "cache"))
+            await service.start()
+            jobs = service.scheduler.jobs
+
+            async def submit(budget):
+                spec = sweep_spec(controllers=("pid",), budgets=(budget,))
+                return await service.submit(spec)
+
+            ended = []
+            for budget in (30.0, 40.0, 50.0):
+                job_id = await submit(budget)
+                assert (await service.wait(job_id, timeout=120.0))["state"] == "done"
+                ended.append(job_id)
+            assert list(jobs) == ended[1:]
+            with pytest.raises(ServiceError, match="unknown job"):
+                service.status(ended[0])
+            hold.set()
+            running = await submit(60.0)
+            assert await asyncio.to_thread(started.wait, 60.0)
+            # Answered from the memo at submit time, each of these ends at
+            # once and evicts the job that ended first, never the running one.
+            memo = [await submit(budget) for budget in (30.0, 40.0)]
+            assert list(jobs) == [running, *memo]
+            release.set()
+            assert (await service.wait(running, timeout=120.0))["state"] == "done"
+            assert list(jobs) == [running, memo[1]]
+            await service.stop()
+
+        asyncio.run(main())
+
     def test_stop_during_a_round_settles_its_waiters(self, tmp_path, monkeypatch):
         started = threading.Event()
         release = threading.Event()

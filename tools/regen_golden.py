@@ -34,20 +34,22 @@ import dataclasses
 import functools
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.manycore.config import SystemConfig, default_system
 from repro.sim.result_io import save_result
 from repro.sim.results import SimulationResult
-from repro.sim.runner import run_suite, standard_controllers
+from repro.sim.runner import build_suite_tasks, run_suite, standard_controllers
+from repro.sim.simulator import own_options, run_controller
 from repro.workloads.phases import CorePhaseSequence, Phase, Workload
 from repro.workloads.suite import mixed_workload
 from repro.workloads.synthetic import bursty_sequence
 
 if TYPE_CHECKING:
     from repro.faults.campaign import FaultCampaign
+    from repro.parallel.engine import CellTask
 
 __all__ = [
     "GOLDEN_DIR",
@@ -58,6 +60,7 @@ __all__ = [
     "GOLDEN_CONTROLLERS",
     "GOLDEN_HARVEST_PATH",
     "golden_path",
+    "serial_reference",
     "compute_golden_results",
     "compute_golden_harvest_events",
     "GOLDEN_VARIANTS",
@@ -135,16 +138,36 @@ def golden_path(controller: str) -> Path:
     return GOLDEN_DIR / f"{controller}.npz"
 
 
+def serial_reference(tasks: Sequence["CellTask"]) -> List[SimulationResult]:
+    """Each task run alone by :func:`~repro.sim.simulator.run_controller`,
+    outside the engine: the serial chip under its serial controller, the
+    reference every engine run and every stack must reproduce bit for
+    bit."""
+    return [
+        run_controller(
+            task.cfg,
+            task.workload,
+            task.factory(task.cfg),
+            task.cell.n_epochs,
+            profile=task.profile,
+            **own_options(task.sim_kwargs),
+        )
+        for task in tasks
+    ]
+
+
 def compute_golden_results(
-    jobs: int = 1, cache: object = None, batch: Union[bool, int] = False
+    jobs: Optional[int] = None, cache: object = None, batch: Union[bool, int] = False
 ) -> Dict[str, SimulationResult]:
     """Run the golden grid and return ``{controller: result}``.
 
     Results carry per-core series (``record_per_core=True``) and a zeroed
     ``decision_time`` so the return value is a pure function of the spec
-    constants — identical bytes on every machine and every run.
-    ``batch`` routes the grid through the stacked tensor backend
-    (``repro.batch``), which must reproduce the same bytes.
+    constants — identical bytes on every machine and every run.  With the
+    defaults every cell runs through :func:`serial_reference`; passing
+    ``jobs``, ``cache`` or ``batch`` runs the grid through the engine
+    (``run_suite``, ``jobs`` defaulting to 1), which must reproduce the
+    same bytes.
     """
     cfg = default_system(
         n_cores=GOLDEN_N_CORES, budget_fraction=GOLDEN_BUDGET_FRACTION
@@ -152,23 +175,26 @@ def compute_golden_results(
     workload = mixed_workload(GOLDEN_N_CORES, seed=GOLDEN_SEED)
     lineup = standard_controllers(seed=GOLDEN_SEED)
     chosen = {name: lineup[name] for name in GOLDEN_CONTROLLERS}
-    results = run_suite(
-        cfg,
-        {workload.name: workload},
-        chosen,
-        GOLDEN_N_EPOCHS,
-        jobs=jobs,
-        cache=cache,
-        batch=batch,
-        sim_kwargs={"record_per_core": True},
-    )
-    return {
-        name: dataclasses.replace(
-            results[name][workload.name],
-            decision_time=np.zeros_like(results[name][workload.name].decision_time),
+    workloads = {workload.name: workload}
+    sim_kwargs = {"record_per_core": True}
+    if jobs is None and cache is None and not batch:
+        _, tasks = build_suite_tasks(
+            cfg, workloads, chosen, GOLDEN_N_EPOCHS, sim_kwargs=sim_kwargs
         )
-        for name in GOLDEN_CONTROLLERS
-    }
+        results = dict(zip(chosen, serial_reference(tasks)))
+    else:
+        suite = run_suite(
+            cfg,
+            workloads,
+            chosen,
+            GOLDEN_N_EPOCHS,
+            jobs=jobs or 1,
+            cache=cache,
+            batch=batch,
+            sim_kwargs=sim_kwargs,
+        )
+        results = {name: suite[name][workload.name] for name in chosen}
+    return {name: _zero_decision_time(results[name]) for name in GOLDEN_CONTROLLERS}
 
 
 def compute_golden_harvest_events() -> List[Dict[str, Any]]:
@@ -183,7 +209,6 @@ def compute_golden_harvest_events() -> List[Dict[str, Any]]:
     """
     from repro.core.controller import ODRLController
     from repro.obs.recorder import BufferRecorder
-    from repro.sim.simulator import run_controller
 
     cfg = default_system(
         n_cores=GOLDEN_N_CORES, budget_fraction=GOLDEN_BUDGET_FRACTION
@@ -280,7 +305,6 @@ def compute_variant_result(variant: str) -> SimulationResult:
     from repro.manycore.hetero import big_little_map
     from repro.manycore.memory import default_memory_system
     from repro.offline.warmstart import build_warm_controller
-    from repro.sim.simulator import run_controller
 
     cfg, workload = _golden_setup()
     n = GOLDEN_N_CORES
@@ -334,13 +358,15 @@ def baseline_path(controller: str, variant: str) -> Path:
 
 
 def compute_baseline_results(
-    batch: Union[bool, int] = False,
+    batch: Union[bool, int] = False, jobs: Optional[int] = None
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Run every ``(controller, variant)`` baseline cell and return
     ``{(controller, variant): result}``.
 
-    ``batch`` routes the cells through the batched backend: the ``stock``
-    and ``faults`` cells of a controller stack (campaigns may differ per
+    With the defaults every cell runs through :func:`serial_reference`;
+    passing ``batch`` or ``jobs`` runs the cells through the engine
+    (``jobs`` defaulting to 1).  With batching, the ``stock`` and
+    ``faults`` cells of a controller stack (campaigns may differ per
     row), the ``hetero`` cell is a stack of its own.  Per-core series are
     recorded and ``decision_time`` is zeroed, as in
     :func:`compute_golden_results`.
@@ -383,7 +409,10 @@ def compute_baseline_results(
             sim_kwargs = dict(variant_kwargs[variant], record_per_core=True)
             keys.append((controller, variant))
             tasks.append(CellTask(cell, cfg, workload, factory, sim_kwargs))
-    results = execute_cells(tasks, jobs=1, batch=batch)
+    if jobs is None and not batch:
+        results = serial_reference(tasks)
+    else:
+        results = execute_cells(tasks, jobs=jobs or 1, batch=batch)
     return {key: _zero_decision_time(r) for key, r in zip(keys, results)}
 
 
