@@ -28,6 +28,7 @@ engine re-runs its cells one per stack.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -35,31 +36,26 @@ from repro.kernel.epoch import EpochKernel
 from repro.kernel.policies import PerRunPolicy, build_batch_policy
 from repro.obs import PhaseProfiler, Recorder
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import own_options, run_stack, supervise
+from repro.sim.simulator import own_options, run_controller, run_stack, supervise
 
 if TYPE_CHECKING:
     from repro.parallel.engine import CellTask
 
 __all__ = ["plan_batches", "simulate_batch"]
 
-#: ``run_controller`` keyword arguments a stack understands.  Anything
-#: else is an unexpected keyword: :func:`simulate_batch` raises rather
-#: than silently ignore it.
-_KNOWN_KEYS = frozenset(
-    {
-        "sensors",
-        "record_per_core",
-        "variation",
-        "memory_system",
-        "hetero",
-        "validate",
-        "faults",
-        "watchdog",
-        "checkpoint_period",
-        "max_strikes",
-        "harvest",
-    }
-)
+#: The :func:`~repro.sim.simulator.run_controller` options a stack
+#: understands: its keywords after the run's own arguments, less the
+#: observability switches the engine threads outside ``sim_kwargs``.
+#: Anything else is an unexpected keyword: :func:`simulate_batch` raises
+#: rather than silently ignore it.
+_KNOWN_KEYS = frozenset(inspect.signature(run_controller).parameters) - {
+    "cfg",
+    "workload",
+    "controller",
+    "n_epochs",
+    "recorder",
+    "profile",
+}
 
 
 def _seedless(factory: Any) -> Any:
@@ -215,7 +211,6 @@ def simulate_batch(
     kernel = EpochKernel(
         [task.cfg for task in tasks],
         [task.workload for task in tasks],
-        n_epochs=max(n_epochs),
         faults=[o.get("faults") for o in options],
         validate=kwargs0.get("validate"),
         sensors=[o.get("sensors") for o in options],
@@ -227,12 +222,7 @@ def simulate_batch(
         # Watchdog drivers batch through PerRunPolicy, so crash/restore
         # checkpointing is the serial code path unchanged.
         drivers = [
-            supervise(
-                driver,
-                injector,
-                checkpoint_period=int(kwargs0.get("checkpoint_period", 0)),
-                max_strikes=int(kwargs0.get("max_strikes", 3)),
-            )
+            supervise(driver, injector, checkpoint_period=int(kwargs0.get("checkpoint_period", 0)))
             for driver, injector in zip(drivers, kernel.faults)
         ]
     harvest = bool(kwargs0.get("harvest", False))

@@ -22,8 +22,9 @@ OD-RL implementation, the stacked decide
 :class:`repro.kernel.policies.BatchODRL`, as
 :class:`~repro.manycore.chip.ManyCoreChip` views the epoch kernel: it
 holds the run's configuration, seed and exploration stream, its learned
-state lives in row 0 of its own one-row stack, and ``decide`` hands the
-observation's arrays to that stack.  Controllers stack into one
+state lives in row 0 of its own one-row stack (built on first use, so a
+controller that a larger stack adopts never builds one), and ``decide``
+hands the observation's arrays to that stack.  Controllers stack into one
 :class:`BatchODRL` when all are stock with equal hyper-parameters and
 ``thermal_limit`` (budgets, seeds, warm starts and profilers may differ);
 a watchdog-wrapped one decides per run, through its one-row stack.
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import numpy as np
 
-from repro.core.policy_io import restore_snapshot, snapshot_policy
+from repro.core.policy_io import check_snapshot, restore_snapshot, snapshot_policy
 from repro.core.reward import RewardParams
 from repro.core.state import StateEncoder
 from repro.faults.sanitizer import SanitizerPolicy
@@ -196,15 +197,24 @@ class ODRLController(Controller):
                 "chip budget below the sum of per-core power floors — "
                 "infeasible even with every core at the bottom VF level"
             )
+        if pretrained is not None:
+            check_snapshot(pretrained, self)
         self._pretrained = dict(pretrained) if pretrained is not None else None
-        # Imported here: repro.kernel.policies imports this module.
-        from repro.kernel.policies import BatchODRL
+        self._stack: Optional["BatchODRL"] = None
 
-        #: the one-row stack holding this run's learned state; its reset
-        #: (run here) applies ``pretrained``, so a bad snapshot raises now.
-        #: It sees this controller through a weak proxy: a reference cycle
-        #: would keep every finished run's tables alive until a full GC.
-        self.stack: "BatchODRL" = BatchODRL([weakref.proxy(self)])
+    @property
+    def stack(self) -> "BatchODRL":
+        """The one-row stack holding this run's learned state, built on
+        first use: a controller that a larger stack adopts never builds
+        one.  It sees this controller through a weak proxy: a reference
+        cycle would keep every finished run's tables alive until a full
+        GC."""
+        if self._stack is None:
+            # Imported here: repro.kernel.policies imports this module.
+            from repro.kernel.policies import BatchODRL
+
+            self._stack = BatchODRL([weakref.proxy(self)])
+        return self._stack
 
     @staticmethod
     def _power_bounds(
@@ -246,8 +256,8 @@ class ODRLController(Controller):
         # Unpickling: relink the stack's weak proxy, which BatchODRL's
         # __getstate__ drops because it cannot be pickled.
         self.__dict__.update(state)
-        if self.stack.controllers is None:
-            self.stack.controllers = [weakref.proxy(self)]
+        if self._stack is not None and self._stack.controllers is None:
+            self._stack.controllers = [weakref.proxy(self)]
 
     def reset(self) -> None:
         """Forget all learning and return to the uniform allocation.

@@ -111,9 +111,19 @@ def restore_snapshot(
     restore_row(controller.stack, 0, snapshot)
 
 
-def restore_row(stack: "BatchODRL", row: int, snapshot: Dict[str, np.ndarray]) -> None:
-    """:func:`restore_snapshot` into row ``row`` of a learner stack: how a
-    stack warm-starts the rows of pretrained controllers on reset."""
+def check_snapshot(
+    snapshot: Dict[str, np.ndarray], owner: Union["ODRLController", "BatchODRL"]
+) -> int:
+    """The snapshot's format version, once it is known to fit ``owner``.
+
+    ``owner`` is a controller or a learner stack: both carry the core
+    count, table dimensions and action mode a snapshot must match.
+
+    Raises
+    ------
+    ValueError
+        On an unsupported format version or a structural mismatch.
+    """
     version = int(snapshot["format_version"])
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(
@@ -121,9 +131,9 @@ def restore_row(stack: "BatchODRL", row: int, snapshot: Dict[str, np.ndarray]) -
             f"{SUPPORTED_VERSIONS}"
         )
     checks = (
-        ("n_cores", stack.n_cores),
-        ("n_states", stack.n_states),
-        ("n_actions", stack.n_actions),
+        ("n_cores", owner.n_cores),
+        ("n_states", owner.n_states),
+        ("n_actions", owner.n_actions),
     )
     for key, expected in checks:
         found = int(snapshot[key])
@@ -133,11 +143,18 @@ def restore_row(stack: "BatchODRL", row: int, snapshot: Dict[str, np.ndarray]) -
                 f"has {expected}"
             )
     mode = str(snapshot["action_mode"])
-    if mode != stack.action_mode:
+    if mode != owner.action_mode:
         raise ValueError(
             f"policy action_mode mismatch: file has {mode!r}, controller "
-            f"has {stack.action_mode!r}"
+            f"has {owner.action_mode!r}"
         )
+    return version
+
+
+def restore_row(stack: "BatchODRL", row: int, snapshot: Dict[str, np.ndarray]) -> None:
+    """:func:`restore_snapshot` into row ``row`` of a learner stack: how a
+    stack warm-starts the rows of pretrained controllers on reset."""
+    version = check_snapshot(snapshot, stack)
     learner = stack.learner
     learner.q[row] = snapshot["q"]
     learner.visits[row] = snapshot["visits"]

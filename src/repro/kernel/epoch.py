@@ -9,7 +9,12 @@ backend runs it through the one control loop,
   ``n_runs=1`` kernel and hands out row views;
 * the stack (:func:`repro.batch.simulate_batch`), which is how the
   engine runs every cell at any ``jobs``, builds one kernel per stack of
-  cells, with phase streams precomputed (``n_epochs=...``).
+  cells.
+
+Both read workload phases the one way: the kernel keeps a block of
+:data:`_PHASE_BLOCK` epochs of phases per distinct workload and refills it
+with :meth:`Workload.sample_into` when its clock runs off the end, so an
+open-ended serial chip and a stack of known length share one lookup.
 
 The bit-identity contract between all of them rests on three facts:
 
@@ -46,16 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -133,15 +129,10 @@ class KernelObservation:
         )
 
 
-def _epoch_start_times(n_epochs: int, dt: float) -> np.ndarray:
-    """Workload sample times per epoch, accumulated exactly as the kernel
-    accumulates ``self.time`` (repeated ``+= dt``, never ``cumsum``)."""
-    times = np.empty(n_epochs)
-    t = 0.0
-    for e in range(n_epochs):
-        times[e] = t
-        t += dt
-    return times
+#: Epochs of workload phases the kernel looks up at a time, per distinct
+#: workload: large enough that the lookup is a block row copy on most
+#: steps, small enough that its size never grows with the run.
+_PHASE_BLOCK = 64
 
 
 def _stack_rows(values: Sequence[Any], n_runs: int, n_cores: int) -> np.ndarray:
@@ -171,14 +162,11 @@ class EpochKernel:
         One configuration per run.  May differ **only** in ``power_budget``
         (the plant never reads the budget; controllers do).
     workloads:
-        One workload per run.
-    n_epochs:
-        When given, phase streams are precomputed for ``n_epochs`` so the
-        epoch step is a stream row lookup (the batched backend).  ``None``
-        calls each workload's :meth:`Workload.sample` every epoch (the
-        serial view).  Both read the workload's one phase table, so a
-        stream row equals the live sample at the same accumulated time bit
-        for bit.
+        One workload per run.  Rows holding the same workload object share
+        its phases: the kernel looks them up a block of epochs at a time
+        per distinct workload, at the times its own clock reaches, and
+        each step copies its rows out, bit-identical to
+        :meth:`Workload.sample` at the epoch's start time.
     faults:
         Optional per-run fault campaigns or pre-built injectors (``None``
         entries run fault-free).  The campaigns are applied as stacked
@@ -194,18 +182,14 @@ class EpochKernel:
         readings to :meth:`SensorSuite.exact`, vectorized over the stack.
         A suite routes its run's reads through that (possibly noisy,
         stateful) suite, timed into the ``sensor`` profiler phase.
-    initial_levels:
-        Per-run starting VF level; ``None`` starts every run at the top
-        level (:meth:`reset` always returns to the top level, matching
-        the uncontrolled state the paper's problem begins from).
     variations:
         Optional per-run process-variation multipliers (``None`` entries
         mean the nominal die).
     memory_systems:
         Optional per-run shared-memory contention models (``None``
         entries keep the uncontended constant-latency model).  Each
-        epoch a run's model rescales its row of the sampled memory
-        intensities (in the precomputed stream, when there is one).
+        epoch a run's model rescales its row of that step's memory
+        intensities, never the shared phase block.
     heteros:
         Optional per-run core-type maps (``None`` entries mean all cores
         are the nominal type).
@@ -215,13 +199,11 @@ class EpochKernel:
         self,
         cfgs: Sequence[SystemConfig],
         workloads: Sequence[Workload],
-        n_epochs: Optional[int] = None,
         faults: Optional[
             Sequence[Union["FaultCampaign", "FaultInjector", None]]
         ] = None,
         validate: Optional[bool] = None,
         sensors: Optional[Sequence[Optional[SensorSuite]]] = None,
-        initial_levels: Optional[Sequence[int]] = None,
         variations: Optional[Sequence[Optional[CoreVariation]]] = None,
         memory_systems: Optional[Sequence[Optional[MemorySystem]]] = None,
         heteros: Optional[Sequence[Optional[HeterogeneousMap]]] = None,
@@ -230,8 +212,6 @@ class EpochKernel:
             raise ValueError("EpochKernel needs at least one run")
         if len(workloads) != len(cfgs):
             raise ValueError(f"{len(cfgs)} configs but {len(workloads)} workloads")
-        if n_epochs is not None and n_epochs <= 0:
-            raise ValueError(f"n_epochs must be positive, got {n_epochs}")
         cfg0 = cfgs[0]
         if not cfg0.vf_levels:
             raise ValueError("SystemConfig must carry a non-empty VF table")
@@ -253,7 +233,6 @@ class EpochKernel:
         self.n_runs = n_runs
         self.n_cores = n_cores
         self.n_levels = cfg0.n_levels
-        self.n_epochs = n_epochs
         self.validate = validation_enabled(validate)
 
         self.sensors = self._per_run(sensors, "sensors")
@@ -357,30 +336,18 @@ class EpochKernel:
                         self._stuck_levels[r : r + 1], self._fault_counts[r : r + 1]
                     )
 
-        if n_epochs is not None:
-            times = _epoch_start_times(n_epochs, cfg0.epoch_time)
-            streams = self._build_phase_streams(times)
-            self._mem_stream: Optional[np.ndarray] = streams[0]
-            self._comp_stream: Optional[np.ndarray] = streams[1]
-        else:
-            self._mem_stream = None
-            self._comp_stream = None
+        #: the distinct workloads, by identity, and each row's index into
+        #: them and into the phase block
+        distinct = {id(w): w for w in self.workloads}
+        slots = {key: slot for slot, key in enumerate(distinct)}
+        self._phase_workloads = list(distinct.values())
+        self._phase_rows = np.array([slots[id(w)] for w in self.workloads])
+        #: ``(mem, comp)`` of shape ``(block, n_workloads, n_cores)`` from
+        #: epoch ``_block_start`` on; ``None`` until the first step
+        self._phase_block: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._block_start = 0
 
-        starts = (
-            initial_levels
-            if initial_levels is not None
-            else [self.n_levels - 1] * n_runs
-        )
-        if len(starts) != n_runs:
-            raise ValueError(f"{n_runs} configs but {len(starts)} initial levels")
-        for start in starts:
-            if not (0 <= start < self.n_levels):
-                raise ValueError(
-                    f"initial_level {start} outside VF table of {self.n_levels}"
-                )
-        self.levels = np.empty((n_runs, n_cores), dtype=int)
-        for r, start in enumerate(starts):
-            self.levels[r] = start
+        self.levels = np.full((n_runs, n_cores), self.n_levels - 1, dtype=int)
         #: optional :class:`repro.obs.PhaseProfiler`; when attached (the
         #: simulator does this under ``profile=True``) the kernel times
         #: its per-run sensor reads into the ``sensor`` phase.  Write-only
@@ -430,24 +397,22 @@ class EpochKernel:
             injectors.append(injector)
         return injectors
 
-    def _build_phase_streams(
-        self, times: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(mem, comp)`` streams of shape ``(n_epochs, n_runs, n_cores)``:
-        each workload's rows are its live samples at ``times``, filled once
-        per distinct workload and copied to the runs that share it."""
-        assert self.n_epochs is not None
-        mem = np.empty((self.n_epochs, self.n_runs, self.n_cores))
-        comp = np.empty((self.n_epochs, self.n_runs, self.n_cores))
-        #: id(workload) -> the first row built from it
-        built: Dict[int, int] = {}
-        for r, workload in enumerate(self.workloads):
-            first = built.setdefault(id(workload), r)
-            if first != r:
-                mem[:, r] = mem[:, first]
-                comp[:, r] = comp[:, first]
-            else:
-                workload.sample_into(times, mem[:, r], comp[:, r])
+    def _refill_phases(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Look up the next :data:`_PHASE_BLOCK` epochs of every distinct
+        workload's phases, from the current epoch on, at the times the
+        kernel's clock will reach (repeated ``+= dt``, never ``cumsum``)."""
+        n = _PHASE_BLOCK
+        times = np.empty(n)
+        t = self.time
+        for e in range(n):
+            times[e] = t
+            t += self.cfg.epoch_time
+        shape = (n, len(self._phase_workloads), self.n_cores)
+        mem, comp = np.empty(shape), np.empty(shape)
+        for w, workload in enumerate(self._phase_workloads):
+            workload.sample_into(times, mem[:, w], comp[:, w])
+        self._phase_block = (mem, comp)
+        self._block_start = self.epoch
         return mem, comp
 
     def _thermal_step(self, power: np.ndarray, dt: float) -> None:
@@ -484,11 +449,11 @@ class EpochKernel:
     def reset(self) -> None:
         """Return every run to its initial state (top VF, ambient temps).
 
-        Mirrors the serial chip's reset exactly: levels go to the *top*
-        level regardless of ``initial_levels`` (the uncontrolled state),
-        stateful per-run components (memory systems, fault state) are
-        reset, and sensor suites keep their register/RNG state — the
-        serial chip never reset those either.
+        Levels go to the *top* level (the uncontrolled state the paper's
+        problem begins from), stateful per-run components (memory
+        systems, fault state) are reset, the phase block is dropped, and
+        sensor suites keep their register/RNG state — the serial chip
+        never reset those either.
         """
         self.levels = np.full(
             (self.n_runs, self.n_cores), self.n_levels - 1, dtype=int
@@ -503,6 +468,7 @@ class EpochKernel:
                 ms.reset()
         self._stuck_levels.fill(-1)
         self._fault_counts.fill(0)
+        self._phase_block = None
         self.epoch = 0
         self.time = 0.0
         self.total_energy = np.zeros(self.n_runs, dtype=float)
@@ -562,16 +528,15 @@ class EpochKernel:
 
         cfg = self.cfg
         dt = cfg.epoch_time
-        if self._mem_stream is not None and self._comp_stream is not None:
-            mem = self._mem_stream[self.epoch]
-            comp = self._comp_stream[self.epoch]
-        else:
-            mem = np.empty((self.n_runs, self.n_cores))
-            comp = np.empty((self.n_runs, self.n_cores))
-            for r, workload in enumerate(self.workloads):
-                row_mem, row_comp = workload.sample(self.time, self.n_cores)
-                mem[r] = row_mem
-                comp[r] = row_comp
+        block = self._phase_block
+        offset = self.epoch - self._block_start
+        if block is None or offset >= len(block[0]):
+            block = self._refill_phases()
+            offset = 0
+        # take copies: contention below rescales these rows, never the
+        # block a row sharing the workload reads.
+        mem = block[0][offset].take(self._phase_rows, axis=0)
+        comp = block[1][offset].take(self._phase_rows, axis=0)
         freq = self._freqs[clamped] * self._freq_scale
         volt = self._volts[clamped]
 

@@ -118,7 +118,10 @@ class ManyCoreChip:
     An ``n_runs=1`` view over :class:`repro.kernel.epoch.EpochKernel`:
     the chip owns no epoch state of its own — levels, temperatures,
     clocks, and totals live in the kernel's ``(1, n_cores)`` arrays, and
-    :meth:`step` is a reshape in, row view out.
+    :meth:`step` is a reshape in, row view out.  The kernel has no special
+    case for it: the chip's phases come from the same block lookup as a
+    stack's, so a chip runs open-ended, also across
+    ``simulate(..., reset=False)`` continuations.
 
     Parameters
     ----------
@@ -131,10 +134,6 @@ class ManyCoreChip:
         of :meth:`SensorSuite.exact`, taken by the kernel's vectorized
         path — so the plant is deterministic unless noise is requested
         explicitly.
-    initial_level:
-        VF level all cores start at; defaults to the top level (the
-        uncontrolled, performance-greedy state the paper's problem begins
-        from).
     variation:
         Optional per-core process-variation multipliers; defaults to the
         nominal (variation-free) die.
@@ -168,7 +167,6 @@ class ManyCoreChip:
         cfg: SystemConfig,
         workload: Workload,
         sensors: SensorSuite | None = None,
-        initial_level: int | None = None,
         variation: CoreVariation | None = None,
         memory_system: MemorySystem | None = None,
         hetero: HeterogeneousMap | None = None,
@@ -184,15 +182,13 @@ class ManyCoreChip:
         self.sensors = sensors
         self.memory_system = memory_system
         # The kernel validates every argument (VF table, budget, per-core
-        # maps, fault campaign, initial level) in the chip's own words.
+        # maps, fault campaign) in the chip's own words.
         self._kernel = EpochKernel(
             [cfg],
             [workload],
-            n_epochs=None,
             faults=[faults],
             validate=validate,
             sensors=[self.sensors],
-            initial_levels=None if initial_level is None else [initial_level],
             variations=[variation],
             memory_systems=[memory_system],
             heteros=[hetero],

@@ -70,7 +70,6 @@ def simulate(
     validate: Optional[bool] = None,
     watchdog: bool = False,
     checkpoint_period: int = 0,
-    max_strikes: int = 3,
     recorder: Optional[Recorder] = None,
     profile: bool = False,
     harvest: bool = False,
@@ -108,9 +107,6 @@ def simulate(
     checkpoint_period:
         With ``watchdog``, checkpoint the controller every this many
         epochs (``0`` disables; crashes then restart cold).
-    max_strikes:
-        With ``watchdog``, consecutive decide failures tolerated before
-        the controller is reset and restored from the last checkpoint.
     recorder:
         Event sink for the structured trace (see :mod:`repro.obs`);
         ``None`` uses the zero-overhead null recorder.  Wall-clock fields
@@ -148,12 +144,7 @@ def simulate(
             f"for {controller.cfg.n_cores}"
         )
     if watchdog:
-        controller = supervise(
-            controller,
-            chip.faults,
-            checkpoint_period=checkpoint_period,
-            max_strikes=max_strikes,
-        )
+        controller = supervise(controller, chip.faults, checkpoint_period=checkpoint_period)
     if reset:
         chip.reset()
         controller.reset()
@@ -175,15 +166,14 @@ def supervise(
     controller: Controller,
     injector: Optional["FaultInjector"],
     checkpoint_period: int = 0,
-    max_strikes: int = 3,
 ) -> Controller:
     """``controller`` wrapped in a
     :class:`~repro.faults.watchdog.WatchdogController`.
 
     The watchdog replays the controller crashes of ``injector``'s
-    campaign (none without one), resets the controller after
-    ``max_strikes`` consecutive decide failures, and checkpoints it
-    every ``checkpoint_period`` epochs (``0`` disables).
+    campaign (none without one), resets the controller after the
+    watchdog's default run of consecutive decide failures, and
+    checkpoints it every ``checkpoint_period`` epochs (``0`` disables).
     """
     # Imported here: repro.faults.watchdog depends on this package's
     # Controller interface, so a module-level import would cycle.
@@ -191,10 +181,7 @@ def supervise(
 
     crash_epochs = injector.campaign.crash_epochs if injector is not None else ()
     return WatchdogController(
-        controller,
-        max_strikes=max_strikes,
-        crash_epochs=crash_epochs,
-        checkpoint_period=checkpoint_period,
+        controller, crash_epochs=crash_epochs, checkpoint_period=checkpoint_period
     )
 
 
@@ -284,14 +271,17 @@ def run_stack(
     # Duck-typed attachment: the kernel times its sensor reads, the OD-RL
     # learner (a stacked policy, or each driver's one-row stack) its
     # sanitizer pass, the watchdog its wrapper overhead — each only if it
-    # carries a ``profiler`` attribute.
+    # carries a ``profiler`` attribute.  Drivers are timed only when they
+    # decide: a vectorized policy decides without them.
     profiled: List[Any] = []
     #: each row's share of the stack's phases (see PhaseProfiler.end_share)
     row_profilers: List[PhaseProfiler] = []
     if profiler is not None:
         row_profilers = [PhaseProfiler() for _ in range(n_runs)]
-        profiled = [kernel, *drivers, *(i for i, d in zip(inners, drivers) if i is not d)]
-        if hasattr(policy, "profiler"):
+        profiled = [kernel]
+        if isinstance(policy, PerRunPolicy):
+            profiled += [*drivers, *(i for i, d in zip(inners, drivers) if i is not d)]
+        elif hasattr(policy, "profiler"):
             profiled.append(policy)
     for target in profiled:
         target.profiler = profiler
@@ -583,16 +573,15 @@ def run_controller(
     faults: Union["FaultCampaign", "FaultInjector", None] = None,
     watchdog: bool = False,
     checkpoint_period: int = 0,
-    max_strikes: int = 3,
     recorder: Optional[Recorder] = None,
     profile: bool = False,
     harvest: bool = False,
 ) -> SimulationResult:
     """Convenience wrapper: build the chip, run, return the result.
 
-    ``faults`` attaches a fault campaign to the chip; ``watchdog``,
-    ``checkpoint_period`` and ``max_strikes`` are forwarded to
-    :func:`simulate` (checkpoint cadence in epochs), as are ``recorder``,
+    ``faults`` attaches a fault campaign to the chip; ``watchdog`` and
+    ``checkpoint_period`` are forwarded to :func:`simulate` (checkpoint
+    cadence in epochs), as are ``recorder``,
     ``profile`` and ``harvest`` (see :mod:`repro.obs` and
     :mod:`repro.offline`).
     """
@@ -614,7 +603,6 @@ def run_controller(
         validate=validate,
         watchdog=watchdog,
         checkpoint_period=checkpoint_period,
-        max_strikes=max_strikes,
         recorder=recorder,
         profile=profile,
         harvest=harvest,

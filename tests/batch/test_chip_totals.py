@@ -26,7 +26,7 @@ def _build(campaigns=None):
         for f in (0.5, 0.6, 0.8)
     ]
     workloads = [mixed_workload(N_CORES, seed=s) for s in (0, 1, 2)]
-    batch = EpochKernel(cfgs, workloads, n_epochs=N_EPOCHS, faults=campaigns)
+    batch = EpochKernel(cfgs, workloads, faults=campaigns)
     serial = [
         ManyCoreChip(cfg, wl, faults=c)
         for cfg, wl, c in zip(cfgs, workloads, campaigns or [None] * N_RUNS)

@@ -243,8 +243,8 @@ class TestMixedBatch:
         assert {e["group"] for e in batched_events} == {0}
 
     def test_mixed_workloads_in_one_stack(self, cfg, workloads):
-        # Same controller, three different workloads: phase streams are
-        # per-run state, so these stack too.
+        # Same controller, three different workloads: each row reads its
+        # own workload's phases from the kernel's block, so these stack too.
         factory = standard_controllers(seed=SEED)["od-rl"]
         tasks = []
         for i, workload in enumerate(workloads.values()):

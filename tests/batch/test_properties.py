@@ -95,7 +95,7 @@ class TestStackRoundTrip:
             else None
             for use, s in zip(faulted, seeds)
         ]
-        batch = EpochKernel(cfgs, workloads, n_epochs=n_epochs, faults=campaigns)
+        batch = EpochKernel(cfgs, workloads, faults=campaigns)
         serial = [
             ManyCoreChip(cfg, wl, faults=campaign)
             for cfg, wl, campaign in zip(cfgs, workloads, campaigns)

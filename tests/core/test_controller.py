@@ -260,6 +260,69 @@ class TestOneRowView:
             ctl.decide(bad)
 
 
+    def test_pickles_before_its_stack_is_built(self, cfg, wl):
+        import pickle
+
+        twin = pickle.loads(pickle.dumps(ODRLController(cfg, seed=5)))
+        result = run_controller(cfg, wl, twin, n_epochs=10)
+        ref = run_controller(cfg, wl, ODRLController(cfg, seed=5), n_epochs=10)
+        assert result.chip_power.tobytes() == ref.chip_power.tobytes()
+        assert twin.stack.learner._rngs[0] is twin._rng
+
+
+def _count_stacks(monkeypatch):
+    """Spy on ``BatchODRL.__init__``: the list grows by one per stack."""
+    from repro.kernel.policies import BatchODRL
+
+    built = []
+    original = BatchODRL.__init__
+
+    def counting(self, controllers):
+        built.append(len(controllers))
+        original(self, controllers)
+
+    monkeypatch.setattr(BatchODRL, "__init__", counting)
+    return built
+
+
+class TestOneStackPerRun:
+    """A controller builds its one-row stack on first use, so a controller
+    that a larger stack adopts never builds one."""
+
+    @pytest.mark.parametrize("batch, rows", [(False, [1, 1, 1, 1]), (True, [4])])
+    def test_budget_sweep_builds_one_stack_per_decider(self, monkeypatch, batch, rows):
+        from repro.sim import run_budget_sweep, standard_controllers
+
+        built = _count_stacks(monkeypatch)
+        cfg = default_system(n_cores=16, budget_fraction=0.6)
+        budgets = [cfg.power_budget * f for f in (0.6, 0.8, 1.0, 1.2)]
+        lineup = {"od-rl": standard_controllers(seed=0)["od-rl"]}
+        run_budget_sweep(
+            cfg, budgets, mixed_workload(16, seed=0), lineup, 12, batch=batch
+        )
+        assert built == rows
+
+    def test_construction_builds_no_stack(self, monkeypatch, cfg):
+        built = _count_stacks(monkeypatch)
+        ctl = ODRLController(cfg, pretrained=ODRLController(cfg).checkpoint())
+        assert built == [1]  # the snapshot's source decided nothing either
+        ctl.reset()
+        assert built == [1, 1]
+
+    def test_constructor_rejects_a_structurally_bad_snapshot(self, cfg):
+        other = default_system(n_cores=4, n_levels=4, budget_fraction=0.6)
+        snapshot = ODRLController(other).checkpoint()
+        with pytest.raises(ValueError, match="n_cores mismatch"):
+            ODRLController(cfg, pretrained=snapshot)
+        five = default_system(n_cores=8, n_levels=5, budget_fraction=0.6)
+        relative = ODRLController(five, action_mode="relative").checkpoint()
+        with pytest.raises(ValueError, match="action_mode mismatch"):
+            ODRLController(five, pretrained=relative, action_mode="absolute")
+        snapshot = {**ODRLController(cfg).checkpoint(), "format_version": np.array(99)}
+        with pytest.raises(ValueError, match="format version"):
+            ODRLController(cfg, pretrained=snapshot)
+
+
 class TestControlQuality:
     def test_steady_state_power_under_budget(self, cfg, wl):
         ctl = ODRLController(cfg, seed=0)

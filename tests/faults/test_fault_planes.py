@@ -116,12 +116,11 @@ def _stacks(draw):
     return rows, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
 
 
-def _kernel(campaigns, n_epochs, suites):
+def _kernel(campaigns, suites):
     n = len(campaigns)
     return EpochKernel(
         [CFG] * n,
         [WL] * n,
-        n_epochs=n_epochs,
         faults=campaigns,
         sensors=[SensorSuite.exact() for _ in range(n)] if suites else None,
     )
@@ -135,8 +134,8 @@ class TestStackedFaultConformance:
         campaigns = [c for c, _ in rows]
         lengths = np.array([n for _, n in rows])
         horizon = int(lengths.max())
-        stack = _kernel(campaigns, horizon, suites)
-        singles = [_kernel([c], horizon, suites) for c in campaigns]
+        stack = _kernel(campaigns, suites)
+        singles = [_kernel([c], suites) for c in campaigns]
         commands = np.random.default_rng(seed).integers(
             0, N_LEVELS, (horizon, len(rows), N_CORES)
         )
@@ -220,7 +219,7 @@ class TestPlanes:
 
             monkeypatch.setattr(FaultPlanes, name, counted)
         campaign = FaultCampaign.random(N_CORES, 20, rate=0.4, seed=3)
-        kernel = _kernel([campaign, None, campaign], 20, suites=False)
+        kernel = _kernel([campaign, None, campaign], suites=False)
         for _ in range(20):
             kernel.step(np.ones((3, N_CORES), dtype=int))
         assert 0 < max(calls.values()) <= 20
@@ -240,7 +239,7 @@ class TestPlanes:
         row = FaultPlanes([campaign])
         full = np.full((1, N_CORES), 1)
         row.actuate(row.rows(0), full, full + 2, stuck_levels, counts)
-        kernel = _kernel([injector], 4, suites=False)
+        kernel = _kernel([injector], suites=False)
         assert kernel.faults[0] is injector
         assert injector.counts["stuck"] == 1
         obs = kernel.step(np.full((1, N_CORES), 0))

@@ -205,7 +205,7 @@ class TestBatchPIDOnKernel:
 
         def run(policy):
             kernel = EpochKernel(
-                cfgs, [workload] * 3, n_epochs=40, faults=[faults, None, faults]
+                cfgs, [workload] * 3, faults=[faults, None, faults]
             )
             policy.reset()
             return run_stack(kernel, policy, n_epochs)

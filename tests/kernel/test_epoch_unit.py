@@ -31,36 +31,32 @@ WL = mixed_workload(N_CORES, seed=0)
 
 
 def _kernel(n_runs=2, **kwargs):
-    return EpochKernel([CFG] * n_runs, [WL] * n_runs, n_epochs=6, **kwargs)
+    return EpochKernel([CFG] * n_runs, [WL] * n_runs, **kwargs)
 
 
 class TestConstructorValidation:
     def test_rejects_empty_stack(self):
         with pytest.raises(ValueError, match="at least one run"):
-            EpochKernel([], [], n_epochs=6)
+            EpochKernel([], [])
 
     def test_rejects_config_workload_mismatch(self):
         with pytest.raises(ValueError, match="configs but"):
-            EpochKernel([CFG, CFG], [WL], n_epochs=6)
-
-    def test_rejects_nonpositive_epochs(self):
-        with pytest.raises(ValueError, match="n_epochs must be positive"):
-            EpochKernel([CFG], [WL], n_epochs=0)
+            EpochKernel([CFG, CFG], [WL])
 
     def test_rejects_empty_vf_table(self):
         bare = dataclasses.replace(CFG, vf_levels=())
         with pytest.raises(ValueError, match="non-empty VF table"):
-            EpochKernel([bare], [WL], n_epochs=6)
+            EpochKernel([bare], [WL])
 
     def test_rejects_nonpositive_budget(self):
         broke = dataclasses.replace(CFG, power_budget=0.0)
         with pytest.raises(ValueError, match="power_budget"):
-            EpochKernel([broke], [WL], n_epochs=6)
+            EpochKernel([broke], [WL])
 
     def test_rejects_heterogeneous_configs_beyond_budget(self):
         other = default_system(n_cores=8, n_levels=3, budget_fraction=0.6)
         with pytest.raises(ValueError, match="differ only in power_budget"):
-            EpochKernel([CFG, other], [WL, mixed_workload(8, seed=0)], n_epochs=6)
+            EpochKernel([CFG, other], [WL, mixed_workload(8, seed=0)])
 
     def test_rejects_wrong_length_component_list(self):
         with pytest.raises(ValueError, match="configs but 1 variations"):
@@ -86,14 +82,6 @@ class TestConstructorValidation:
         kernel = _kernel(faults=[campaign, None])
         assert kernel.faults[0] is not None
         assert kernel.faults[1] is None
-
-    def test_rejects_wrong_length_initial_levels(self):
-        with pytest.raises(ValueError, match="configs but 1 initial levels"):
-            _kernel(initial_levels=[0])
-
-    def test_rejects_out_of_table_initial_level(self):
-        with pytest.raises(ValueError, match="outside VF table"):
-            _kernel(initial_levels=[0, 3])
 
 
 class TestAccessors:
@@ -180,7 +168,7 @@ class TestStepPaths:
             blackouts=(TelemetryBlackout(start_epoch=1, duration=1),),
         )
         kernel = EpochKernel(
-            [CFG] * 2, [WL] * 2, n_epochs=5, sensors=[SensorSuite.exact(), None],
+            [CFG] * 2, [WL] * 2, sensors=[SensorSuite.exact(), None],
             faults=[campaign, campaign],
         )
         levels = np.ones((2, N_CORES), dtype=int)
@@ -205,9 +193,7 @@ class TestStepPaths:
 
     def test_memory_contention_runs_live_and_resets(self):
         systems = [default_memory_system(CFG), None]
-        kernel = EpochKernel(
-            [CFG] * 2, [WL] * 2, n_epochs=None, memory_systems=systems
-        )
+        kernel = EpochKernel([CFG] * 2, [WL] * 2, memory_systems=systems)
         levels = np.ones((2, N_CORES), dtype=int)
         first = kernel.step(levels)
         # contention inflates run 0's effective memory latency, so the
@@ -221,19 +207,24 @@ class TestStepPaths:
         replay = kernel.step(levels)
         np.testing.assert_array_equal(replay.instructions, first.instructions)
 
-    def test_memory_systems_rescale_the_phase_stream(self):
-        # Contention rescales a run's row of the precomputed stream, which
-        # steps bit for bit as the live phase path does.
-        def kernel(n_epochs):
-            systems = [default_memory_system(CFG), None]
-            return EpochKernel(
-                [CFG] * 2, [WL] * 2, n_epochs=n_epochs, memory_systems=systems
-            )
-
-        streamed, live = kernel(6), kernel(None)
-        for e in range(6):
+    def test_memory_systems_rescale_the_phase_stream(self, monkeypatch):
+        # Contention rescales its run's row of the step's phases, never the
+        # phase block: a row sharing the workload reads unscaled samples,
+        # across block edges too.
+        monkeypatch.setattr("repro.kernel.epoch._PHASE_BLOCK", 3)
+        systems = [default_memory_system(CFG), None]
+        contended = EpochKernel([CFG] * 2, [WL] * 2, memory_systems=systems)
+        free = EpochKernel([CFG] * 2, [WL] * 2)
+        t = 0.0
+        for e in range(8):
             levels = np.full((2, N_CORES), e % CFG.n_levels)
-            a, b = streamed.step(levels), live.step(levels)
-            for name in ("mem_intensity", "instructions", "power", "sensed_power"):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            a, b = contended.step(levels), free.step(levels)
+            mem, comp = WL.sample(t, N_CORES)
+            t += CFG.epoch_time
+            for obs in (a, b):
+                np.testing.assert_array_equal(obs.mem_intensity[1], mem)
+                np.testing.assert_array_equal(obs.compute_intensity[1], comp)
+            np.testing.assert_array_equal(b.mem_intensity[0], mem)
+            assert (a.mem_intensity[0] >= mem).all() and (a.mem_intensity[0] > mem).any()
+            np.testing.assert_array_equal(a.instructions[1], b.instructions[1])
         assert not np.array_equal(a.instructions[0], a.instructions[1])

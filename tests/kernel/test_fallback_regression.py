@@ -301,7 +301,7 @@ class TestODRLRouting:
                 for r, (cfg, snap) in enumerate(zip(cfgs, snapshots))
             ]
 
-        kernel = EpochKernel(cfgs, [WORKLOAD] * 3, n_epochs=max(lengths))
+        kernel = EpochKernel(cfgs, [WORKLOAD] * 3)
         results = run_stack(kernel, BatchODRL(controllers()), lengths, record_per_core=True)
         for r, (ctrl, n) in enumerate(zip(controllers(), lengths)):
             chip = ManyCoreChip(cfgs[r], WORKLOAD)
@@ -378,7 +378,7 @@ class TestHeuristicRouting:
         cls = HEURISTICS[name]
         lengths = [12, 9, 7]
         cfgs = [CFG.with_budget(CFG.power_budget * f) for f in (0.7, 1.0, 1.3)]
-        kernel = EpochKernel(cfgs, [WORKLOAD] * 3, n_epochs=max(lengths))
+        kernel = EpochKernel(cfgs, [WORKLOAD] * 3)
         policy = BatchGreedy([cls(cfg) for cfg in cfgs])
         results = run_stack(kernel, policy, lengths, record_per_core=True)
         for r, (cfg, n) in enumerate(zip(cfgs, lengths)):
@@ -401,9 +401,9 @@ STATEFUL_ROWS = {
 
 
 class TestStatefulPlantRows:
-    """Per-row memory systems and noisy sensor suites in one ragged stack
-    with precomputed phase streams: each row is bit for bit its serial
-    chip run, whichever stack policy decides."""
+    """Per-row memory systems and noisy sensor suites in one ragged stack:
+    each row is bit for bit its serial chip run, whichever stack policy
+    decides."""
 
     @pytest.mark.parametrize(
         "name", ["od-rl", "pid", "maxbips", "greedy-ascent", "static-uniform"]
@@ -415,8 +415,7 @@ class TestStatefulPlantRows:
         cfgs = [CFG.with_budget(CFG.power_budget * f) for f in (0.8, 1.0, 1.2)]
         factory = standard_controllers(seed=0)[name]
         kernel = EpochKernel(
-            cfgs, [WORKLOAD] * 3, n_epochs=max(lengths),
-            **{kernel_key: [make(r) for r in range(3)]},
+            cfgs, [WORKLOAD] * 3, **{kernel_key: [make(r) for r in range(3)]}
         )
         policy = build_batch_policy([factory(cfg) for cfg in cfgs])
         policy.reset()

@@ -54,7 +54,7 @@ N_RUNS = 2
 def _drive(policy, n_epochs, active=None):
     """Advance a batch policy against a fresh kernel; return the level
     trajectory it produced (one ``(n_runs, n_cores)`` array per epoch)."""
-    kernel = EpochKernel([CFG] * policy.n_runs, [WL] * policy.n_runs, n_epochs=n_epochs)
+    kernel = EpochKernel([CFG] * policy.n_runs, [WL] * policy.n_runs)
     trajectory = []
     bobs = None
     for _ in range(n_epochs):
@@ -67,7 +67,7 @@ def _drive(policy, n_epochs, active=None):
 def _serial_trajectory(controllers, n_epochs):
     """The same telemetry loop, decided by the serial controllers."""
     n_runs = len(controllers)
-    kernel = EpochKernel([CFG] * n_runs, [WL] * n_runs, n_epochs=n_epochs)
+    kernel = EpochKernel([CFG] * n_runs, [WL] * n_runs)
     trajectory = []
     rows = [None] * n_runs
     for _ in range(n_epochs):
@@ -118,7 +118,7 @@ class TestODRLDegradation:
             [ODRLController(CFG, seed=s) for s in range(N_RUNS)]
         )
         assert isinstance(policy, BatchODRL)
-        kernel = EpochKernel([CFG] * N_RUNS, [WL] * N_RUNS, n_epochs=4)
+        kernel = EpochKernel([CFG] * N_RUNS, [WL] * N_RUNS)
         bobs = kernel.step(policy.decide(None))
         policy.learner.q[0, 1] = np.nan  # corrupt run 0's agent on core 1
         levels = policy.decide(bobs)
@@ -332,7 +332,7 @@ class TestStackedEstimator:
 
     def test_kernel_rows_match_predict(self):
         estimator = PowerPerfEstimator(CFG)
-        kernel = EpochKernel([CFG] * 3, [WL] * 3, n_epochs=6)
+        kernel = EpochKernel([CFG] * 3, [WL] * 3)
         rng = np.random.default_rng(0)
         for _ in range(6):
             bobs = kernel.step(rng.integers(0, CFG.n_levels, (3, N_CORES)))
@@ -356,7 +356,7 @@ class TestDecideSeconds:
 
     def test_per_run_rows_are_own_decide_times(self):
         policy = PerRunPolicy([MaxBIPSController(CFG) for _ in range(3)])
-        kernel = EpochKernel([CFG] * 3, [WL] * 3, n_epochs=2)
+        kernel = EpochKernel([CFG] * 3, [WL] * 3)
         bobs = kernel.step(policy.decide(None))
         active = np.array([True, False, True])
         stack_s, rows = self._timed(policy, bobs, active)
@@ -379,7 +379,7 @@ class TestDecideSeconds:
     def test_vectorized_rows_sum_to_stack_time(self, make, policy_type):
         policy = build_batch_policy([make(s) for s in range(4)])
         assert type(policy) is policy_type
-        kernel = EpochKernel([CFG] * 4, [WL] * 4, n_epochs=2)
+        kernel = EpochKernel([CFG] * 4, [WL] * 4)
         bobs = kernel.step(policy.decide(None))
         stack_s, rows = self._timed(policy, bobs)
         assert np.sum(rows) == pytest.approx(stack_s)

@@ -68,7 +68,7 @@ class TestKernelRowSums:
         n_cores, n_runs = 9, 5
         cfg = default_system(n_cores=n_cores, n_levels=4, budget_fraction=0.6)
         workload = mixed_workload(n_cores, seed=2)
-        kernel = EpochKernel([cfg] * n_runs, [workload] * n_runs, n_epochs=6)
+        kernel = EpochKernel([cfg] * n_runs, [workload] * n_runs)
         rng = np.random.default_rng(0)
         for _ in range(6):
             obs = kernel.step(rng.integers(0, cfg.n_levels, (n_runs, n_cores)))

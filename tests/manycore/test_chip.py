@@ -37,14 +37,6 @@ class TestConstruction:
     def test_starts_at_top_level(self, chip):
         assert np.all(chip.levels == chip.n_levels - 1)
 
-    def test_initial_level_override(self, cfg):
-        chip = ManyCoreChip(cfg, constant_workload(8), initial_level=0)
-        assert np.all(chip.levels == 0)
-
-    def test_rejects_bad_initial_level(self, cfg):
-        with pytest.raises(ValueError, match="initial_level"):
-            ManyCoreChip(cfg, constant_workload(8), initial_level=99)
-
 
 class TestStep:
     def test_observation_fields_shapes(self, chip):
@@ -73,8 +65,8 @@ class TestStep:
 
     def test_higher_level_more_power_and_throughput(self, cfg):
         wl = constant_workload(8, mem=0.001, comp=0.9)
-        low_chip = ManyCoreChip(cfg, wl, initial_level=0)
-        high_chip = ManyCoreChip(cfg, wl, initial_level=cfg.n_levels - 1)
+        low_chip = ManyCoreChip(cfg, wl)
+        high_chip = ManyCoreChip(cfg, wl)
         for _ in range(20):
             lo = low_chip.step(np.zeros(8, dtype=int))
             hi = high_chip.step(np.full(8, cfg.n_levels - 1))
@@ -83,8 +75,10 @@ class TestStep:
 
     def test_transition_penalty_costs_instructions(self, cfg):
         wl = constant_workload(8)
-        stable = ManyCoreChip(cfg, wl, initial_level=2)
-        switching = ManyCoreChip(cfg, wl, initial_level=2)
+        stable = ManyCoreChip(cfg, wl)
+        switching = ManyCoreChip(cfg, wl)
+        for chip in (stable, switching):
+            chip.step(np.full(8, 2))  # both step to level 2 first
         obs_stable = stable.step(np.full(8, 2))
         obs_switch = switching.step(np.full(8, 3))  # all cores transition
         # The switching cores lose part of the epoch; at the higher level

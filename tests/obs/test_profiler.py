@@ -100,7 +100,7 @@ def _profiled_stack(name, lengths, sensors=None):
     """A ragged stack of ``name`` rows run under one profiler, each row
     traced: ``(results, stack profiler, per-row event lists)``."""
     cfgs = [CFG.with_budget(CFG.power_budget * (0.8 + 0.2 * r)) for r in range(len(lengths))]
-    kernel = EpochKernel(cfgs, [WORKLOAD] * len(cfgs), n_epochs=max(lengths), sensors=sensors)
+    kernel = EpochKernel(cfgs, [WORKLOAD] * len(cfgs), sensors=sensors)
     factory = standard_controllers(seed=0)[name]
     policy = build_batch_policy([factory(cfg) for cfg in cfgs])
     policy.reset()

@@ -226,7 +226,7 @@ class TestRunStack:
 
         policy = build_batch_policy([ODRLController(cfg, seed=s) for s in (0, 1)])
         assert isinstance(policy, BatchODRL)
-        kernel = EpochKernel([cfg, cfg], [wl, wl], n_epochs=5)
+        kernel = EpochKernel([cfg, cfg], [wl, wl])
         # An empty dataset would look like a learner that never updated.
         with pytest.raises(ValueError, match="harvest"):
             run_stack(
@@ -239,7 +239,7 @@ class TestRunStack:
         from repro.kernel.policies import PerRunPolicy
         from repro.sim.simulator import run_stack
 
-        kernel = EpochKernel([cfg, cfg], [wl, wl], n_epochs=5)
+        kernel = EpochKernel([cfg, cfg], [wl, wl])
         policy = PerRunPolicy([FixedController(cfg), FixedController(cfg)])
         with pytest.raises(ValueError, match="2 rows"):
             run_stack(kernel, policy, [5])

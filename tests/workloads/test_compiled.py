@@ -1,9 +1,10 @@
 """Tests of the compiled phase table behind ``Workload.sample``.
 
-A workload compiles its sequences once into one padded array table; the
-per-epoch sample and the kernel's precomputed phase streams both read it.
-These tests hold it to the per-core ``phase_at`` bisect on a realistic
-workload, in closed loop, and under its argument checks.
+A workload compiles its sequences once into one padded array table;
+``Workload.sample`` and ``Workload.sample_into``, which the kernel's block
+lookup calls for every run, both read it.  These tests hold it to the
+per-core ``phase_at`` bisect on a realistic workload, in closed loop, and
+under its argument checks.
 """
 
 import numpy as np

@@ -208,53 +208,3 @@ class TestVectorizedSample:
         table = w._phase_table()
         for array in (table.ends, table.totals, table.stops, table.mem, table.comp):
             assert not array.flags.writeable
-
-
-def test_phase_streams_equal_live_samples(monkeypatch):
-    """The kernel's precomputed streams equal a per-epoch live sample at
-    the kernel's accumulated ``+= dt`` times, row by row — across chunk
-    edges, with a chunk budget of a few epochs."""
-    from repro.kernel.epoch import EpochKernel
-    from repro.manycore import default_system
-
-    monkeypatch.setattr("repro.workloads.phases._CHUNK_BYTES", 100)
-    cfg = default_system(n_cores=6)
-    tiled = edge_workload()
-    wide = mixed_workload(6, seed=2)
-    n_epochs = 1200
-    kernel = EpochKernel(
-        [cfg.with_budget(b) for b in (30.0, 40.0, 50.0)],
-        [tiled, wide, tiled],
-        n_epochs=n_epochs,
-    )
-    t = 0.0
-    for e in range(n_epochs):
-        for r, w in enumerate(kernel.workloads):
-            mem, comp = w.sample(t, 6)
-            assert np.array_equal(kernel._mem_stream[e, r], mem), (e, r)
-            assert np.array_equal(kernel._comp_stream[e, r], comp), (e, r)
-        t += cfg.epoch_time
-
-
-def test_phase_stream_build_temporaries_stay_below_per_sequence_tracks():
-    """Building one run's streams allocates, beyond the streams
-    themselves, less than one ``(mem, comp)`` track per sequence."""
-    import tracemalloc
-
-    from repro.kernel.epoch import EpochKernel, _epoch_start_times
-    from repro.manycore import default_system
-
-    n_cores, n_epochs = 64, 1000
-    cfg = default_system(n_cores=n_cores)
-    workload = mixed_workload(n_cores, seed=1)
-    kernel = EpochKernel([cfg], [workload], n_epochs=n_epochs)
-    times = _epoch_start_times(n_epochs, cfg.epoch_time)
-    tracemalloc.start()
-    try:
-        kernel._build_phase_streams(times)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    streams = 2 * n_epochs * n_cores * 8
-    tracks = 2 * n_epochs * len(workload) * 8
-    assert peak - streams < tracks
