@@ -17,7 +17,8 @@ three short sequences tiled over the chip and run past its phase cycles.
 :data:`GOLDEN_BASELINES` pins the model-based baselines the same way:
 each one stock, on a big.LITTLE map and under faulted telemetry, so the
 serial and the stacked decides of each are checked against one frozen
-trajectory.
+trajectory.  :data:`GOLDEN_PID_VARIANTS` pins the PI power cap under
+faults, non-default gains, sensor noise and a watchdog crash.
 
 Regenerate (only after an *intentional* behaviour change, with the diff
 explained in the commit message)::
@@ -73,6 +74,9 @@ __all__ = [
     "GOLDEN_BASELINE_VARIANTS",
     "baseline_path",
     "compute_baseline_results",
+    "GOLDEN_PID_VARIANTS",
+    "pid_path",
+    "compute_pid_results",
     "main",
 ]
 
@@ -131,6 +135,17 @@ _WARM_TRAIN_EPOCHS = 23
 #: blackouts feed the estimator zeroed telemetry (``faults``).
 GOLDEN_BASELINES = ("greedy-ascent", "steepest-drop", "maxbips")
 GOLDEN_BASELINE_VARIANTS = ("stock", "hetero", "faults")
+
+#: PI power-cap fixtures beside the stock ``pid`` run: under the
+#: ``faults`` campaign (blackouts read zero power), with gains that are
+#: not the defaults (``gains``) and with no proportional term (``p-zero``),
+#: behind a noisy sensor suite (``noisy``), and under a watchdog whose
+#: controller crashes mid run and restarts cold (``watchdog``).
+GOLDEN_PID_VARIANTS = ("faults", "gains", "p-zero", "noisy", "watchdog")
+#: ``(kp, ki)`` of the ``gains`` and ``p-zero`` variants
+_PID_GAINS = {"gains": (0.75, 0.5), "p-zero": (0.0, 1.25)}
+#: relative power-meter noise of the ``noisy`` variant's sensor suite
+_PID_NOISE = 0.05
 
 
 def golden_path(controller: str) -> Path:
@@ -416,6 +431,63 @@ def compute_baseline_results(
     return {key: _zero_decision_time(r) for key, r in zip(keys, results)}
 
 
+def pid_path(variant: str) -> Path:
+    """Fixture file for one PI power-cap variant's golden trace."""
+    return GOLDEN_DIR / f"pid-{variant}.npz"
+
+
+def compute_pid_results(
+    batch: Union[bool, int] = False, jobs: Optional[int] = None
+) -> Dict[str, SimulationResult]:
+    """Run every :data:`GOLDEN_PID_VARIANTS` cell and return
+    ``{variant: result}``.
+
+    With the defaults every cell runs through :func:`serial_reference`;
+    passing ``batch`` or ``jobs`` runs the cells through the engine
+    (``jobs`` defaulting to 1).  Per-core series are recorded and
+    ``decision_time`` is zeroed, as in :func:`compute_golden_results`.
+    """
+    from repro.baselines.pid import PIDCappingController
+    from repro.faults.campaign import ControllerCrash, FaultCampaign
+    from repro.manycore.sensors import SensorSpec, SensorSuite
+    from repro.parallel.cells import RunCell
+    from repro.parallel.engine import CellTask, execute_cells
+
+    cfg, workload = _golden_setup()
+    tasks: List[CellTask] = []
+    for variant in GOLDEN_PID_VARIANTS:
+        factory: Any = PIDCappingController
+        sim_kwargs: Dict[str, Any] = {"record_per_core": True}
+        if variant == "faults":
+            sim_kwargs["faults"] = _golden_campaign()
+        elif variant in _PID_GAINS:
+            kp, ki = _PID_GAINS[variant]
+            factory = functools.partial(PIDCappingController, kp=kp, ki=ki)
+        elif variant == "noisy":
+            sim_kwargs["sensors"] = SensorSuite(
+                np.random.default_rng(GOLDEN_SEED),
+                power_spec=SensorSpec(relative_noise=_PID_NOISE, quantum=0.1),
+            )
+        elif variant == "watchdog":
+            sim_kwargs["faults"] = FaultCampaign(
+                n_cores=GOLDEN_N_CORES, crashes=(ControllerCrash(epoch=_CRASH_EPOCH),)
+            )
+            sim_kwargs["watchdog"] = True
+        cell = RunCell(
+            controller="pid",
+            workload=workload.name,
+            budget=None,
+            seed=GOLDEN_SEED,
+            n_epochs=GOLDEN_N_EPOCHS,
+        )
+        tasks.append(CellTask(cell, cfg, workload, factory, sim_kwargs))
+    if jobs is None and not batch:
+        results = serial_reference(tasks)
+    else:
+        results = execute_cells(tasks, jobs=jobs or 1, batch=batch)
+    return {v: _zero_decision_time(r) for v, r in zip(GOLDEN_PID_VARIANTS, results)}
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, result in compute_golden_results().items():
@@ -428,6 +500,10 @@ def main() -> int:
         print(f"wrote {path} ({path.stat().st_size} bytes)")
     for (controller, variant), result in compute_baseline_results().items():
         path = baseline_path(controller, variant)
+        save_result(result, path)
+        print(f"wrote {path} ({path.stat().st_size} bytes)")
+    for variant, result in compute_pid_results().items():
+        path = pid_path(variant)
         save_result(result, path)
         print(f"wrote {path} ({path.stat().st_size} bytes)")
     events = compute_golden_harvest_events()
