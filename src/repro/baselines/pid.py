@@ -19,12 +19,12 @@ import numpy as np
 
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
-from repro.sim.interface import Controller
+from repro.sim.interface import StackView
 
 __all__ = ["PIDCappingController"]
 
 
-class PIDCappingController(Controller):
+class PIDCappingController(StackView):
     """Chip-level PI feedback on power error, actuating a global VF level.
 
     Implemented in velocity form, which is windup-free by construction:
@@ -32,7 +32,8 @@ class PIDCappingController(Controller):
         command += kp * (error - prev_error) + ki * error
 
     where ``error = (budget - power) / budget`` and ``command`` is a
-    continuous level index rounded at actuation.
+    continuous level index rounded at actuation.  The loop runs in row 0
+    of the controller's one-row :class:`repro.kernel.policies.BatchPID`.
 
     Parameters
     ----------
@@ -45,6 +46,7 @@ class PIDCappingController(Controller):
     """
 
     name = "pid"
+    _stack_policy = "BatchPID"
 
     def __init__(self, cfg: SystemConfig, kp: float = 2.0, ki: float = 1.5) -> None:
         super().__init__(cfg)
@@ -54,21 +56,21 @@ class PIDCappingController(Controller):
             raise ValueError("at least one gain must be positive")
         self.kp = kp
         self.ki = ki
-        self.reset()
 
     def reset(self) -> None:
-        self._prev_error: Optional[float] = None
-        # Continuous level command; rounded per decision.  Starts mid-ladder.
-        self._command = (self.n_levels - 1) / 2.0
+        self.stack.reset()
 
     def decide(self, obs: Optional[EpochObservation]) -> np.ndarray:
-        if obs is None:
-            return self._full(int(round(self._command)))
-        power = float(np.sum(obs.sensed_power))
-        error = (self.cfg.power_budget - power) / self.cfg.power_budget
-        delta = self.ki * error
-        if self._prev_error is not None:
-            delta += self.kp * (error - self._prev_error)
-        self._prev_error = error
-        self._command = float(np.clip(self._command + delta, 0.0, self.n_levels - 1))
-        return self._full(int(round(self._command)))
+        # The hop: the sensed power as a one-row [None] view.
+        power = None if obs is None else np.asarray(obs.sensed_power)[None]
+        return self.stack.step(power)[0]
+
+    @property
+    def _command(self) -> float:
+        """The continuous level command, rounded per decision."""
+        return float(self.stack._command[0])
+
+    @property
+    def _prev_error(self) -> Optional[float]:
+        """The last relative power error, ``None`` before any telemetry."""
+        return float(self.stack._prev_error[0]) if self.stack._has_prev[0] else None

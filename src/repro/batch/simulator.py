@@ -3,11 +3,11 @@
 :func:`simulate_batch` stacks a group of independent run cells into one
 :class:`~repro.kernel.epoch.EpochKernel` plus one
 :class:`~repro.kernel.policies.BatchPolicy` and hands both to
-:func:`repro.sim.simulator.run_stack` — the same control loop the serial
-:func:`~repro.sim.simulator.simulate` runs as a one-row stack — which
-returns one ordinary :class:`~repro.sim.results.SimulationResult` and,
-given a recorder, one serial-identical event trace per cell.  It is how
-the engine runs every cell (a lone cell is a one-row stack).  The
+:func:`repro.sim.simulator.run_stack` — the loop and policy choice of
+the serial :func:`~repro.sim.simulator.simulate` — which returns one
+ordinary :class:`~repro.sim.results.SimulationResult` and, given a
+recorder, one serial-identical event trace per cell.  It is how the
+engine runs every cell (a lone cell is a one-row stack).  The
 conformance suite in ``tests/kernel/`` verifies the results bit for bit.
 
 Runs in one stack may differ in power budget, seed, workload recipe,
@@ -33,7 +33,7 @@ from dataclasses import fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.epoch import EpochKernel
-from repro.kernel.policies import PerRunPolicy, build_batch_policy
+from repro.kernel.policies import build_batch_policy
 from repro.obs import PhaseProfiler, Recorder
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import own_options, run_controller, run_stack, supervise
@@ -185,9 +185,8 @@ def simulate_batch(
     come back in task order, each indistinguishable from the serial run
     of the same cell (``assert_trace_equal`` holds bit for bit).
 
-    With ``harvest``, the rows decide through their serial controllers
-    (:class:`~repro.kernel.policies.PerRunPolicy`), whose TD updates a
-    traced row emits as ``transition`` events.
+    With ``harvest``, the rows decide through their own controllers, whose
+    TD updates a traced row emits as ``transition`` events.
 
     Raises
     ------
@@ -219,14 +218,14 @@ def simulate_batch(
         heteros=[o.get("hetero") for o in options],
     )
     if kwargs0.get("watchdog", False):
-        # Watchdog drivers batch through PerRunPolicy, so crash/restore
-        # checkpointing is the serial code path unchanged.
+        # Watchdog drivers decide through PerRunPolicy, so crash/restore
+        # checkpointing is the wrapper's own code path.
         drivers = [
             supervise(driver, injector, checkpoint_period=int(kwargs0.get("checkpoint_period", 0)))
             for driver, injector in zip(drivers, kernel.faults)
         ]
     harvest = bool(kwargs0.get("harvest", False))
-    policy = PerRunPolicy(drivers) if harvest else build_batch_policy(drivers)
+    policy = build_batch_policy(drivers, harvest=harvest)
     policy.reset()
     return run_stack(
         kernel,

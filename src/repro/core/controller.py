@@ -17,23 +17,20 @@ correlated fluctuations.  This closes the loop on *chip*-level overshoot
 without any per-core model.
 
 The controller follows the :class:`repro.sim.interface.Controller` protocol
-and consumes only sensed telemetry.  It is a one-row view of the only
-OD-RL implementation, the stacked decide
-:class:`repro.kernel.policies.BatchODRL`, as
-:class:`~repro.manycore.chip.ManyCoreChip` views the epoch kernel: it
-holds the run's configuration, seed and exploration stream, its learned
-state lives in row 0 of its own one-row stack (built on first use, so a
-controller that a larger stack adopts never builds one), and ``decide``
-hands the observation's arrays to that stack.  Controllers stack into one
-:class:`BatchODRL` when all are stock with equal hyper-parameters and
-``thermal_limit`` (budgets, seeds, warm starts and profilers may differ);
-a watchdog-wrapped one decides per run, through its one-row stack.
+and consumes only sensed telemetry.  It is a
+:class:`~repro.sim.interface.StackView` of the only OD-RL implementation,
+the stacked decide :class:`repro.kernel.policies.BatchODRL`: it holds the
+run's configuration, seed and exploration stream, its learned state lives
+in row 0 of its own one-row stack, and ``decide`` hands the observation's
+arrays to that stack.  Controllers stack into one :class:`BatchODRL` when
+all are stock with equal hyper-parameters and ``thermal_limit`` (budgets,
+seeds, warm starts and profilers may differ); a lone stock run decides
+through its own stack, a watchdog-wrapped one through its ``decide``.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -44,15 +41,12 @@ from repro.faults.sanitizer import SanitizerPolicy
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
 from repro.manycore.hetero import HeterogeneousMap
-from repro.sim.interface import Controller
-
-if TYPE_CHECKING:
-    from repro.kernel.policies import BatchODRL
+from repro.sim.interface import StackView
 
 __all__ = ["ODRLController"]
 
 
-class ODRLController(Controller):
+class ODRLController(StackView):
     """On-line Distributed Reinforcement Learning DVFS controller.
 
     Parameters
@@ -119,6 +113,7 @@ class ODRLController(Controller):
     """
 
     name = "od-rl"
+    _stack_policy = "BatchODRL"
 
     #: level steps available in relative action mode
     RELATIVE_DELTAS = (-2, -1, 0, 1, 2)
@@ -200,21 +195,6 @@ class ODRLController(Controller):
         if pretrained is not None:
             check_snapshot(pretrained, self)
         self._pretrained = dict(pretrained) if pretrained is not None else None
-        self._stack: Optional["BatchODRL"] = None
-
-    @property
-    def stack(self) -> "BatchODRL":
-        """The one-row stack holding this run's learned state, built on
-        first use: a controller that a larger stack adopts never builds
-        one.  It sees this controller through a weak proxy: a reference
-        cycle would keep every finished run's tables alive until a full
-        GC."""
-        if self._stack is None:
-            # Imported here: repro.kernel.policies imports this module.
-            from repro.kernel.policies import BatchODRL
-
-            self._stack = BatchODRL([weakref.proxy(self)])
-        return self._stack
 
     @staticmethod
     def _power_bounds(
@@ -251,13 +231,6 @@ class ODRLController(Controller):
             return dyn * hetero.ceff_scale + leak * hetero.leak_scale
 
         return bound(f_bot, v_bot), bound(f_top, v_top)
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Unpickling: relink the stack's weak proxy, which BatchODRL's
-        # __getstate__ drops because it cannot be pickled.
-        self.__dict__.update(state)
-        if self._stack is not None and self._stack.controllers is None:
-            self._stack.controllers = [weakref.proxy(self)]
 
     def reset(self) -> None:
         """Forget all learning and return to the uniform allocation.

@@ -353,6 +353,8 @@ class EpochKernel:
         #: its per-run sensor reads into the ``sensor`` phase.  Write-only
         #: telemetry — nothing in the kernel reads it back.
         self.profiler: Optional[Any] = None
+        #: the last step's observation, ``None`` before the first
+        self.last_observation: Optional[KernelObservation] = None
         self.epoch = 0
         self.time = 0.0
         self.total_energy = np.zeros(n_runs, dtype=float)
@@ -451,9 +453,9 @@ class EpochKernel:
 
         Levels go to the *top* level (the uncontrolled state the paper's
         problem begins from), stateful per-run components (memory
-        systems, fault state) are reset, the phase block is dropped, and
-        sensor suites keep their register/RNG state — the serial chip
-        never reset those either.
+        systems, fault state) are reset, the phase block and last
+        observation dropped, and sensor suites keep their register/RNG
+        state — the serial chip never reset those either.
         """
         self.levels = np.full(
             (self.n_runs, self.n_cores), self.n_levels - 1, dtype=int
@@ -469,6 +471,7 @@ class EpochKernel:
         self._stuck_levels.fill(-1)
         self._fault_counts.fill(0)
         self._phase_block = None
+        self.last_observation = None
         self.epoch = 0
         self.time = 0.0
         self.total_energy = np.zeros(self.n_runs, dtype=float)
@@ -652,4 +655,5 @@ class EpochKernel:
             chip_instructions=chip_instructions,
         )
         self.epoch += 1
+        self.last_observation = obs
         return obs

@@ -1,40 +1,27 @@
 """Batched controller policies: N runs' controllers advanced in lockstep.
 
-Five shapes, selected by :func:`build_batch_policy`:
+Five shapes, selected by :func:`build_batch_policy`, the one routing rule
+for every run, a lone one included, whatever its entry:
 
-* :class:`BatchODRL` — the only OD-RL decide: telemetry sanitization,
-  reward, state encoding and the budget reallocation run over the whole
-  stack, and one :class:`~repro.core.agent.QLearningPopulation` with a
-  row per run acts and learns over the stack, each run drawing its
-  exploration from its own stream.  Every
-  :class:`ODRLController` is a one-row view of a :class:`BatchODRL`; a
-  group of them stacks into one when all are stock controllers with the
-  same hyper-parameters, power bounds and ``thermal_limit`` (or none).
-  Budgets, seeds, ``pretrained`` warm starts (restored per row, window
-  included) and attached profilers may differ per row.
-* :class:`BatchMaxBIPS` — all runs are DP-method
-  :class:`MaxBIPSController` instances sharing estimator tables: one
-  stacked telemetry inversion, and a knapsack DP that advances all runs
-  per core (a sliding-window gather of the value rows and one ``max``
-  over levels) and backtracks all runs per core from the kept value
-  rows.
-* :class:`BatchGreedy` — all runs are stock
-  :class:`~repro.baselines.greedy.GreedyAscentController` instances, or
-  all are stock :class:`~repro.baselines.greedy.SteepestDropController`
-  instances, sharing estimator tables: one stacked telemetry inversion
-  and one stacked step-table computation, then each run's heap pass —
-  the serial controller's own pass.
-* :class:`BatchPID` — all runs are stock :class:`PIDCappingController`
-  instances sharing gains and VF table: the PI loop is elementwise, so
-  the row power sums, the velocity-form update, the clip and the
-  half-to-even rounding run over the whole stack in one call.
-* :class:`PerRunPolicy` — anything else (including watchdog-wrapped
-  drivers, and od-rl groups with differing thermal limits), and every
-  serial run (a one-row stack): the kernel plant is still shared, but
-  each run's serial controller consumes its own row view of the kernel
-  observation.  Bit-identical by construction, since the serial
-  ``decide`` is the one executing — for od-rl, its own one-row
-  :class:`BatchODRL`.
+* :class:`BatchODRL` — the only OD-RL decide: sanitization, reward, state
+  encoding and budget reallocation run over the stack, and one
+  :class:`~repro.core.agent.QLearningPopulation` with a row per run acts
+  and learns, each run exploring on its own stream.  Every
+  :class:`ODRLController` is a one-row view of one; stock ones with the
+  same hyper-parameters, power bounds and ``thermal_limit`` stack, and
+  budgets, seeds, ``pretrained`` warm starts and profilers may differ.
+* :class:`BatchMaxBIPS` — DP-method :class:`MaxBIPSController` runs
+  sharing estimator tables: one stacked telemetry inversion, and a
+  knapsack DP that advances and backtracks all runs per core.
+* :class:`BatchGreedy` — stock greedy-ascent, or stock steepest-drop,
+  runs sharing estimator tables: one stacked inversion and step-table
+  computation, then each run's heap pass, the controller's own.
+* :class:`BatchPID` — the only PI decide: every
+  :class:`PIDCappingController` is a one-row view of one, and stock ones
+  sharing gains and VF table stack into one elementwise update.
+* :class:`PerRunPolicy` — anything else (watchdog-wrapped drivers, mixed
+  or incompatible groups, harvesting runs): each run's own controller
+  decides on its row view of the kernel observation.
 
 Ragged stacks pass the ``active`` row mask of the kernel step through
 ``decide``: a finished run's controller is never invoked again — its RNG
@@ -53,7 +40,7 @@ from __future__ import annotations
 import time
 import weakref
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,7 +60,7 @@ from repro.core.policy_io import restore_row
 from repro.core.reward import max_epoch_instructions, reward_rows
 from repro.faults.sanitizer import TelemetrySanitizer
 from repro.kernel.epoch import KernelObservation, _row_active
-from repro.sim.interface import Controller
+from repro.sim.interface import Controller, StackView
 
 __all__ = [
     "BatchCompatError",
@@ -105,6 +92,14 @@ class BatchPolicy(ABC):
         self.n_cores = self.controllers[0].n_cores
         self.n_levels = self.controllers[0].n_levels
 
+    def __getstate__(self) -> Dict[str, object]:
+        # A controller's own stack sees it through a weak proxy, which does
+        # not pickle; the controller relinks it when it is unpickled.
+        state = dict(self.__dict__)
+        if any(isinstance(c, weakref.ProxyType) for c in self.controllers):
+            state["controllers"] = None
+        return state
+
     def reset(self) -> None:
         """Reset every run's controller state (start of the batch run)."""
         for ctrl in self.controllers:
@@ -135,24 +130,17 @@ class BatchPolicy(ABC):
         return np.full(self.n_runs, stack_s / max(n_active, 1))
 
     def degradation_extras(self, run: int) -> Optional[Dict[str, int]]:
-        """Run ``run``'s degradation counters, mirroring the serial
-        ``result.extras["degradation"]`` gate (present only for a learner
-        with its sanitizer armed).  Watchdog-wrapped drivers are unwrapped
-        first; an OD-RL controller reports its one-row stack's row.  The
-        control loop reads these for both the result extras and the
-        per-epoch ``sanitizer`` incident events."""
-        ctrl = self.controllers[run]
-        stack = getattr(getattr(ctrl, "inner", ctrl), "stack", None)
-        return None if stack is None else stack.degradation_extras(0)
+        """Run ``run``'s degradation counters (``result.extras["degradation"]``
+        and the ``sanitizer`` events), ``None`` but for an armed learner."""
+        return None
 
 
 class PerRunPolicy(BatchPolicy):
-    """Serial controllers deciding on kernel-row views.
+    """Each run's own controller deciding on its kernel-row view.
 
     Each run's controller executes its own unmodified ``decide`` on a row
-    view of the kernel observation, so any controller batches (plant-side
-    speedup only) and equivalence to serial is by construction.  Serial
-    runs are one-row stacks of this policy.
+    view of the kernel observation, so any controller stacks (plant-side
+    speedup only) and equivalence to a lone run is by construction.
     """
 
     kind = "per-run"
@@ -192,6 +180,12 @@ class PerRunPolicy(BatchPolicy):
     ) -> np.ndarray:
         """Each run's own ``decide`` wall time from the last call."""
         return self._row_s.copy()
+
+    def degradation_extras(self, run: int) -> Optional[Dict[str, int]]:
+        # A (watchdog-unwrapped) controller's own stack reports its row.
+        ctrl = self.controllers[run]
+        stack = getattr(getattr(ctrl, "inner", ctrl), "stack", None)
+        return None if stack is None else stack.degradation_extras(0)
 
 
 class BatchODRL(BatchPolicy):
@@ -245,14 +239,6 @@ class BatchODRL(BatchPolicy):
             (self.n_runs, self.n_cores), c0.sanitizer_policy
         )
         self.reset()
-
-    def __getstate__(self) -> Dict[str, object]:
-        # A controller's own stack sees it through a weak proxy, which does
-        # not pickle; the controller relinks it when it is unpickled.
-        state = dict(self.__dict__)
-        if any(isinstance(c, weakref.ProxyType) for c in self.controllers):
-            state["controllers"] = None
-        return state
 
     def reset(self) -> None:
         """Cold-start every row, then warm-start the rows whose controller
@@ -663,12 +649,13 @@ class BatchPID(BatchPolicy):
     """All runs' PI power caps advanced by one vectorized decide.
 
     Each row is one :class:`PIDCappingController`: the chip power is the
-    row sum of the *sensed* power (the serial ``np.sum`` bit for bit), the
-    velocity-form command update keeps the serial ``delta += …`` order
-    through a ``where`` on the has-previous-error mask, and ``np.rint``
-    rounds half to even as Python's ``round`` does.  Budgets may differ
-    per run.  Only active rows write state, so a finished run's command
-    freezes where a standalone run of its length leaves it.
+    row sum of the *sensed* power, ``delta = ki * error``, plus ``kp *
+    (error - prev_error)`` once a previous error exists, moves the
+    command, which is clipped to the ladder and rounded half to even
+    (``np.rint``, as Python's ``round``).  Each run's ``error = (budget -
+    power) / budget`` reads its budget as its config states it now.  Only
+    active rows write state, so a finished run's command freezes where a
+    standalone run of its length leaves it.
     """
 
     kind = "pid"
@@ -677,29 +664,33 @@ class BatchPID(BatchPolicy):
         super().__init__(controllers)
         self.kp = controllers[0].kp
         self.ki = controllers[0].ki
-        self._budgets = np.array([c.cfg.power_budget for c in controllers])
         self.reset()
 
     def reset(self) -> None:
-        super().reset()
-        ctrls: List[PIDCappingController] = self.controllers  # type: ignore[assignment]
-        self._command = np.array([c._command for c in ctrls])
-        self._prev_error = np.array(
-            [0.0 if c._prev_error is None else c._prev_error for c in ctrls]
-        )
-        self._has_prev = np.array([c._prev_error is not None for c in ctrls])
+        self._command = np.full(self.n_runs, (self.n_levels - 1) / 2.0)
+        self._prev_error = np.zeros(self.n_runs)
+        self._has_prev = np.zeros(self.n_runs, dtype=bool)
 
     def decide(
         self,
         bobs: Optional[KernelObservation],
         active: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if bobs is not None:
-            power = bobs.sensed_power.sum(axis=1)
-            # The serial update is Python float arithmetic, which turns
-            # inf - inf into NaN silently; so does this one.
+        return self.step(None if bobs is None else bobs.sensed_power, active)
+
+    def step(
+        self, sensed_power: Optional[np.ndarray], active: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`decide` on the observation's ``(n_runs, n_cores)``
+        ``sensed_power`` (watts), ``None`` before the first epoch: the
+        entry a controller view hops through with a ``[None]`` row view."""
+        if sensed_power is not None:
+            budgets = np.array([c.cfg.power_budget for c in self.controllers])
+            power = sensed_power.sum(axis=1)
+            # Python float arithmetic turns inf - inf into NaN silently;
+            # so does this update.
             with np.errstate(invalid="ignore", over="ignore"):
-                error = (self._budgets - power) / self._budgets
+                error = (budgets - power) / budgets
                 delta = np.where(
                     self._has_prev,
                     self.ki * error + self.kp * (error - self._prev_error),
@@ -715,7 +706,7 @@ class BatchPID(BatchPolicy):
                 self._has_prev |= active
                 np.copyto(self._command, command, where=active)
         if not np.isfinite(self._command).all():
-            # The serial int(round(nan)) raises; never cast NaN to a level.
+            # Never cast NaN to a level.
             raise ValueError(f"non-finite PID command: {self._command.tolist()}")
         out = np.empty((self.n_runs, self.n_cores), dtype=int)
         out[:] = np.rint(self._command).astype(int)[:, None]
@@ -734,8 +725,6 @@ _ODRL_SHARED = (
 def _check_odrl_group(ctrls: List[ODRLController]) -> None:
     c0 = ctrls[0]
     for c in ctrls:
-        if type(c) is not ODRLController:
-            raise BatchCompatError(f"not a stock ODRLController: {type(c).__name__}")
         for name in _ODRL_SHARED:
             if getattr(c, name) != getattr(c0, name):
                 raise BatchCompatError(f"{name} differs across runs")
@@ -745,13 +734,11 @@ def _check_odrl_group(ctrls: List[ODRLController]) -> None:
             raise BatchCompatError("power floors/caps differ across runs")
 
 
-def _check_estimator_group(ctrls: Sequence[Controller], cls: Type[Controller]) -> None:
-    """Every controller is a stock ``cls`` whose estimator tables equal the
-    first one's (the stack predicts through that estimator)."""
+def _check_estimator_group(ctrls: Sequence[Controller]) -> None:
+    """Every controller's estimator tables equal the first one's (the
+    stack predicts through that estimator)."""
     e0 = ctrls[0]._estimator  # type: ignore[attr-defined]
     for c in ctrls:
-        if type(c) is not cls:
-            raise BatchCompatError(f"not a stock {cls.__name__}: {type(c).__name__}")
         e = c._estimator  # type: ignore[attr-defined]
         if not (
             np.array_equal(e._freqs, e0._freqs)
@@ -764,7 +751,7 @@ def _check_estimator_group(ctrls: Sequence[Controller], cls: Type[Controller]) -
 
 
 def _check_maxbips_group(ctrls: List[MaxBIPSController]) -> None:
-    _check_estimator_group(ctrls, MaxBIPSController)
+    _check_estimator_group(ctrls)
     for c in ctrls:
         if c.method != "dp":
             raise BatchCompatError("only the DP method batches")
@@ -775,43 +762,44 @@ def _check_maxbips_group(ctrls: List[MaxBIPSController]) -> None:
 def _check_pid_group(ctrls: List[PIDCappingController]) -> None:
     c0 = ctrls[0]
     for c in ctrls:
-        if type(c) is not PIDCappingController:
-            raise BatchCompatError(f"not a stock PIDCappingController: {type(c).__name__}")
         if c.kp != c0.kp or c.ki != c0.ki:
             raise BatchCompatError("PID gains differ across runs")
         if c.cfg.vf_levels != c0.cfg.vf_levels:
             raise BatchCompatError("VF tables differ across runs")
 
 
-def build_batch_policy(controllers: Sequence[Controller]) -> BatchPolicy:
-    """Pick the batch policy for a controller group.
+#: (stock controller class, what its stack must share, its stacked policy)
+_ROUTES: Tuple[Tuple[type, Callable[..., None], Callable[..., BatchPolicy]], ...] = (
+    (ODRLController, _check_odrl_group, BatchODRL),
+    (MaxBIPSController, _check_maxbips_group, BatchMaxBIPS),
+    (GreedyAscentController, _check_estimator_group, BatchGreedy),
+    (SteepestDropController, _check_estimator_group, BatchGreedy),
+    (PIDCappingController, _check_pid_group, BatchPID),
+)
 
-    Returns a specialized policy when every controller qualifies, else the
-    generic :class:`PerRunPolicy` (which is always correct — and is how
-    watchdog-wrapped drivers batch).  A compat failure is a routing
-    decision, not an error — the fallback preserves bit-identity by
-    running the serial controllers themselves.
+
+def build_batch_policy(
+    controllers: Sequence[Controller], harvest: bool = False
+) -> BatchPolicy:
+    """The policy a group of runs decides through: the one routing rule,
+    for a lone run too, whatever its entry.
+
+    Stock controllers of one class that agree on what a stack must share
+    get its stacked policy, and a lone stock OD-RL or PID controller its
+    own one-row ``stack`` (the caller holds the controller: the stack sees
+    it through a weak proxy).  Anything else, and every group under
+    ``harvest``, decides through :class:`PerRunPolicy`.
     """
     ctrls = list(controllers)
     if not ctrls:
         raise ValueError("build_batch_policy needs at least one controller")
-    try:
-        if all(isinstance(c, ODRLController) for c in ctrls):
-            odrl = [c for c in ctrls if isinstance(c, ODRLController)]
-            _check_odrl_group(odrl)
-            return BatchODRL(odrl)
-        if all(isinstance(c, MaxBIPSController) for c in ctrls):
-            mb = [c for c in ctrls if isinstance(c, MaxBIPSController)]
-            _check_maxbips_group(mb)
-            return BatchMaxBIPS(mb)
-        for cls in (GreedyAscentController, SteepestDropController):
-            if all(isinstance(c, cls) for c in ctrls):
-                _check_estimator_group(ctrls, cls)
-                return BatchGreedy(ctrls)  # type: ignore[arg-type]
-        if all(isinstance(c, PIDCappingController) for c in ctrls):
-            pid = [c for c in ctrls if isinstance(c, PIDCappingController)]
-            _check_pid_group(pid)
-            return BatchPID(pid)
-    except BatchCompatError:
-        return PerRunPolicy(ctrls)
+    for cls, check, stacked in _ROUTES:
+        if harvest or any(type(c) is not cls for c in ctrls):
+            continue
+        try:
+            check(ctrls)
+        except BatchCompatError:
+            break
+        lone = ctrls[0]
+        return lone.stack if len(ctrls) == 1 and isinstance(lone, StackView) else stacked(ctrls)
     return PerRunPolicy(ctrls)

@@ -14,15 +14,16 @@ ground-truth fields exist for metrics and tests.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
 
-__all__ = ["Controller"]
+__all__ = ["Controller", "StackView"]
 
 
 class Controller(ABC):
@@ -85,3 +86,32 @@ class Controller(ABC):
     def _full(self, level: int) -> np.ndarray:
         """Convenience: every core at the same ``level``."""
         return np.full(self.n_cores, int(level), dtype=int)
+
+
+class StackView(Controller):
+    """A one-row view of a batch policy, as the chip views the epoch
+    kernel: the run's state is row 0 of :attr:`stack`, its decide hops
+    there, and a lone run of it decides through that stack."""
+
+    #: the :mod:`repro.kernel.policies` class of the stack
+    _stack_policy = ""
+    _stack: Any = None
+
+    @property
+    def stack(self) -> Any:
+        """The run's one-row stack, built on first use (a controller that a
+        larger stack adopts never builds one).  It sees this controller
+        through a weak proxy: a cycle would keep finished runs alive."""
+        if self._stack is None:
+            # Imported here: repro.kernel.policies imports the controllers.
+            from repro.kernel import policies
+
+            self._stack = getattr(policies, self._stack_policy)([weakref.proxy(self)])
+        return self._stack
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Unpickling: relink the stack's weak proxy, which the policy's
+        # __getstate__ drops because it cannot be pickled.
+        self.__dict__.update(state)
+        if self._stack is not None and self._stack.controllers is None:
+            self._stack.controllers = [weakref.proxy(self)]

@@ -177,8 +177,8 @@ def _stack_policy(monkeypatch, tasks):
     picked = []
     real = batch_simulator.build_batch_policy
 
-    def spy(drivers):
-        policy = real(drivers)
+    def spy(drivers, **kwargs):
+        policy = real(drivers, **kwargs)
         picked.append(type(policy))
         return policy
 

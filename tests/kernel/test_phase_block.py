@@ -130,12 +130,19 @@ def test_ragged_stack_across_block_edges_equals_one_row_runs(small_block, name):
         assert_trace_equal(result, alone, context=task.cell.label())
 
 
-def test_continued_chip_equals_one_uninterrupted_run(small_block):
-    split, whole = ManyCoreChip(CFG, short_phases()), ManyCoreChip(CFG, short_phases())
-    ctrl = Cycling(CFG)
+@pytest.mark.parametrize("name", ["cycling", "od-rl", "pid"])
+def test_continued_chip_equals_one_uninterrupted_run(small_block, name):
+    """A run split by ``simulate(..., reset=False)`` continues the plant
+    and the controller: a stateful controller decides through its own
+    one-row stack, never through a policy rebuilt by each call."""
+    factory = Cycling if name == "cycling" else standard_controllers(seed=0)[name]
+    # A budget the PI loop hunts around rather than saturating under.
+    cfg = CFG.with_budget(0.7 * CFG.power_budget)
+    split, whole = ManyCoreChip(cfg, short_phases()), ManyCoreChip(cfg, short_phases())
+    ctrl = factory(cfg)
     parts = [simulate(split, ctrl, 5)]
     parts += [simulate(split, ctrl, n, reset=False) for n in (6, 9)]
-    full = simulate(whole, Cycling(CFG), 20)
+    full = simulate(whole, factory(cfg), 20)
     for series in ("chip_power", "chip_instructions", "max_temperature"):
         joined = np.concatenate([getattr(p, series) for p in parts])
         assert joined.tobytes() == getattr(full, series).tobytes(), series

@@ -102,7 +102,10 @@ def _profiled_stack(name, lengths, sensors=None):
     cfgs = [CFG.with_budget(CFG.power_budget * (0.8 + 0.2 * r)) for r in range(len(lengths))]
     kernel = EpochKernel(cfgs, [WORKLOAD] * len(cfgs), sensors=sensors)
     factory = standard_controllers(seed=0)[name]
-    policy = build_batch_policy([factory(cfg) for cfg in cfgs])
+    # Held: a lone controller's policy is its own stack, which sees it
+    # through a weak proxy.
+    controllers = [factory(cfg) for cfg in cfgs]
+    policy = build_batch_policy(controllers)
     policy.reset()
     profiler = RowKeepingProfiler()
     recorders = [BufferRecorder() for _ in cfgs]

@@ -208,3 +208,39 @@ class TestVectorizedSample:
         table = w._phase_table()
         for array in (table.ends, table.totals, table.stops, table.mem, table.comp):
             assert not array.flags.writeable
+
+
+class TestSampleIntoBudget:
+    """One block refill keeps every temporary it makes, numpy's own
+    buffers included, within ``_CHUNK_BYTES`` plus one ``(n_cores,)`` index
+    row, whatever the core count and however the block is laid out."""
+
+    @pytest.mark.parametrize(
+        "n_cores, n_sequences", [(16, 16), (64, 64), (256, 256), (64, 3)]
+    )
+    @pytest.mark.parametrize("layout", ["rows", "block-slice"])
+    def test_peak_stays_within_the_chunk_budget(self, n_cores, n_sequences, layout):
+        import tracemalloc
+
+        from repro.workloads.phases import _CHUNK_BYTES
+
+        sequences = mixed_workload(n_sequences, seed=0).sequences
+        w = Workload(sequences, name="budget")
+        times = np.arange(64) * 1e-3
+        if layout == "rows":
+            mem, comp = np.empty((64, n_cores)), np.empty((64, n_cores))
+        else:
+            # The kernel's layout: one workload's slice of a shared block.
+            mem, comp = np.empty((64, 2, n_cores))[:, 1], np.empty((64, 2, n_cores))[:, 1]
+        w.sample_into(times[:1], mem[:1], comp[:1])  # compile the phase table
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w.sample_into(times, mem, comp)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= _CHUNK_BYTES + 8 * n_cores
+        for e, t in enumerate(times):
+            ref_mem, ref_comp = w.sample(t, n_cores)
+            assert np.array_equal(mem[e], ref_mem) and np.array_equal(comp[e], ref_comp)

@@ -4,7 +4,8 @@ The plant's epoch step has a single implementation — the array-native
 :class:`repro.kernel.epoch.EpochKernel` — and the serial chip is a thin
 ``n_runs=1`` view over it.  The OD-RL controller likewise is a one-row
 view of the stacked decide :class:`repro.kernel.policies.BatchODRL`,
-whose tabular learner is the one :class:`repro.core.agent.QLearningPopulation`.
+whose tabular learner is the one :class:`repro.core.agent.QLearningPopulation`,
+and the PI power cap a one-row view of :class:`repro.kernel.policies.BatchPID`.
 What remains checkable structurally is **view thinness**
 (:class:`ViewPair`): a view method may mutate nothing but its backend
 handle and must not draw RNG, because any epoch state the view keeps of
@@ -78,8 +79,8 @@ class ViewPair:
 #: Serial views over their stacked backends.  The chip↔batch chip pair of
 #: the pre-kernel era is gone: both backends now *are* the kernel, so the
 #: check is that the serial view stays thin, not that two plant
-#: implementations agree.  The same holds for the OD-RL controller, a
-#: one-row view of the stacked learner it keeps as ``stack``.
+#: implementations agree.  The same holds for the OD-RL and PI controllers,
+#: each a one-row view of the stacked decide it keeps as ``stack``.
 VIEW_PAIRS: Tuple[ViewPair, ...] = (
     ViewPair(
         view="repro.manycore.chip.ManyCoreChip.step",
@@ -97,6 +98,16 @@ VIEW_PAIRS: Tuple[ViewPair, ...] = (
     ViewPair(
         view="repro.core.controller.ODRLController.reset",
         kernel="repro.kernel.policies.BatchODRL.reset",
+        handle="stack",
+    ),
+    ViewPair(
+        view="repro.baselines.pid.PIDCappingController.decide",
+        kernel="repro.kernel.policies.BatchPID.step",
+        handle="stack",
+    ),
+    ViewPair(
+        view="repro.baselines.pid.PIDCappingController.reset",
+        kernel="repro.kernel.policies.BatchPID.reset",
         handle="stack",
     ),
 )
