@@ -75,3 +75,31 @@ class TestTracking:
         ctl.reset()
         assert ctl._prev_error is None
         assert np.all(ctl.decide(None) == round((cfg.n_levels - 1) / 2))
+
+
+class TestOneRowView:
+    """The controller is row 0 of its own one-row ``BatchPID``."""
+
+    def test_state_reads_through_the_stack(self, cfg):
+        ctl = PIDCappingController(cfg)
+        run_controller(cfg, mixed_workload(8, seed=5), ctl, n_epochs=20)
+        assert ctl.stack.n_runs == 1
+        assert ctl._command == float(ctl.stack._command[0])
+        assert ctl._prev_error == float(ctl.stack._prev_error[0])
+
+    def test_pickled_controller_continues_its_run(self, cfg):
+        import pickle
+
+        from repro.manycore import ManyCoreChip
+
+        chip = ManyCoreChip(cfg, mixed_workload(8, seed=5))
+        ctl = PIDCappingController(cfg)
+        obs = None
+        for _ in range(10):
+            obs = chip.step(ctl.decide(obs))
+        twin = pickle.loads(pickle.dumps(ctl))
+        assert twin.stack.controllers[0].kp == ctl.kp
+        for _ in range(10):
+            levels = ctl.decide(obs)
+            assert np.array_equal(twin.decide(obs), levels)
+            obs = chip.step(levels)
