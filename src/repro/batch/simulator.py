@@ -36,7 +36,7 @@ from repro.kernel.epoch import EpochKernel
 from repro.kernel.policies import build_batch_policy
 from repro.obs import PhaseProfiler, Recorder
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import own_options, run_controller, run_stack, supervise
+from repro.sim.simulator import run_controller, run_stack, supervise
 
 if TYPE_CHECKING:
     from repro.parallel.engine import CellTask
@@ -99,8 +99,8 @@ def _group_signature(task: "CellTask") -> Optional[str]:
     — since the kernel masks finished rows — epoch counts.  Profiling is
     part of the signature: one profiler times a whole stack.  ``None``
     for tasks that cannot be fingerprinted (lambda or closure factories,
-    sensor suites, memory systems): the planner gives those a per-task
-    signature, i.e. a singleton group — still batched, just alone.
+    sensor suites): the planner gives those a per-task signature, i.e. a
+    singleton group — still batched, just alone.
     """
     from repro.parallel.cache import (
         CacheKeyError,
@@ -178,8 +178,8 @@ def simulate_batch(
     (the kernel re-checks config compatibility).  Epoch counts may
     differ: the stack is padded to the longest run and finished rows are
     masked via the kernel's ``active`` mask, with each result sliced back
-    to its own length.  Each row owns copies of its stateful options
-    (:func:`~repro.sim.simulator.own_options`), as a serial cell does.
+    to its own length.  The kernel owns each row's plant state (it
+    copies sensor suites per row), as a serial cell's does.
     ``recorders`` holds one optional event sink per task, which receives
     that run's trace exactly as the serial run would emit it.  Results
     come back in task order, each indistinguishable from the serial run
@@ -202,7 +202,7 @@ def simulate_batch(
             raise TypeError(
                 f"task {task.cell.label()}: unexpected simulation options {unknown}"
             )
-    options: List[Dict[str, Any]] = [own_options(task.sim_kwargs) for task in tasks]
+    options = [task.sim_kwargs for task in tasks]
     kwargs0 = options[0]
     n_epochs = [task.cell.n_epochs for task in tasks]
 
@@ -221,8 +221,8 @@ def simulate_batch(
         # Watchdog drivers decide through PerRunPolicy, so crash/restore
         # checkpointing is the wrapper's own code path.
         drivers = [
-            supervise(driver, injector, checkpoint_period=int(kwargs0.get("checkpoint_period", 0)))
-            for driver, injector in zip(drivers, kernel.faults)
+            supervise(driver, campaign, checkpoint_period=int(kwargs0.get("checkpoint_period", 0)))
+            for driver, campaign in zip(drivers, kernel.campaigns)
         ]
     harvest = bool(kwargs0.get("harvest", False))
     policy = build_batch_policy(drivers, harvest=harvest)

@@ -15,7 +15,6 @@ from repro.faults.campaign import (
     FaultCampaign,
     TelemetryBlackout,
 )
-from repro.faults.injector import FaultInjector
 from repro.faults.sanitizer import (
     SanitizedTelemetry,
     SanitizerPolicy,
@@ -30,7 +29,6 @@ __all__ = [
     "CoreDeathFault",
     "FaultCampaign",
     "TelemetryBlackout",
-    "FaultInjector",
     "SanitizedTelemetry",
     "SanitizerPolicy",
     "TelemetrySanitizer",

@@ -26,7 +26,8 @@ in the field:
 The campaign answers per-epoch queries (``dead_mask``, ``drop_mask``,
 ``stuck_mask``, ``blackout_channels``, ``crashes_at``) with plain numpy;
 the *stateful* part of injection (capturing the level a stuck actuator
-froze at) lives in :class:`repro.faults.injector.FaultInjector`.
+froze at, counting affected samples) is the epoch kernel's, one row per
+run (:mod:`repro.faults.injector`).
 """
 
 from __future__ import annotations

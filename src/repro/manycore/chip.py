@@ -23,14 +23,13 @@ loop is firmware.  Budget violation accounting lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # runtime imports are lazy: repro.faults imports the
     # sim/controller layers and repro.kernel.epoch imports this module.
     from repro.faults.campaign import FaultCampaign
-    from repro.faults.injector import FaultInjector
     from repro.kernel.epoch import EpochKernel
 
 from repro.manycore.config import SystemConfig
@@ -133,7 +132,8 @@ class ManyCoreChip:
         Telemetry model; ``None`` (default) reads exactly — the readings
         of :meth:`SensorSuite.exact`, taken by the kernel's vectorized
         path — so the plant is deterministic unless noise is requested
-        explicitly.
+        explicitly.  The kernel reads through its own deep copy (the
+        chip's ``sensors``), so the suite passed in is never advanced.
     variation:
         Optional per-core process-variation multipliers; defaults to the
         nominal (variation-free) die.
@@ -152,11 +152,11 @@ class ManyCoreChip:
         (default) defers to the ``REPRO_VALIDATE`` environment variable;
         the resolved switch is the public ``validate`` attribute.
     faults:
-        Optional fault-injection schedule (a
-        :class:`~repro.faults.campaign.FaultCampaign`, or a pre-built
-        :class:`~repro.faults.injector.FaultInjector`).  Injects core
-        death, VF actuator faults, and whole-epoch telemetry blackouts
-        into the plant; ``None`` (default) runs fault-free.  Controller
+        Optional fault-injection schedule, a
+        :class:`~repro.faults.campaign.FaultCampaign` (anything else is a
+        ``TypeError``).  Injects core death, VF actuator faults, and
+        whole-epoch telemetry blackouts into the plant; ``None``
+        (default) runs fault-free.  Controller
         crashes in the campaign are the simulator's concern (see
         :class:`repro.faults.watchdog.WatchdogController`), not the
         plant's.
@@ -171,7 +171,7 @@ class ManyCoreChip:
         memory_system: MemorySystem | None = None,
         hetero: HeterogeneousMap | None = None,
         validate: bool | None = None,
-        faults: Union["FaultCampaign", "FaultInjector", None] = None,
+        faults: FaultCampaign | None = None,
     ) -> None:
         # Imported here, not at module level: the kernel imports this
         # module (for EpochObservation), so the view binds it lazily.
@@ -179,7 +179,6 @@ class ManyCoreChip:
 
         self.cfg = cfg
         self.workload = workload
-        self.sensors = sensors
         self.memory_system = memory_system
         # The kernel validates every argument (VF table, budget, per-core
         # maps, fault campaign) in the chip's own words.
@@ -188,12 +187,14 @@ class ManyCoreChip:
             [workload],
             faults=[faults],
             validate=validate,
-            sensors=[self.sensors],
+            sensors=[sensors],
             variations=[variation],
             memory_systems=[memory_system],
             heteros=[hetero],
         )
         self.thermal = _ThermalView(self._kernel)
+        #: the kernel's copy of ``sensors``, the suite this chip reads
+        self.sensors = self._kernel.sensors[0]
         # The kernel re-exposes variation/hetero through row views of its
         # stacked planes; adopt those so in-place edits to the chip's
         # attributes keep reaching the power math, exactly as they did
@@ -221,9 +222,10 @@ class ManyCoreChip:
         return self._kernel.levels[0]
 
     @property
-    def faults(self) -> "FaultInjector | None":
-        """This run's fault injector, if a campaign was supplied."""
-        return self._kernel.faults[0]
+    def faults(self) -> "FaultCampaign | None":
+        """This run's fault campaign, if one was supplied; its realized
+        tallies are ``kernel.fault_counts(0)``."""
+        return self._kernel.campaigns[0]
 
     @property
     def validate(self) -> bool:

@@ -27,6 +27,7 @@ system saturates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,24 +63,18 @@ class MemorySystemParams:
             raise ValueError(f"u_max must be in (0, 1), got {self.u_max}")
 
 
+@dataclass(frozen=True)
 class MemorySystem:
-    """Stateful contention model carried by a :class:`ManyCoreChip`.
+    """The contention model a :class:`ManyCoreChip` solves each epoch.
 
-    Tracks the last solved multiplier and utilization for telemetry and
-    inspection.
+    A value: the solve is a pure function of ``params`` and the epoch's
+    inputs, so one model can serve any number of runs.
     """
 
+    params: MemorySystemParams
+
     #: bisection iterations; the bracket is fixed so 40 gives ~1e-12 width
-    _BISECTION_STEPS = 40
-
-    def __init__(self, params: MemorySystemParams) -> None:
-        self.params = params
-        self.latency_multiplier = 1.0
-        self.utilization = 0.0
-
-    def reset(self) -> None:
-        self.latency_multiplier = 1.0
-        self.utilization = 0.0
+    _BISECTION_STEPS: ClassVar[int] = 40
 
     def _implied_multiplier(
         self,
@@ -124,25 +119,18 @@ class MemorySystem:
         p = self.params
         lo = 1.0
         hi = 1.0 + p.sensitivity * p.u_max / (1.0 - p.u_max)
-        g_lo, u_lo = self._implied_multiplier(cfg, frequency, mem_intensity, lo)
+        g_lo, _ = self._implied_multiplier(cfg, frequency, mem_intensity, lo)
         if g_lo <= lo + 1e-12:
             # Uncontended: demand at nominal latency already implies m ~ 1.
-            self.latency_multiplier = g_lo
-            self.utilization = u_lo
             return g_lo
-        u = u_lo
         for _ in range(self._BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            g_mid, u = self._implied_multiplier(cfg, frequency, mem_intensity, mid)
+            g_mid, _ = self._implied_multiplier(cfg, frequency, mem_intensity, mid)
             if g_mid > mid:
                 lo = mid
             else:
                 hi = mid
-        m = 0.5 * (lo + hi)
-        _, u = self._implied_multiplier(cfg, frequency, mem_intensity, m)
-        self.latency_multiplier = m
-        self.utilization = u
-        return m
+        return 0.5 * (lo + hi)
 
 
 def default_memory_system(

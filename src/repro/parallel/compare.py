@@ -25,6 +25,7 @@ from typing import Any, List, Optional
 
 import numpy as np
 
+from repro.sim.result_io import _jsonable
 from repro.sim.results import SimulationResult
 
 __all__ = ["trace_equal", "assert_trace_equal"]
@@ -42,16 +43,6 @@ _SERIES = (
 def _json_canonical(obj: Any) -> Any:
     """``obj`` normalised through JSON (tuples→lists, numpy scalars→python)."""
     return json.loads(json.dumps(obj, sort_keys=True, default=_jsonable))
-
-
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"extras value of type {type(obj).__qualname__} is not JSON-serialisable")
 
 
 def _mismatches(

@@ -31,6 +31,7 @@ from repro.manycore.config import SystemConfig, default_system
 from repro.parallel.cache import stable_hash
 from repro.parallel.cells import RunCell, merge_suite, merge_sweep
 from repro.parallel.engine import CellTask
+from repro.sim.result_io import _jsonable
 from repro.sim.results import SimulationResult
 from repro.sim.runner import (
     build_suite_tasks,
@@ -212,18 +213,6 @@ def _canonical_extras(result: SimulationResult) -> Any:
     applies, so in-memory and disk-round-tripped results digest equal."""
     extras = {k: v for k, v in result.extras.items() if k != "timing"}
     return json.loads(json.dumps(extras, sort_keys=True, default=_jsonable))
-
-
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(
-        f"extras value of type {type(obj).__qualname__} is not JSON-serialisable"
-    )
 
 
 def result_digest(result: SimulationResult) -> str:

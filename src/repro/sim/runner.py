@@ -324,10 +324,11 @@ def run_suite(
         Extra keyword arguments forwarded to
         :func:`~repro.sim.simulator.run_controller` for every cell
         (``record_per_core``, ``faults``, ``watchdog`` …), picklable for
-        ``jobs > 1``.  Every cell runs on its own copies of stateful
-        values (sensor suites, memory systems, pre-built fault
-        injectors), so sharing one between cells gives the same results
-        at every ``jobs`` and ``batch`` value and never advances it.
+        ``jobs > 1``.  The options are values: the epoch kernel copies
+        a sensor suite per run, so sharing one between cells gives the
+        same results at every ``jobs`` and ``batch`` value, and as a
+        direct :func:`~repro.sim.simulator.run_controller` call, and
+        never advances it.
     recorder, profile:
         Observability switches (see :mod:`repro.obs`), threaded as
         explicit parameters — never through ``sim_kwargs`` — so they stay

@@ -17,19 +17,17 @@ fault/sanitizer/watchdog incidents, checkpoint saves/restores) and a
 profiler collects the per-phase timing into ``result.extras["timing"]``;
 the trajectory is bit-identical either way, which the golden-trace
 tests enforce.  Incident events are *polled* from the subsystems'
-cumulative counters between epochs, so the fault injector, sanitizer
-and watchdog never learn that a recorder exists.
+cumulative counters between epochs, so the kernel's fault state, the
+sanitizer and the watchdog never learn that a recorder exists.
 """
 
 from __future__ import annotations
 
-import copy
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.faults.campaign import FaultCampaign
-    from repro.faults.injector import FaultInjector
     from repro.kernel.epoch import EpochKernel
     from repro.kernel.policies import BatchPolicy
 
@@ -47,12 +45,7 @@ from repro.sim.interface import Controller
 from repro.sim.results import SimulationResult
 from repro.workloads.phases import Workload
 
-__all__ = ["simulate", "run_controller", "run_stack", "own_options"]
-
-#: ``run_controller`` options whose values carry per-run state: a sensor
-#: suite's RNG streams and held registers, a memory system's last solve,
-#: a pre-built fault injector's stuck levels and counters
-_STATEFUL_OPTIONS = ("sensors", "memory_system", "faults")
+__all__ = ["simulate", "run_controller", "run_stack"]
 
 #: watchdog counter attribute -> emitted incident, polled between epochs
 _WATCHDOG_INCIDENTS = (
@@ -164,14 +157,14 @@ def simulate(
 
 def supervise(
     controller: Controller,
-    injector: Optional["FaultInjector"],
+    campaign: Optional["FaultCampaign"],
     checkpoint_period: int = 0,
 ) -> Controller:
     """``controller`` wrapped in a
     :class:`~repro.faults.watchdog.WatchdogController`.
 
-    The watchdog replays the controller crashes of ``injector``'s
-    campaign (none without one), resets the controller after the
+    The watchdog replays the controller crashes of ``campaign`` (none
+    without one), resets the controller after the
     watchdog's default run of consecutive decide failures, and
     checkpoints it every ``checkpoint_period`` epochs (``0`` disables).
     """
@@ -179,7 +172,7 @@ def supervise(
     # Controller interface, so a module-level import would cycle.
     from repro.faults.watchdog import WatchdogController
 
-    crash_epochs = injector.campaign.crash_epochs if injector is not None else ()
+    crash_epochs = campaign.crash_epochs if campaign is not None else ()
     return WatchdogController(
         controller, crash_epochs=crash_epochs, checkpoint_period=checkpoint_period
     )
@@ -382,7 +375,7 @@ class _RowTrace:
     """One row's event stream: manifest, epochs, incidents and totals.
 
     Incident events come from *polling* the row's cumulative counters —
-    its fault-injector counts, its sanitizer counters as the policy
+    its kernel fault counts, its sanitizer counters as the policy
     reports them (so vectorized rows report too), and its watchdog's
     recovery/checkpoint counters — and emitting one event per counter
     that moved during the epoch.  Polling keeps the subsystems
@@ -407,12 +400,10 @@ class _RowTrace:
         inner = getattr(driver, "inner", driver)
         #: the controller whose TD updates become ``transition`` events
         self._learner = inner if harvest else None
-        self._injector = kernel.faults[run]
+        self._faulty = kernel.campaigns[run] is not None
         self._watchdog = driver if inner is not driver else None
         rec.emit("run_start", **self._manifest(driver, inner, n_epochs))
-        self._fault_prev: Dict[str, int] = (
-            dict(self._injector.counts) if self._injector is not None else {}
-        )
+        self._fault_prev = kernel.fault_counts(run) if self._faulty else {}
         self._san_prev = self._sanitizer_counts()
         self._wd_prev = self._watchdog_counts()
 
@@ -512,8 +503,8 @@ class _RowTrace:
 
     def _poll(self, epoch: int) -> None:
         rec = self._rec
-        if self._injector is not None:
-            now = dict(self._injector.counts)
+        if self._faulty:
+            now = self._kernel.fault_counts(self._run)
             for kind, value in now.items():
                 diff = self._diff(value, self._fault_prev.get(kind, 0))
                 if diff:
@@ -548,9 +539,9 @@ def _result_extras(kernel: "EpochKernel", policy: "BatchPolicy", run: int) -> di
     contribute nothing; keys appear only when the matching machinery ran.
     """
     extras: dict = {}
-    injector = kernel.faults[run]
-    if injector is not None and injector.campaign.n_events > 0:
-        extras["faults"] = {"n_events": injector.campaign.n_events, **injector.counts}
+    campaign = kernel.campaigns[run]
+    if campaign is not None and campaign.n_events > 0:
+        extras["faults"] = {"n_events": campaign.n_events, **kernel.fault_counts(run)}
     driver = policy.controllers[run]
     stats = getattr(driver, "stats", None)
     if stats is not None and getattr(driver, "inner", driver) is not driver:
@@ -572,7 +563,7 @@ def run_controller(
     memory_system: Optional[MemorySystem] = None,
     hetero: Optional[HeterogeneousMap] = None,
     validate: Optional[bool] = None,
-    faults: Union["FaultCampaign", "FaultInjector", None] = None,
+    faults: Optional["FaultCampaign"] = None,
     watchdog: bool = False,
     checkpoint_period: int = 0,
     recorder: Optional[Recorder] = None,
@@ -609,25 +600,3 @@ def run_controller(
         profile=profile,
         harvest=harvest,
     )
-
-
-def own_options(sim_kwargs: Mapping[str, Any]) -> Dict[str, Any]:
-    """``sim_kwargs`` with each stateful value deep-copied for one cell.
-
-    Every stacked cell builds its plant from this copy, so the caller's
-    sensor suite, memory system or fault injector is never mutated, and
-    a cell's result depends only on its own inputs, whatever ``jobs`` and
-    ``batch`` are: cells sharing a noisy suite each start from its RNG
-    state, as a pool worker does from its pickled copy.  A frozen
-    :class:`~repro.faults.campaign.FaultCampaign` is shared as is.
-    """
-    # Imported here: repro.faults imports this package's Controller
-    # interface, so a module-level import would cycle.
-    from repro.faults.campaign import FaultCampaign
-
-    options = dict(sim_kwargs)
-    for key in _STATEFUL_OPTIONS:
-        value = options.get(key)
-        if value is not None and not isinstance(value, FaultCampaign):
-            options[key] = copy.deepcopy(value)
-    return options

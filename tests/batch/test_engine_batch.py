@@ -24,7 +24,6 @@ import repro.batch
 from repro.baselines import StaticUniformController
 from repro.batch import plan_batches
 from repro.faults import FaultCampaign
-from repro.faults.injector import FaultInjector
 from repro.manycore import SensorSuite, default_system
 from repro.manycore.hetero import big_little_map
 from repro.manycore.memory import default_memory_system
@@ -161,10 +160,10 @@ class TestUnsupportedReasons:
         )
 
     def test_live_injector_instance_batches(self, cfg, workload, lineup):
-        # Each cell runs on its own copy of the injector, so two cells
-        # sharing one stack exactly as their serial runs do.
+        # Two cells sharing one campaign object stack exactly as their
+        # serial runs do: the kernel owns each row's fault state.
         campaign = FaultCampaign.random(N_CORES, N_EPOCHS, rate=0.2, seed=1)
-        options = {"faults": FaultInjector(campaign)}
+        options = {"faults": campaign}
         assert_batches(
             [make_task(cfg, workload, lineup["od-rl"], sim_kwargs=options)] * 2
         )

@@ -5,7 +5,7 @@ The kernel applies every run's campaign through stacked mask planes
 conformance property: on a ragged stack mixing campaign rows and
 fault-free rows, every active row equals an ``n_runs=1`` kernel of that
 row after every step — levels, power, all three sensed arrays and the
-injector counts — and finished rows freeze.
+fault counts — and finished rows freeze.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector
 from repro.faults.campaign import (
     SENSOR_CHANNELS,
     ActuatorFault,
@@ -157,14 +156,12 @@ class TestStackedFaultConformance:
                         assert got.tobytes() == getattr(want, field)[0].tobytes(), (
                             f"epoch {e} row {r} {field}"
                         )
-                if campaigns[r] is not None:
-                    assert stack.faults[r].counts == single.faults[0].counts, (
-                        f"epoch {e} row {r} counts"
-                    )
+                assert stack.fault_counts(r) == single.fault_counts(0), (
+                    f"epoch {e} row {r} counts"
+                )
         stack.reset()
-        for injector in stack.faults:
-            if injector is not None:
-                assert injector.counts == ZERO_COUNTS
+        for r in range(len(rows)):
+            assert stack.fault_counts(r) == ZERO_COUNTS
 
 
 class TestPlanes:
@@ -207,8 +204,8 @@ class TestPlanes:
             assert channels == campaign.blackout_channels(epoch)
 
     def test_kernel_step_makes_no_injector_call(self, monkeypatch):
-        # The injector only holds state; each step applies the whole stack
-        # through one call per fault plane, never one call per row.
+        # Each step applies the whole stack through one call per fault
+        # plane, never one call per row.
         calls = {"actuate": 0, "dead": 0, "blackout": 0}
         for name in calls:
             original = getattr(FaultPlanes, name)
@@ -223,36 +220,26 @@ class TestPlanes:
         for _ in range(20):
             kernel.step(np.ones((3, N_CORES), dtype=int))
         assert 0 < max(calls.values()) <= 20
-        assert kernel.faults[0].counts == kernel.faults[2].counts
-        assert sum(kernel.faults[0].counts.values()) > 0
-
-    def test_prebuilt_injector_keeps_its_state_when_bound(self):
-        campaign = FaultCampaign(
-            n_cores=N_CORES,
-            actuator_faults=(ActuatorFault(2, 0, None, "stuck"),),
-        )
-        injector = FaultInjector(campaign)
-        # Capture level 1 through a one-row plane on the injector's state.
-        stuck_levels = np.full((1, N_CORES), -1, dtype=int)
-        counts = np.zeros((1, len(COUNT_KINDS)), dtype=np.int64)
-        injector.bind(stuck_levels, counts)
-        row = FaultPlanes([campaign])
-        full = np.full((1, N_CORES), 1)
-        row.actuate(row.rows(0), full, full + 2, stuck_levels, counts)
-        kernel = _kernel([injector], suites=False)
-        assert kernel.faults[0] is injector
-        assert injector.counts["stuck"] == 1
-        obs = kernel.step(np.full((1, N_CORES), 0))
-        # the capture made before binding still holds the actuator at 1
-        assert obs.levels[0, 2] == 1
-        assert injector.counts["stuck"] == 2
-        kernel.reset()
-        assert injector.counts == ZERO_COUNTS
+        assert kernel.fault_counts(0) == kernel.fault_counts(2)
+        assert sum(kernel.fault_counts(0).values()) > 0
+        assert kernel.fault_counts(1) == ZERO_COUNTS
 
 
 @pytest.mark.parametrize("kind", ["dead", "dropped", "stuck", "blackout"])
 def test_counts_are_a_fresh_dict(kind):
-    injector = FaultInjector(FaultCampaign.none(N_CORES))
-    counts = injector.counts
+    kernel = _kernel([FaultCampaign.none(N_CORES)], suites=False)
+    counts = kernel.fault_counts(0)
     counts[kind] = 99
-    assert injector.counts == ZERO_COUNTS
+    assert kernel.fault_counts(0) == ZERO_COUNTS
+
+
+class TestCampaignsOnly:
+    def test_kernel_keeps_each_rows_campaign(self):
+        campaign = FaultCampaign.random(N_CORES, 20, rate=0.4, seed=3)
+        kernel = _kernel([campaign, None], suites=False)
+        assert kernel.campaigns == [campaign, None]
+
+    @pytest.mark.parametrize("entry", [object(), "campaign", 0.1])
+    def test_other_entries_raise_type_error(self, entry):
+        with pytest.raises(TypeError, match="FaultCampaign or None"):
+            _kernel([entry], suites=False)

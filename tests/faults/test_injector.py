@@ -2,8 +2,8 @@
 realized counts.
 
 Each case applies a campaign through a one-row :class:`FaultPlanes` on
-state bound to a :class:`FaultInjector`, exactly as the kernel applies
-every row of a stack.
+one row of stuck-level and counter state, exactly as the kernel applies
+every row of a stack to its own rows of that state.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from repro.faults import (
     ActuatorFault,
     CoreDeathFault,
     FaultCampaign,
-    FaultInjector,
     TelemetryBlackout,
 )
 from repro.faults.campaign import SENSOR_CHANNELS
@@ -20,14 +19,21 @@ from repro.faults.injector import COUNT_KINDS, FaultPlanes
 
 
 class OneRow:
-    """A campaign's planes plus an injector bound to one row of state."""
+    """A campaign's planes plus one row of injection state."""
 
     def __init__(self, campaign):
         self.planes = FaultPlanes([campaign])
         self.stuck_levels = np.full((1, campaign.n_cores), -1, dtype=int)
         self.counts = np.zeros((1, len(COUNT_KINDS)), dtype=np.int64)
-        self.injector = FaultInjector(campaign)
-        self.injector.bind(self.stuck_levels, self.counts)
+
+    @property
+    def tallies(self):
+        return dict(zip(COUNT_KINDS, self.counts[0].tolist()))
+
+    def reset(self):
+        """Clear the row as :meth:`EpochKernel.reset` clears its rows."""
+        self.stuck_levels.fill(-1)
+        self.counts.fill(0)
 
     def levels(self, epoch, current, commanded):
         return self.planes.actuate(
@@ -128,14 +134,14 @@ class TestDeadMaskAndCounts:
             row.dead(epoch)
             row.levels(epoch, current, current)
             row.blackout(epoch)
-        assert row.injector.counts == {"dead": 2, "dropped": 2, "stuck": 1, "blackout": 0}
+        assert row.tallies == {"dead": 2, "dropped": 2, "stuck": 1, "blackout": 0}
 
     def test_blackout_counts_every_core_per_channel(self):
         row = make_row(
             blackouts=(TelemetryBlackout(start_epoch=0, duration=2, channels=("power", "perf")),)
         )
         assert row.blackout(0) == {"power", "perf"}
-        assert row.injector.counts["blackout"] == 4 * 2
+        assert row.tallies["blackout"] == 4 * 2
 
     def test_reset_clears_state_and_counters(self):
         row = make_row(
@@ -144,15 +150,15 @@ class TestDeadMaskAndCounts:
         )
         row.dead(0)
         row.levels(0, np.full(4, 2), np.full(4, 3))
-        assert row.injector.counts["dead"] == 1
-        row.injector.reset()
-        assert row.injector.counts == {"dead": 0, "dropped": 0, "stuck": 0, "blackout": 0}
+        assert row.tallies["dead"] == 1
+        row.reset()
+        assert row.tallies == {"dead": 0, "dropped": 0, "stuck": 0, "blackout": 0}
         # the stuck capture is forgotten: next epoch re-freezes at current
         effective = row.levels(5, np.full(4, 1), np.full(4, 3))
         assert effective[1] == 1
 
     def test_n_cores_property(self):
-        assert make_row().injector.n_cores == 4
+        assert make_row().planes.n_cores == 4
 
     def test_deterministic_replay_after_reset(self):
         row = OneRow(FaultCampaign.random(4, 30, rate=0.3, seed=11))
@@ -166,5 +172,5 @@ class TestDeadMaskAndCounts:
             )
 
         first = trace()
-        row.injector.reset()
+        row.reset()
         np.testing.assert_array_equal(first, trace())

@@ -80,8 +80,7 @@ class TestConstructorValidation:
     def test_mixed_fault_rows_allow_none(self):
         campaign = FaultCampaign.random(N_CORES, 6, rate=0.2, seed=0)
         kernel = _kernel(faults=[campaign, None])
-        assert kernel.faults[0] is not None
-        assert kernel.faults[1] is None
+        assert kernel.campaigns == [campaign, None]
 
 
 class TestAccessors:

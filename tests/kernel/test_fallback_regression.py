@@ -29,7 +29,6 @@ from repro.baselines.pid import PIDCappingController
 from repro.batch import plan_batches, simulate_batch
 from repro.core import ODRLController
 from repro.faults import FaultCampaign
-from repro.faults.injector import FaultInjector
 from repro.kernel import EpochKernel
 from repro.kernel.policies import (
     BatchGreedy,
@@ -79,12 +78,13 @@ SCENARIO_KWARGS = {
         ),
     },
     "hetero": {"hetero": big_little_map(N_CORES)},
-    # Stateful options: every cell runs on its own copy, so the shared
-    # instances below are never advanced by a test.
+    # The kernel reads each cell's sensor suite through its own copy, so
+    # the shared instance below is never advanced by a test.
     "sensors": {"sensors": SensorSuite(np.random.default_rng(3))},
     "memory": {"memory_system": default_memory_system(CFG)},
+    # A second, denser campaign, shared by every cell of the scenario.
     "injector": {
-        "faults": FaultInjector(FaultCampaign.random(N_CORES, N_EPOCHS, rate=0.2, seed=2)),
+        "faults": FaultCampaign.random(N_CORES, N_EPOCHS, rate=0.4, seed=5),
     },
 }
 
@@ -150,7 +150,7 @@ class TestFallbackRegression:
     def test_watchdog_and_plant_options_join_batch_groups(self):
         # The headline win: scenarios that used to be PerRunPolicy-only
         # *fallbacks* (serial path) now plan into real batch groups.
-        for scenario in ("watchdog", "variation", "hetero"):
+        for scenario in ("watchdog", "variation", "hetero", "memory"):
             tasks = [
                 _suite_tasks(SCENARIO_KWARGS[scenario])[0] for _ in range(3)
             ]

@@ -43,7 +43,11 @@ class TestComposition:
         assert np.all(np.isfinite(obs.power))
         assert np.all(obs.power > 0)
         assert np.all(np.isfinite(obs.instructions))
-        assert chip.memory_system.latency_multiplier >= 1.0
+        # contention only ever inflates the phases' memory intensity
+        free = ManyCoreChip(cfg, chip.workload, hetero=chip.hetero)
+        for _ in range(50):
+            obs_free = free.step(np.full(cfg.n_cores, cfg.n_levels - 1))
+        assert np.all(obs.mem_intensity >= obs_free.mem_intensity)
 
     def test_deterministic_given_seeds(self, cfg):
         a = full_chip(cfg, seed=3)
@@ -63,7 +67,6 @@ class TestComposition:
         chip.reset()
         assert chip.epoch == 0
         assert chip.time == 0.0
-        assert chip.memory_system.latency_multiplier == 1.0
         assert np.allclose(chip.thermal.temperatures, cfg.technology.t_ambient)
 
     def test_odrl_controls_fully_loaded_plant(self, cfg):
@@ -84,6 +87,10 @@ class TestComposition:
     def test_little_cores_see_contention_too(self, cfg):
         chip = full_chip(cfg)
         top = np.full(cfg.n_cores, cfg.n_levels - 1)
+        free = ManyCoreChip(cfg, chip.workload, hetero=chip.hetero)
         for _ in range(30):
             obs = chip.step(top)
-        assert chip.memory_system.utilization > 0.0
+            obs_free = free.step(top)
+        little = chip.hetero.freq_scale < chip.hetero.freq_scale.max()
+        assert little.any()
+        assert np.all(obs.mem_intensity[little] > obs_free.mem_intensity[little])

@@ -20,7 +20,6 @@ import pytest
 
 from repro.baselines import StaticUniformController
 from repro.faults import FaultCampaign
-from repro.faults.injector import FaultInjector
 from repro.manycore import SensorSuite, default_system
 from repro.manycore.memory import default_memory_system
 from repro.obs import BufferRecorder
@@ -498,8 +497,8 @@ class TestReportInvariant:
 
 
 class TestStatefulOptions:
-    """Cells sharing a sensor suite, memory system or pre-built injector
-    each run on their own copy: the result is a function of the cell's
+    """Cells sharing a sensor suite, memory system or fault campaign each
+    run on their own plant state: the result is a function of the cell's
     inputs whatever ``jobs`` and ``batch`` are, and the caller's instances
     are never advanced."""
 
@@ -510,7 +509,7 @@ class TestStatefulOptions:
         options = {
             "sensors": SensorSuite(np.random.default_rng(5)),
             "memory_system": default_memory_system(cfg),
-            "faults": FaultInjector(FaultCampaign.random(8, 40, rate=0.1, seed=1)),
+            "faults": FaultCampaign.random(8, 40, rate=0.1, seed=1),
         }
         before = {k: pickle.dumps(v) for k, v in options.items()}
         runs = [

@@ -28,7 +28,8 @@ def test_multiplier_bounds(case):
     m = ms.solve_latency_multiplier(cfg, freq, mem)
     upper = 1.0 + params.sensitivity * params.u_max / (1.0 - params.u_max)
     assert 1.0 - 1e-9 <= m <= upper + 1e-9
-    assert 0.0 <= ms.utilization <= params.u_max + 1e-12
+    _, u = ms._implied_multiplier(cfg, freq, mem, m)
+    assert 0.0 <= u <= params.u_max + 1e-12
 
 
 @given(contention_case())
@@ -37,10 +38,10 @@ def test_solution_self_consistent(case):
     cfg, freq, mem, params = case
     ms = MemorySystem(params)
     m = ms.solve_latency_multiplier(cfg, freq, mem)
-    g, _ = ms._implied_multiplier(cfg, freq, mem, m)
+    g, u = ms._implied_multiplier(cfg, freq, mem, m)
     # Either the fixed point is interior (g == m) or it sits on the
     # saturated boundary where g is clamped.
-    assert abs(g - m) < 1e-6 or ms.utilization >= params.u_max - 1e-9
+    assert abs(g - m) < 1e-6 or u >= params.u_max - 1e-9
 
 
 @given(contention_case(), st.floats(2.0, 100.0))

@@ -43,7 +43,7 @@ from repro.manycore.config import SystemConfig, default_system
 from repro.sim.result_io import save_result
 from repro.sim.results import SimulationResult
 from repro.sim.runner import build_suite_tasks, run_suite, standard_controllers
-from repro.sim.simulator import own_options, run_controller
+from repro.sim.simulator import run_controller
 from repro.workloads.phases import CorePhaseSequence, Phase, Workload
 from repro.workloads.suite import mixed_workload
 from repro.workloads.synthetic import bursty_sequence
@@ -165,7 +165,7 @@ def serial_reference(tasks: Sequence["CellTask"]) -> List[SimulationResult]:
             task.factory(task.cfg),
             task.cell.n_epochs,
             profile=task.profile,
-            **own_options(task.sim_kwargs),
+            **task.sim_kwargs,
         )
         for task in tasks
     ]
