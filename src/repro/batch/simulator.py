@@ -69,28 +69,6 @@ def _seedless(factory: Any) -> Any:
     return factory
 
 
-def _option_token(key: str, value: Any) -> Any:
-    """A stable-hashable stand-in for one simulation option value.
-
-    :class:`~repro.manycore.hetero.HeterogeneousMap` is a plain class
-    (not a dataclass), so :func:`~repro.parallel.cache.stable_hash`
-    cannot key it directly; its per-core scale arrays carry its full
-    identity, so hash those instead of demoting hetero cells to
-    singleton groups.
-    """
-    from repro.manycore.hetero import HeterogeneousMap
-
-    if isinstance(value, HeterogeneousMap):
-        return (
-            "hetero-map",
-            value.freq_scale,
-            value.ceff_scale,
-            value.cpi_scale,
-            value.leak_scale,
-        )
-    return value
-
-
 def _group_signature(task: "CellTask") -> Optional[str]:
     """Hash of everything that must be uniform within one batch group.
 
@@ -105,6 +83,7 @@ def _group_signature(task: "CellTask") -> Optional[str]:
     from repro.parallel.cache import (
         CacheKeyError,
         controller_fingerprint,
+        option_token,
         stable_hash,
     )
 
@@ -112,7 +91,7 @@ def _group_signature(task: "CellTask") -> Optional[str]:
     # (sensors, validate, …), so they normalize away: a task passing an
     # explicit ``sensors=None`` stacks with one that omits the key.
     options = {
-        k: _option_token(k, v)
+        k: option_token(v)
         for k, v in dict(task.sim_kwargs).items()
         if k != "faults" and v is not None
     }

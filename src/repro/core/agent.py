@@ -27,7 +27,7 @@ deterministic argmax would freeze every agent on action 0).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from repro.contracts import check_q_table, validation_enabled
 from repro.core.schedules import ExponentialDecay, HarmonicDecay, Schedule
 
 __all__ = ["QLearningPopulation", "default_epsilon_schedule", "default_alpha_schedule"]
+
+_WORDS_LE = np.dtype("<u8")
+_HALVES_LE = np.dtype("<u4")
 
 
 def default_epsilon_schedule() -> Schedule:
@@ -48,6 +51,22 @@ def default_alpha_schedule() -> Schedule:
     floor.  Evaluated on *visit counts*, not global time, so rarely-tried
     actions still learn fast whenever they are tried."""
     return HarmonicDecay(start=0.9, half_life=10.0, floor=0.05)
+
+
+def _lemire_actions(words: np.ndarray, n_actions: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``integers(n_actions, size=2 * k)`` for each row of ``k`` raw PCG64
+    words, and a mask of the halves where that is not what numpy draws.
+
+    numpy draws a range that fits in 32 bits by Lemire's method on 32-bit
+    halves, which PCG64 cuts from each word low half first: ``m = u32 *
+    n_actions`` gives the value ``m >> 32``, unless the low half of ``m``
+    falls under ``(2**32 - n_actions) % n_actions``; then numpy rejects
+    the half and draws another."""
+    # Little-endian words viewed as 32-bit pairs are (low, high).
+    halves = words.astype(_WORDS_LE, copy=False).view(_HALVES_LE)
+    products = np.multiply(halves, n_actions, dtype=np.uint64)
+    rejected = products.astype(np.uint32) < (2**32 - n_actions) % n_actions
+    return (products >> 32).view(np.int64), rejected
 
 
 class QLearningPopulation:
@@ -77,7 +96,10 @@ class QLearningPopulation:
     rng:
         One random generator per run for exploration; the number of runs
         is its length.  Required: every run owns an explicit,
-        seed-attributable stream (``ValueError`` otherwise).
+        seed-attributable stream (``ValueError`` otherwise).  Draws made
+        from a stream outside the population between acts must not leave
+        a 32-bit half-word pending (``integers`` over an odd count, float32
+        draws): :meth:`act` tracks that flag itself (see :meth:`_act`).
     optimistic_init:
         Initial Q value.  Setting it at or above the maximum attainable
         reward makes untried actions look attractive, so every action in a
@@ -128,6 +150,18 @@ class QLearningPopulation:
         self.epsilon = epsilon if epsilon is not None else default_epsilon_schedule()
         self.alpha = alpha if alpha is not None else default_alpha_schedule()
         self._rngs = list(rng)
+        self._bitgens = [g.bit_generator for g in self._rngs]
+        # Runs whose random actions can be read as raw words (see _act):
+        # PCG64 streams drawing whole words, i.e. an even agent count, in
+        # a stack (one row's numpy call costs less than the stack-wide
+        # mapping) ...
+        pairs = n_agents % 2 == 0 and n_actions > 1 and self.n_runs > 1
+        self._raw_capable = [pairs and type(bg) is np.random.PCG64 for bg in self._bitgens]
+        # ... while no 32-bit half-word is pending.
+        self._raw_ok = [
+            capable and not bg.state["has_uint32"]
+            for capable, bg in zip(self._raw_capable, self._bitgens)
+        ]
         self.validate = validation_enabled(validate)
         self._init = float(optimistic_init)
         self._shape = (self.n_runs, n_agents)
@@ -238,13 +272,32 @@ class QLearningPopulation:
         return bad
 
     def _act(self, states: np.ndarray, active: Optional[np.ndarray]) -> np.ndarray:
-        """:meth:`act` on checked inputs.  The three RNG draws per epoch
-        (tie-break jitter, explore coin, random action) happen per run in
-        this order, from the run's own stream; the Q gather, the jittered
-        argmax and the explore select then run over the whole stack."""
+        """:meth:`act` on checked inputs.  Each live run draws from its own
+        stream, in this order: the tie-break jitter and the explore coins
+        (one ``random`` fill of ``n_agents * n_actions + n_agents``
+        doubles, the words two ``random`` calls would take), then the
+        random actions, which consume what ``integers(n_actions,
+        size=n_agents)`` would.  The Q gather, the jittered argmax and the
+        explore select then run over the whole stack.
+
+        Where it is exact, a row of a stack reads its random actions as
+        ``n_agents / 2`` raw 64-bit words and the whole stack maps them to
+        actions at once (:func:`_lemire_actions`): for a PCG64 stream, an
+        even ``n_agents`` and no pending 32-bit half-word, ``integers``
+        takes one word per two actions.  Any other row keeps numpy's own
+        call: an odd count leaves a half-word pending, which a raw read
+        cannot, and a pending half-word is where ``integers`` starts.  So
+        does a one-row population, for which the call costs less than the
+        stack-wide mapping.  Each row's pending flag is read from its
+        stream when the population is built and after each numpy call.  A
+        row one of whose words Lemire's method would reject is rewound and
+        redrawn through ``integers``.  ``n_actions == 1`` keeps numpy's
+        call, which draws nothing."""
         n_runs, n_agents, n_actions = self.n_runs, self.n_agents, self.n_actions
-        jitter = np.zeros((n_runs, n_agents, n_actions))
-        coins = np.ones((n_runs, n_agents))
+        n_jitter = n_agents * n_actions
+        draws = np.zeros((n_runs, n_jitter + n_agents))
+        words = np.zeros((n_runs, n_agents // 2), dtype=np.uint64)
+        raw = np.zeros(n_runs, dtype=bool)
         random_actions = np.zeros((n_runs, n_agents), dtype=np.int64)
         eps = np.zeros(n_runs)
         # Runs mostly share a step count: evaluate the schedule once per
@@ -253,13 +306,25 @@ class QLearningPopulation:
         eps_at = {step: self.epsilon(step) for step in set(steps)}
         runs = range(n_runs) if active is None else np.flatnonzero(active).tolist()
         for r in runs:
-            rng = self._rngs[r]
-            rng.random(out=jitter[r])
-            coins[r] = rng.random(n_agents)
-            random_actions[r] = rng.integers(n_actions, size=n_agents)
+            self._rngs[r].random(out=draws[r])
+            if self._raw_ok[r]:
+                words[r] = self._bitgens[r].random_raw(n_agents // 2)
+                raw[r] = True
+            else:
+                random_actions[r] = self._integers(r)
             eps[r] = eps_at[steps[r]]
+        if raw.any():
+            values, rejected = _lemire_actions(words, n_actions)
+            np.copyto(random_actions, values, where=raw[:, None])
+            if rejected.any():
+                # Rewind each rejected row's words (PCG64 advances modulo
+                # 2**128) and let numpy redraw them, rejections included.
+                for r in np.flatnonzero(rejected.any(axis=1) & raw).tolist():
+                    self._bitgens[r].advance(2**128 - n_agents // 2)
+                    random_actions[r] = self._integers(r)
+        jitter = draws[:, :n_jitter].reshape(n_runs, n_agents, n_actions)
         jitter *= 1e-12
-        explore = coins < eps[:, None]
+        explore = draws[:, n_jitter:] < eps[:, None]
         qs = np.take(self.q.reshape(-1, n_actions), self._table_base + states, axis=0)
         greedy_actions = np.argmax(qs + jitter, axis=2)
         actions = np.where(explore, random_actions, greedy_actions)
@@ -268,6 +333,15 @@ class QLearningPopulation:
             # indices for callers that index by them.
             actions[~active] = 0
         return actions
+
+    def _integers(self, r: int) -> np.ndarray:
+        """Run ``r``'s random actions through numpy's own call, noting
+        whether it left a 32-bit half-word pending (which keeps the run
+        off the raw read until another odd number of halves clears it)."""
+        values = self._rngs[r].integers(self.n_actions, size=self.n_agents)
+        if self._raw_capable[r]:
+            self._raw_ok[r] = not self._bitgens[r].state["has_uint32"]
+        return values
 
     def _update(
         self,
@@ -302,9 +376,19 @@ class QLearningPopulation:
             assert next_actions is not None
             bootstrap = q[next_rows * n_actions + next_actions.reshape(-1)[cells]]
         else:
-            bootstrap = np.max(
-                np.take(self.q.reshape(-1, n_actions), next_rows, axis=0), axis=1
-            )
+            # max over each next state's actions, one action column at a
+            # time.  A non-NaN maximum has one value whatever the order of
+            # comparison, so it is np.max's up to the sign of a zero, which
+            # the update below cannot see: q + a * (target - q) is the same
+            # for either zero target.  A NaN's bits depend on np.max's
+            # order and NaN handling and do reach the table, so a NaN
+            # bootstrap is taken from np.max itself.
+            nexts = np.take(self.q.reshape(-1, n_actions), next_rows, axis=0)
+            bootstrap = nexts[:, 0].copy()
+            for j in range(1, n_actions):
+                np.maximum(bootstrap, nexts[:, j], out=bootstrap)
+            if np.isnan(bootstrap).any():
+                bootstrap = np.max(nexts, axis=1)
         sa = (base + states.reshape(-1)[cells]) * n_actions + actions.reshape(-1)[cells]
         a = self.alpha.value(visits[sa])
         target = rewards.reshape(-1)[cells] + self.gamma * bootstrap

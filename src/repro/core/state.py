@@ -18,6 +18,7 @@ state-encoding axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -65,6 +66,16 @@ class StateEncoder:
             raise ValueError(f"slack_edges must be ascending, got {self.slack_edges}")
         if self.ipc_edges and list(self.ipc_edges) != sorted(self.ipc_edges):
             raise ValueError(f"ipc_edges must be ascending, got {self.ipc_edges}")
+
+    # The edges as arrays, converted once (encode runs every decide).  Not
+    # fields: equality and cache keys see the tuples alone.
+    @cached_property
+    def _slack_bins(self) -> np.ndarray:
+        return np.asarray(self.slack_edges, dtype=float)
+
+    @cached_property
+    def _ipc_bins(self) -> np.ndarray:
+        return np.asarray(self.ipc_edges, dtype=float)
 
     @property
     def n_slack_bins(self) -> int:
@@ -114,9 +125,11 @@ class StateEncoder:
         if np.any(allocation <= 0):
             raise ValueError("allocation must be positive for all cores")
         slack = (allocation - power) / allocation
-        idx = np.digitize(slack, self.slack_edges)
+        # np.digitize on ascending edges is this searchsorted call, less
+        # its per-call edge conversion and monotonicity check.
+        idx = np.searchsorted(self._slack_bins, slack, side="right")
         if self.ipc_edges:
-            ipc_bin = np.digitize(ipc, self.ipc_edges)
+            ipc_bin = np.searchsorted(self._ipc_bins, ipc, side="right")
             idx = idx * self.n_ipc_bins + ipc_bin
         if self.include_level:
             lv = np.clip(levels.astype(int), 0, self.n_levels - 1)

@@ -71,6 +71,7 @@ from typing import Any, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.manycore.config import SystemConfig
+from repro.manycore.hetero import HeterogeneousMap
 from repro.obs.metrics import CounterRegistry
 from repro.parallel.cells import RunCell
 from repro.sim.results import SimulationResult
@@ -84,6 +85,7 @@ __all__ = [
     "stable_hash",
     "workload_token",
     "controller_fingerprint",
+    "option_token",
     "cell_key",
     "CacheStats",
     "CacheAuditReport",
@@ -230,6 +232,25 @@ def controller_fingerprint(factory: Any) -> Tuple[Any, ...]:
     )
 
 
+def option_token(value: Any) -> Any:
+    """A stable-hashable stand-in for one simulation option value.
+
+    :class:`~repro.manycore.hetero.HeterogeneousMap` is a plain class
+    (not a dataclass), so :func:`stable_hash` cannot key it directly; its
+    per-core scale arrays carry its full identity, so they stand in for
+    it.  Every other value is its own token.
+    """
+    if isinstance(value, HeterogeneousMap):
+        return (
+            "hetero-map",
+            value.freq_scale,
+            value.ceff_scale,
+            value.cpi_scale,
+            value.leak_scale,
+        )
+    return value
+
+
 def cell_key(
     cell: RunCell,
     cfg: SystemConfig,
@@ -244,8 +265,20 @@ def cell_key(
     applies :attr:`RunCell.budget` before keying).  The key covers: the
     full system config (with technology constants), the workload's phase
     content, the controller fingerprint, the cell's seed/epochs, the
-    simulation options, and the code-version ``salt``.
+    simulation options (each through :func:`option_token`, so a
+    heterogeneous map keys by its scale arrays), and the code-version
+    ``salt``.
+
+    Raises
+    ------
+    CacheKeyError
+        For inputs with no stable key: lambda or closure factories, and
+        options that neither :func:`stable_hash` nor :func:`option_token`
+        can encode.  A :class:`~repro.manycore.sensors.SensorSuite` is one
+        (its RNG streams have no value identity), so a cell with a sensor
+        suite cannot run with a result cache.
     """
+    options = {k: option_token(v) for k, v in sorted(dict(sim_kwargs or {}).items())}
     return stable_hash(
         (
             salt,
@@ -253,7 +286,7 @@ def cell_key(
             cfg,
             workload_token(workload),
             controller_fingerprint(factory),
-            dict(sim_kwargs or {}),
+            options,
         )
     )
 

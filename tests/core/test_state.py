@@ -116,3 +116,47 @@ class TestEncoding:
         power = alloc * (1 - np.array(slacks))
         states = enc.encode(power, alloc, np.full(enc.n_slack_bins, 0.5), np.zeros(enc.n_slack_bins, dtype=int))
         assert len(set(states.tolist())) == enc.n_slack_bins
+
+
+def digitize_reference(enc, power, allocation, ipc, levels):
+    """encode as np.digitize states it, edges converted on every call."""
+    slack = (allocation - power) / allocation
+    idx = np.digitize(slack, enc.slack_edges)
+    if enc.ipc_edges:
+        idx = idx * enc.n_ipc_bins + np.digitize(ipc, enc.ipc_edges)
+    if enc.include_level:
+        idx = idx * enc.n_levels + np.clip(levels.astype(int), 0, enc.n_levels - 1)
+    return idx.astype(int)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "enc",
+    [
+        StateEncoder.variant("slack", 8),
+        StateEncoder.variant("slack_ipc", 8),
+        StateEncoder.variant("slack_ipc_level", 8),
+        StateEncoder(n_levels=4, slack_edges=(-1, 0, 0, 2), ipc_edges=(0.5, 0.5)),
+    ],
+)
+def test_encode_matches_digitize_on_edges_and_specials(enc):
+    """NaN and ±inf slack and IPC, and values on, just below and just
+    above every edge: the searchsorted encoding is np.digitize's."""
+    edges = np.array(enc.slack_edges + enc.ipc_edges, dtype=float)
+    near = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    )
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300])
+    values = np.concatenate([near, specials])
+    # power = allocation * (1 - slack) puts slack on or next to the picked
+    # values; the reference recomputes it from the same inputs.
+    slack_pick, ipc_pick = np.meshgrid(values, values)
+    slack = slack_pick.ravel()
+    ipc = ipc_pick.ravel()
+    allocation = np.full(slack.size, 4.0)
+    power = allocation - slack * allocation
+    levels = np.arange(slack.size) % 11 - 1
+    got = enc.encode(power, allocation, ipc, levels)
+    want = digitize_reference(enc, power, allocation, ipc, levels)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

@@ -167,3 +167,21 @@ def hang_once(cfg, sentinel_path: str, seconds: float = 30.0):
         sentinel.write_text("first attempt hung")
         time.sleep(seconds)
     return StaticUniformController(cfg)
+
+
+def hetero_cell_key(n_cores: int) -> str:
+    """The cell key of a pid cell on a big.LITTLE map, as a spawned
+    process computes it (cross-process key stability)."""
+    from repro.manycore import default_system
+    from repro.manycore.hetero import big_little_map
+    from repro.sim.runner import build_suite_tasks, standard_controllers
+    from repro.workloads import mixed_workload
+
+    _, (task,) = build_suite_tasks(
+        default_system(n_cores=n_cores),
+        {"m": mixed_workload(n_cores, seed=0)},
+        {"pid": standard_controllers()["pid"]},
+        5,
+        sim_kwargs={"hetero": big_little_map(n_cores)},
+    )
+    return task.key

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.manycore import default_system
+from repro.manycore import SensorSpec, SensorSuite, default_system
+from repro.manycore.hetero import big_little_map
 from repro.parallel import (
     CACHE_SALT,
     CacheKeyError,
@@ -19,7 +21,7 @@ from repro.parallel import (
     workload_token,
 )
 from repro.sim.results import SimulationResult
-from repro.sim.runner import standard_controllers
+from repro.sim.runner import run_suite, standard_controllers
 from repro.workloads import mixed_workload
 
 from tests.parallel import helpers
@@ -200,6 +202,52 @@ class TestCellKey:
         ) != cell_key(
             cell, cfg, workload, helpers.build_static, salt="other-salt"
         )
+
+
+class TestOptionKeys:
+    """Simulation options key by value: a heterogeneous map through its
+    scale arrays; a sensor suite has no value key."""
+
+    N = 4
+
+    def run(self, cache, hetero):
+        return run_suite(
+            default_system(n_cores=self.N),
+            {"m": mixed_workload(self.N, seed=0)},
+            {"pid": standard_controllers()["pid"]},
+            5,
+            cache=cache,
+            sim_kwargs={"hetero": hetero},
+        )
+
+    def test_hetero_cells_run_cached(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first = self.run(cache, big_little_map(self.N))
+        assert (cache.stats().hits, cache.stats().misses, len(cache)) == (0, 1, 1)
+        # A second map of equal scales is the same option value.
+        second = self.run(cache, big_little_map(self.N))
+        assert (cache.stats().hits, cache.stats().misses) == (1, 1)
+        a, b = first["pid"]["m"], second["pid"]["m"]
+        assert np.array_equal(a.chip_power, b.chip_power)
+
+    def test_hetero_scales_perturb_key(self, cfg, workload):
+        cell = RunCell(controller="static", workload="mixed", budget=None, seed=0, n_epochs=8)
+        keys = {
+            cell_key(cell, cfg, workload, helpers.build_static, sim_kwargs={"hetero": m})
+            for m in (big_little_map(4), big_little_map(4, big_fraction=0.25))
+        }
+        assert len(keys) == 2
+
+    def test_spawned_process_computes_the_same_key(self):
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            spawned = pool.apply(helpers.hetero_cell_key, (self.N,))
+        assert spawned == helpers.hetero_cell_key(self.N)
+
+    def test_sensor_suite_cells_have_no_key(self, cfg, workload):
+        cell = RunCell(controller="static", workload="mixed", budget=None, seed=0, n_epochs=8)
+        suite = SensorSuite(np.random.default_rng(0), power_spec=SensorSpec(relative_noise=0.05))
+        with pytest.raises(CacheKeyError, match="SensorSuite"):
+            cell_key(cell, cfg, workload, helpers.build_static, sim_kwargs={"sensors": suite})
 
 
 class TestResultCache:
