@@ -14,8 +14,8 @@ for every run, a lone one included, whatever its entry:
   sharing estimator tables: one stacked telemetry inversion, and a
   knapsack DP that advances and backtracks all runs per core.
 * :class:`BatchGreedy` — stock greedy-ascent, or stock steepest-drop,
-  runs sharing estimator tables: one stacked inversion and step-table
-  computation, then each run's heap pass, the controller's own.
+  runs sharing estimator tables: one stacked inversion, then one sorted
+  scan of the whole stack's step tables, the controller's own code.
 * :class:`BatchPID` — the only PI decide: every
   :class:`PIDCappingController` is a one-row view of one, and stock ones
   sharing gains and VF table stack into one elementwise update.
@@ -49,7 +49,6 @@ from repro.baselines.greedy import (
     GreedyAscentController,
     Heuristic,
     SteepestDropController,
-    step_tables,
 )
 from repro.baselines.maxbips import MaxBIPSController
 from repro.baselines.pid import PIDCappingController
@@ -502,14 +501,14 @@ class _EstimatorPolicy(BatchPolicy):
 class BatchGreedy(_EstimatorPolicy):
     """All runs' greedy ascent, or all runs' steepest drop, in one decide.
 
-    The predictions and the step tables (:func:`repro.baselines.greedy.step_tables`)
-    are computed once for the whole stack; then each live run's heap pass
-    runs on its own rows of them.  The pass is the serial controller's
-    (:attr:`~repro.baselines.greedy.Heuristic.run`), so a stacked run and
-    that run alone execute the same code.  The passes are not vectorized:
-    greedy ascent skips upgrades that do not fit, so its result depends on
-    the pop order.  Finished runs are skipped.  ``kind`` is the
-    controllers' name.
+    The predictions are computed once for the whole stack, and the live
+    rows' levels come from one
+    :meth:`~repro.baselines.greedy.Heuristic.stack_levels` call: the step
+    tables and the sorted scan that replaces the heap pass
+    (:func:`repro.baselines.greedy.sorted_scan`) run over the stack.  A
+    directly called controller runs the same call on one row, so a stacked
+    run and that run alone execute the same code.  Finished runs are
+    skipped.  ``kind`` is the controllers' name.
     """
 
     def __init__(
@@ -524,17 +523,12 @@ class BatchGreedy(_EstimatorPolicy):
         bobs: Optional[KernelObservation],
         active: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        heuristic = self.heuristic
         power3, ips3 = self._predict(bobs)
-        d_power, keys = step_tables(power3, ips3, heuristic.negate)
-        d_power_rows, key_rows = d_power.tolist(), keys.tolist()
-        budgets = self._budgets.tolist()
+        live = slice(None) if active is None else np.flatnonzero(active)
         out = np.zeros((self.n_runs, self.n_cores), dtype=int)
-        for r in range(self.n_runs):
-            if not _row_active(active, r):
-                continue
-            total = float(np.sum(power3[r, :, heuristic.start]))
-            out[r] = heuristic.run(d_power_rows[r], key_rows[r], total, budgets[r])
+        out[live] = self.heuristic.stack_levels(
+            power3[live], ips3[live], self._budgets[live]
+        )
         return out
 
 
@@ -786,8 +780,10 @@ def build_batch_policy(
 
     Stock controllers of one class that agree on what a stack must share
     get its stacked policy, and a lone stock OD-RL or PID controller its
-    own one-row ``stack`` (the caller holds the controller: the stack sees
-    it through a weak proxy).  Anything else, and every group under
+    own one-row ``stack``.  That stack sees the controller through a weak
+    proxy, so the caller must hold the controller while the policy
+    decides: once it is gone, the stack's first read of it raises a
+    :class:`ReferenceError` saying so.  Anything else, and every group under
     ``harvest``, decides through :class:`PerRunPolicy`.
     """
     ctrls = list(controllers)

@@ -88,6 +88,34 @@ class Controller(ABC):
         return np.full(self.n_cores, int(level), dtype=int)
 
 
+class _GoneView:
+    """What a one-row stack holds in place of its controller once the
+    controller is collected: any read raises a :class:`ReferenceError`
+    that names the cause (a bare weak proxy's error does not)."""
+
+    def __getattr__(self, name: str) -> Any:
+        raise ReferenceError(
+            f"cannot read {name!r}: the controller of this one-row stack no "
+            "longer exists.  build_batch_policy returns a lone stock "
+            "controller's own stack, which holds the controller weakly; keep "
+            "a reference to the controller for as long as the policy decides."
+        )
+
+
+def _link(view: StackView, stack: Any) -> None:
+    """Point ``stack`` at ``view`` through a weak proxy (a strong reference
+    would be a cycle keeping finished runs alive).  When the view is
+    collected, the proxy's callback swaps in a :class:`_GoneView`."""
+    stack_ref = weakref.ref(stack)
+
+    def orphan(_: object) -> None:
+        orphaned = stack_ref()
+        if orphaned is not None:
+            orphaned.controllers = [_GoneView()]
+
+    stack.controllers = [weakref.proxy(view, orphan)]
+
+
 class StackView(Controller):
     """A one-row view of a batch policy, as the chip views the epoch
     kernel: the run's state is row 0 of :attr:`stack`, its decide hops
@@ -101,12 +129,13 @@ class StackView(Controller):
     def stack(self) -> Any:
         """The run's one-row stack, built on first use (a controller that a
         larger stack adopts never builds one).  It sees this controller
-        through a weak proxy: a cycle would keep finished runs alive."""
+        through a weak proxy (see :func:`_link`)."""
         if self._stack is None:
             # Imported here: repro.kernel.policies imports the controllers.
             from repro.kernel import policies
 
             self._stack = getattr(policies, self._stack_policy)([weakref.proxy(self)])
+            _link(self, self._stack)
         return self._stack
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -114,4 +143,4 @@ class StackView(Controller):
         # __getstate__ drops because it cannot be pickled.
         self.__dict__.update(state)
         if self._stack is not None and self._stack.controllers is None:
-            self._stack.controllers = [weakref.proxy(self)]
+            _link(self, self._stack)

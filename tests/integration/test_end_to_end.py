@@ -23,6 +23,12 @@ from repro import (
     run_controller,
     throughput_bips,
 )
+from repro.experiments.e5_scalability import (
+    _mean_decide_s,
+    _telemetry_stream,
+    _timed_policy,
+)
+from repro.sim.runner import standard_controllers
 
 N_CORES = 16
 N_EPOCHS = 1200
@@ -86,11 +92,20 @@ class TestComparativeStory:
             tail = result.tail(0.3)
             assert tail.chip_power.mean() <= 1.08 * cfg.power_budget, name
 
-    def test_odrl_decision_cost_far_below_maxbips(self, runs):
-        # Medians resist scheduler noise when the suite runs under load.
-        odrl = float(np.median(runs["od-rl"].decision_time[10:]))
-        maxbips = float(np.median(runs["maxbips"].decision_time[10:]))
-        assert maxbips / odrl > 2.0
+    def test_odrl_decision_cost_far_below_maxbips(self, cfg, wl):
+        # E5's timer: both decides (the serial solve_dp for MaxBIPS, as
+        # E5's maxbips row) on one recorded telemetry stream, interleaved
+        # repeats, and the best repeat of each, which load can only slow.
+        lineup = standard_controllers(seed=0)
+        stream = _telemetry_stream(cfg, wl, lineup["od-rl"], 60)
+        best = {"od-rl": np.inf, "maxbips": np.inf}
+        for _ in range(5):
+            for row in best:
+                controller = lineup[row](cfg)
+                policy = _timed_policy(row, controller)
+                seconds = _mean_decide_s(policy.decide, stream, warmup_epochs=10)
+                best[row] = min(best[row], seconds)
+        assert best["maxbips"] / best["od-rl"] > 2.0
 
 
 class TestThermalCoupling:

@@ -373,7 +373,7 @@ class TestHeuristicRouting:
     @pytest.mark.parametrize("name", sorted(HEURISTICS))
     def test_ragged_stack_matches_one_row_runs(self, name):
         """Rows of different budgets and lengths stack ragged, and each row
-        is bit for bit its own one-row run: a finished row's heap pass is
+        is bit for bit its own one-row run: a finished row's scan is
         skipped and its levels freeze."""
         cls = HEURISTICS[name]
         lengths = [12, 9, 7]

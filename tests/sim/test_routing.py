@@ -12,6 +12,7 @@ or PID run must decide through the controller's own one-row ``stack``.
 from __future__ import annotations
 
 import functools
+import weakref
 
 import pytest
 
@@ -19,12 +20,14 @@ import repro.batch.simulator as batch_simulator
 import repro.sim.simulator as simulator
 from repro.baselines import MaxBIPSController
 from repro.batch import simulate_batch
+from repro.kernel.epoch import EpochKernel
 from repro.kernel.policies import (
     BatchGreedy,
     BatchMaxBIPS,
     BatchODRL,
     BatchPID,
     PerRunPolicy,
+    build_batch_policy,
 )
 from repro.manycore import default_system
 from repro.parallel.cells import RunCell
@@ -102,3 +105,34 @@ def test_a_lone_run_decides_through_the_controller_passed_in(handed):
         stack = controller.stack
         assert stack.n_runs == 1
         assert handed.pop() == (type(stack), True)
+
+
+def _closed_loop(policy, n_epochs):
+    """Reset ``policy`` and run it ``n_epochs`` on a one-row kernel."""
+    kernel = EpochKernel([CFG], [WORKLOAD])
+    policy.reset()
+    obs = None
+    for _ in range(n_epochs):
+        obs = kernel.step(policy.decide(obs))
+
+
+@pytest.mark.parametrize("name", sorted(OWN_STACK))
+def test_a_held_controller_keeps_its_stack_deciding(name):
+    controller = LINEUP[name](CFG)
+    policy = build_batch_policy([controller])
+    assert policy is controller.stack
+    _closed_loop(policy, N_EPOCHS)
+
+
+@pytest.mark.parametrize("name", sorted(OWN_STACK))
+def test_a_stack_whose_controller_is_gone_names_the_cause(name):
+    """The stack holds its controller weakly, with no cycle: a temporary
+    controller is freed as soon as the caller drops it (no collector pass
+    runs here), and the stack's next read of it says what went wrong."""
+    controller = LINEUP[name](CFG)
+    alive = weakref.ref(controller)
+    policy = build_batch_policy([controller])
+    del controller
+    assert alive() is None
+    with pytest.raises(ReferenceError, match="keep a reference to the controller"):
+        _closed_loop(policy, N_EPOCHS)
